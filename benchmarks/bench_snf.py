@@ -1,15 +1,25 @@
 """Compare the compiled and pure-Python normal-form kernels.
 
-Workloads are the presentation matrices the library actually reduces
-(the refined scissors relations for a few q) plus random dense
-matrices.  Both backends receive identical input; results are checked
-entrywise before timings are reported.
+Each case times the three reductions the library runs, with the
+transform flags it passes:
+
+- ``hnf`` without U on the full relation matrix (``AbGroupInfo``);
+- ``snf`` with V only on the rank x n Hermite basis of those relations
+  (``AbGroupInfo``);
+- ``hnf`` with U on a ``left_kernel`` stack: images over the target's
+  Hermite basis (``fp_kernel``, ``solve_left``, ``lattice_intersection``).
+
+Workloads are the refined scissors presentations for a few q, where the
+stack is the second ``fp_kernel`` stage of lambda_1 (kernel generators
+over the relation basis of RP), plus random dense matrices, where the
+stack is the matrix itself.  Both backends receive identical input;
+results are checked entrywise before timings are reported.
 
 The random shapes stay modest on purpose: exact reduction of a dense
 random matrix swells intermediate entries far beyond the sparse 0/+-1
 presentation matrices that dominate real use.
 
-Usage: python benchmarks/bench_snf.py [--repeat N] [--seed S]
+Usage: python benchmarks/bench_snf.py [--repeat N] [--seed S] [--qs Q,...]
 """
 
 from __future__ import annotations
@@ -21,24 +31,37 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from kmw import _snf_py
-from kmw.scissors import rp_presentation
+from kmw.exact_linear import IntMatrix, fp_group, fp_kernel
+from kmw.scissors import scissors_context
 
 try:
     from kmw import _snf_core
 except ImportError:
     _snf_core = None
 
+# (label, kernel, flags after rows and cols) for the three reductions
+REDUCTIONS = (
+    ("hnf u0", "hnf_kernel", (False,)),
+    ("snf v", "snf_kernel", (False, True)),
+    ("hnf u", "hnf_kernel", (True,)),
+)
 
-def scissors_case(q: int) -> Tuple[str, int, int, List[int]]:
-    labels, rows, _ = rp_presentation(q)
-    flat = [entry for row in rows for entry in row]
-    return f"scissors relations q={q}", len(rows), len(labels), flat
+Case = Tuple[str, IntMatrix, IntMatrix, IntMatrix]
 
 
-def random_case(rng: random.Random, rows: int, cols: int,
-                magnitude: int) -> Tuple[str, int, int, List[int]]:
-    flat = [rng.randint(-magnitude, magnitude) for _ in range(rows * cols)]
-    return f"random +-{magnitude}", rows, cols, flat
+def scissors_case(q: int) -> Case:
+    """(name, relations, their Hermite basis, left_kernel stack)."""
+    ctx = scissors_context(q)
+    rp = ctx.rp_group()
+    _, incl = fp_kernel(ctx.maps()[0])
+    stack = incl.images.stack(rp.relation_basis)
+    return f"scissors q={q}", rp.relation_matrix, rp.relation_basis, stack
+
+
+def random_case(rng: random.Random, rows: int, cols: int, magnitude: int) -> Case:
+    m = IntMatrix(rows, cols, [rng.randint(-magnitude, magnitude) for _ in range(rows * cols)])
+    basis = fp_group(range(cols), m).relation_basis
+    return f"random +-{magnitude}", m, basis, m
 
 
 def best_of(repeat: int, fn: Callable[[], object]) -> Tuple[float, object]:
@@ -51,21 +74,18 @@ def best_of(repeat: int, fn: Callable[[], object]) -> Tuple[float, object]:
     return best, result
 
 
-def time_backends(kernel: str, rows: int, cols: int, flat: Sequence[int],
+def time_backends(kernel: str, m: IntMatrix, flags: Tuple[bool, ...],
                   repeat: int) -> Tuple[Optional[float], float, str]:
     """(compiled seconds or None, pure seconds, agreement note)."""
+    args = (m.rows, m.cols) + flags
     pure_fn = getattr(_snf_py, kernel)
-    if kernel == "snf_kernel":
-        args = (rows, cols, True, True)
-    else:
-        args = (rows, cols, True)
-    pure_time, pure_result = best_of(repeat, lambda: pure_fn(list(flat), *args))
+    pure_time, pure_result = best_of(repeat, lambda: pure_fn(list(m.entries), *args))
     if _snf_core is None:
         return None, pure_time, "compiled backend not built"
     core_fn = getattr(_snf_core, kernel)
     try:
         core_time, core_result = best_of(
-            repeat, lambda: core_fn(list(flat), *args)
+            repeat, lambda: core_fn(list(m.entries), *args)
         )
     except _snf_core.Overflow:
         return None, pure_time, "64-bit overflow, pure fallback"
@@ -85,33 +105,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="seed for the random matrices (default 5)")
     parser.add_argument("--qs", default="13,17,25",
                         help="comma-separated q values for the scissors "
-                             "matrices (default 13,17,25; pure-backend cost "
-                             "grows steeply, q=49 takes minutes)")
+                             "matrices (default 13,17,25)")
     ns = parser.parse_args(argv)
 
     rng = random.Random(ns.seed)
-    cases = [scissors_case(int(q)) for q in ns.qs.split(",")]
+    cases: List[Case] = [scissors_case(int(q)) for q in ns.qs.split(",")]
     cases.append(random_case(rng, 25, 25, 9))
     cases.append(random_case(rng, 60, 20, 999))
     cases.append(random_case(rng, 12, 12, 10 ** 6))
 
     if _snf_core is None:
         print("note: compiled backend not built; timing pure backend only")
-    header = (f"{'case':<28} {'shape':>10} {'kernel':<10} "
+    header = (f"{'case':<20} {'shape':>10} {'kernel':<7} "
               f"{'compiled ms':>11} {'pure ms':>9} {'speedup':>8}  result")
     print(header, flush=True)
     print("-" * len(header), flush=True)
     mismatches = 0
-    for name, rows, cols, flat in cases:
-        for kernel in ("snf_kernel", "hnf_kernel"):
-            core_time, pure_time, note = time_backends(
-                kernel, rows, cols, flat, ns.repeat
-            )
+    for name, relations, basis, stack in cases:
+        for (label, kernel, flags), m in zip(REDUCTIONS, (relations, basis, stack)):
+            core_time, pure_time, note = time_backends(kernel, m, flags, ns.repeat)
             if note == "MISMATCH":
                 mismatches += 1
             speedup = ("-" if core_time is None
                        else f"{pure_time / core_time:7.1f}x")
-            print(f"{name:<28} {rows:>4}x{cols:<5} {kernel[:-7]:<10} "
+            print(f"{name:<20} {m.rows:>4}x{m.cols:<5} {label:<7} "
                   f"{fmt_ms(core_time):>11} {fmt_ms(pure_time):>9} "
                   f"{speedup:>8}  {note}", flush=True)
     if mismatches:

@@ -4,6 +4,14 @@ Everything downstream reduces to this module: Smith/Hermite normal forms
 over Z, lattice membership, and the presentation calculus (kernels,
 images, cokernels of maps between finitely presented abelian groups).
 
+A presentation is reduced once.  ``AbGroupInfo`` runs a Hermite normal
+form (no transform) over its relation matrix and keeps the nonzero rows
+as ``relation_basis``, a rank x n matrix spanning the same lattice; the
+Smith form that yields invariant factors and coordinates is then taken
+of that small basis (Cohen, GTM 138, section 2.4).  The kernel calculus
+stacks against ``relation_basis`` rather than the tall, sparse relation
+matrix, so its ``left_kernel`` transforms stay small.
+
 Two interchangeable kernel backends exist: a compiled 64-bit extension
 and pure-Python arbitrary precision.  They implement the identical pivot
 rule, so results agree entrywise; the compiled path falls back per call
@@ -297,11 +305,14 @@ def lattice_intersection(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 class AbGroupInfo:
     """A finitely presented abelian group Z^n / (row lattice).
 
-    Carries the presentation plus enough of its normal-form data to give
-    canonical coordinates: ``coordinate_map`` sends a generator-exponent
-    vector to its image in Z^free ⊕ ⊕_i Z/d_i, and ``is_zero`` decides
-    lattice membership directly from a Hermite basis (the two agree; the
-    tests cross-check them)."""
+    The relations are reduced once, to their Hermite basis
+    ``relation_basis`` (rank x n, same row lattice as
+    ``relation_matrix``); the Smith form of that basis gives the
+    invariant factors.  Both readings come from the basis:
+    ``coordinate_map`` sends a generator-exponent vector to its image in
+    Z^free ⊕ ⊕_i Z/d_i through the Smith column transform, and
+    ``is_zero`` decides lattice membership by reduction against the
+    Hermite pivots (the two agree; the tests cross-check them)."""
 
     def __init__(self, labels: Sequence[str], relations: IntMatrix):
         labels = tuple(str(s) for s in labels)
@@ -311,9 +322,13 @@ class AbGroupInfo:
         self.relation_matrix = relations
         n = relations.cols
 
-        d_flat, _, v = _snf_raw(relations.entries, relations.rows, n, False, True)
+        h_flat, _, rank = _hnf_raw(relations.entries, relations.rows, n, False)
+        self.relation_basis = IntMatrix(rank, n, h_flat[: rank * n])
+        self._pivots = _pivot_data(self.relation_basis.row_list(), rank)
+
+        d_flat, _, v = _snf_raw(self.relation_basis.entries, rank, n, False, True)
         diag = [0] * n
-        for j in range(min(relations.rows, n)):
+        for j in range(min(rank, n)):
             diag[j] = d_flat[j * n + j]
         self._diag = tuple(diag)
         self._v_rows = tuple(
@@ -323,10 +338,6 @@ class AbGroupInfo:
         self._tor_cols = tuple(j for j in range(n) if diag[j] >= 2)
         self.invariant_factors = tuple(diag[j] for j in self._tor_cols)
         self.free_rank = len(self._free_cols)
-
-        h_flat, _, rank = _hnf_raw(relations.entries, relations.rows, n, False)
-        h_rows = [tuple(h_flat[i * n + j] for j in range(n)) for i in range(rank)]
-        self._pivots = _pivot_data(h_rows, rank)
         if rank != n - self.free_rank:
             raise IntegrityFailure("normal forms disagree on rank")
 
@@ -452,10 +463,10 @@ def fp_kernel(f: AbMap) -> tuple[AbGroupInfo, AbMap]:
     source.
 
     The kernel subgroup of Z^n is the projection of the left kernel of
-    the stacked matrix [images; target relations]; its own relations are
-    the coefficient vectors landing in the source relation lattice."""
+    the stacked matrix [images; target relation basis]; its own relations
+    are the coefficient vectors landing in the source relation lattice."""
     n = f.source.ngens
-    stacked = f.images.stack(f.target.relation_matrix)
+    stacked = f.images.stack(f.target.relation_basis)
     kb = left_kernel(stacked)
     gen_rows = []
     for i in range(kb.rows):
@@ -465,7 +476,7 @@ def fp_kernel(f: AbMap) -> tuple[AbGroupInfo, AbMap]:
     gens = IntMatrix.from_rows(gen_rows, cols=n)
 
     k = gens.rows
-    stacked2 = gens.stack(f.source.relation_matrix)
+    stacked2 = gens.stack(f.source.relation_basis)
     kb2 = left_kernel(stacked2)
     rel_rows = []
     for i in range(kb2.rows):
@@ -482,7 +493,7 @@ def fp_image(f: AbMap) -> AbGroupInfo:
     """Image of ``f`` presented on the source generators (isomorphic to
     source modulo the kernel lattice)."""
     n = f.source.ngens
-    stacked = f.images.stack(f.target.relation_matrix)
+    stacked = f.images.stack(f.target.relation_basis)
     kb = left_kernel(stacked)
     rel_rows = []
     for i in range(kb.rows):
@@ -495,7 +506,7 @@ def fp_image(f: AbMap) -> AbGroupInfo:
 def fp_cokernel(f: AbMap) -> AbGroupInfo:
     """Cokernel of ``f``: the target with the image rows adjoined as
     relations."""
-    rels = f.target.relation_matrix.stack(f.images)
+    rels = f.target.relation_basis.stack(f.images)
     return AbGroupInfo(f.target.generator_labels, rels)
 
 

@@ -454,7 +454,7 @@ class ScissorsContext:
 
             # express the image of each RB generator in B coordinates
             b_gens = [list(b_incl.images.row(i)) for i in range(b_grp.ngens)]
-            p_rel = p.relation_matrix
+            p_rel = p.relation_basis
             stack_rows = b_gens + [list(p_rel.row(i)) for i in range(p_rel.rows)]
             stacked = IntMatrix.from_rows(stack_rows, cols=self.n_units)
             rb_to_b_images = []
@@ -474,7 +474,7 @@ class ScissorsContext:
                     raise IntegrityFailure("RB -> B fails to be onto")
 
             # intersection of RP1 with the K1 submodule inside RP
-            rp_rel = rp.relation_matrix
+            rp_rel = rp.relation_basis
             rel_rows = [list(rp_rel.row(i)) for i in range(rp_rel.rows)]
             rp1_rows = [list(rp1_incl.images.row(i)) for i in range(rp1_grp.ngens)]
             cols = 2 * self.n_units

@@ -2,6 +2,7 @@
 independent oracles: determinantal divisors for invariant factors and
 cofactor expansion for determinants."""
 
+import copy
 import random
 from itertools import combinations
 from math import gcd
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmw import _snf_py, exact_linear
 from kmw.errors import RelationNotKilled
 from kmw.exact_linear import (
     AbMap,
@@ -26,6 +28,7 @@ from kmw.exact_linear import (
     snf,
     solve_left,
 )
+from kmw.scissors import rp_presentation, scissors_context
 
 
 def laplace_det(rows):
@@ -481,3 +484,134 @@ class TestIntMatrix:
         assert s.row_list() == [(1, 2), (3, 4)]
         p = s.mul(IntMatrix.identity(2))
         assert p == s
+
+
+# -- one Hermite reduction per presentation --------------------------------
+#
+# AbGroupInfo reduces its relations once, to a Hermite basis, and reads
+# invariants, coordinates and membership from that basis; the kernel
+# calculus stacks against it.  The SNF of the whole relation matrix and
+# stacks of the whole relation matrix are the oracles.
+
+SPARSE_ENTRIES = (0, 0, 0, 1, -1)
+
+sparse_entry = st.sampled_from(SPARSE_ENTRIES)
+
+tall_sparse = st.integers(1, 6).flatmap(
+    lambda c: st.integers(c, 4 * c).flatmap(
+        lambda r: st.lists(
+            st.lists(sparse_entry, min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+SMALL_RP_QS = (5, 7, 9, 11, 13)
+
+
+def full_snf_invariants(rows, n):
+    """(free rank, invariant factors) read off the SNF of the whole
+    relation matrix."""
+    flat = [x for r in rows for x in r]
+    d, _, _ = _snf_py.snf_kernel(flat, len(rows), n, False, False)
+    diag = [d[j * n + j] for j in range(min(len(rows), n))]
+    return n - sum(1 for x in diag if x), tuple(x for x in diag if x >= 2)
+
+
+def invariants(g):
+    return g.free_rank, g.invariant_factors
+
+
+def with_full_stack(g):
+    """Copy of ``g`` whose kernel calculus stacks the full relation
+    matrix instead of the Hermite basis."""
+    h = copy.copy(g)
+    h.relation_basis = g.relation_matrix
+    return h
+
+
+def assert_stack_independent(f):
+    full = AbMap(with_full_stack(f.source), with_full_stack(f.target), f.images)
+    assert invariants(fp_kernel(f)[0]) == invariants(fp_kernel(full)[0])
+    assert invariants(fp_image(f)) == invariants(fp_image(full))
+    assert invariants(fp_cokernel(f)) == invariants(fp_cokernel(full))
+
+
+def assert_zero_test_agrees(g, rng, trials=30):
+    rows = g.relation_matrix.row_list()
+    for _ in range(trials):
+        vec = [0] * g.ngens
+        for row in rows:
+            c = rng.randint(-2, 2) if rng.random() < 0.3 else 0
+            for j, x in enumerate(row):
+                vec[j] += c * x
+        if rng.random() < 0.5:
+            vec[rng.randrange(g.ngens)] += rng.randint(-2, 2)
+        free, tors = g.coordinate_map(vec)
+        assert g.is_zero(vec) == (not any(free) and not any(tors))
+
+
+def random_sparse_rows(rng, nrows, ncols):
+    return [[rng.choice(SPARSE_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+
+
+class TestHermiteBasis:
+    @settings(max_examples=120, deadline=None)
+    @given(tall_sparse, st.integers(0, 2**32 - 1))
+    def test_tall_sparse_against_full_snf(self, rows, seed):
+        n = len(rows[0])
+        g = fp_group([f"g{i}" for i in range(n)], rows)
+        assert invariants(g) == full_snf_invariants(rows, n)
+        assert g.relation_basis.rows == n - g.free_rank
+        assert g.relation_basis.cols == n
+        assert_zero_test_agrees(g, random.Random(seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tall_sparse, st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_tall_sparse_maps_stack_independent(self, src_rows, m, seed):
+        # target relations contain the images of the source relations,
+        # so the map is well defined
+        rng = random.Random(seed)
+        n = len(src_rows[0])
+        images = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+        killed = [
+            [sum(row[i] * images[i][j] for i in range(n)) for j in range(m)]
+            for row in src_rows
+        ]
+        tgt_rows = random_sparse_rows(rng, rng.randint(0, 2 * m), m) + killed
+        src = fp_group([f"s{i}" for i in range(n)], src_rows)
+        tgt = fp_group([f"t{j}" for j in range(m)], tgt_rows)
+        assert_stack_independent(AbMap(src, tgt, images))
+
+    @pytest.mark.parametrize("q", SMALL_RP_QS)
+    def test_rp_presentation_against_full_snf(self, q):
+        labels, rows, _ = rp_presentation(q)
+        g = fp_group(labels, rows)
+        assert invariants(g) == full_snf_invariants(rows, len(labels))
+        assert_zero_test_agrees(g, random.Random(q))
+
+    @pytest.mark.parametrize("q", SMALL_RP_QS)
+    def test_scissors_maps_stack_independent(self, q):
+        for f in scissors_context(q).maps():
+            assert_stack_independent(f)
+
+    def test_one_full_height_reduction(self, monkeypatch):
+        calls = []
+        hnf_raw, snf_raw = exact_linear._hnf_raw, exact_linear._snf_raw
+
+        def record_hnf(entries, rows, cols, want_u=True):
+            calls.append(("hnf", rows, cols, want_u))
+            return hnf_raw(entries, rows, cols, want_u)
+
+        def record_snf(entries, rows, cols, want_u=True, want_v=True):
+            calls.append(("snf", rows, cols, want_u, want_v))
+            return snf_raw(entries, rows, cols, want_u, want_v)
+
+        monkeypatch.setattr(exact_linear, "_hnf_raw", record_hnf)
+        monkeypatch.setattr(exact_linear, "_snf_raw", record_snf)
+        labels, rows, _ = rp_presentation(7)
+        n = len(labels)
+        g = fp_group(labels, rows)
+        rank = n - g.free_rank
+        assert calls == [("hnf", len(rows), n, False), ("snf", rank, n, False, True)]

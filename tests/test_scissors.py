@@ -1,6 +1,7 @@
 """Presentations of the scissors-congruence groups and their kernels."""
 
 import random
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from kmw.errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from kmw.exact_linear import AbMap, fp_group, fp_kernel
+from kmw.exact_linear import AbMap, fp_group, fp_kernel, odd_part
 from kmw.fields import finite_field, function_field, function_place, rationals
 from kmw.group_ring import gr_int, gr_mul, gr_unit, pfister_elem
 from kmw.scissors import (
@@ -236,6 +237,20 @@ class TestDerivedGroups:
         for q in (5, 7, 9):
             e = derived_groups(q)["k1_intersection_exponent"]
             assert 4 % e == 0
+
+    def test_larger_q_within_bound(self):
+        # q = 25 presents RP on 48 generators with 1014 relations
+        start = time.monotonic()
+        for q in (17, 19, 25):
+            d = derived_groups(q)
+            assert d["rblker"].free_rank == 0, f"q={q}"
+            assert d["rblker"].invariant_factors == (), f"q={q}"
+            assert d["cokernel_RB_to_B"].order() == 1, f"q={q}"
+            lhs = d["half_RP1"].order()
+            assert lhs == odd_part(d["rblker"]).order() * d["half_P"].order(), f"q={q}"
+            assert lhs == odd_part_int(q + 1), f"q={q}"
+            assert 4 % d["k1_intersection_exponent"] == 0, f"q={q}"
+        assert time.monotonic() - start < 30.0
 
 
 class TestRElement:
