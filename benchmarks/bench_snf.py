@@ -3,7 +3,8 @@
 Each case times the three reductions the library runs, with the
 transform flags it passes:
 
-- ``hnf`` without U on the full relation matrix (``AbGroupInfo``);
+- ``hnf`` without U on the distinct relation rows, up to sign
+  (``AbGroupInfo``);
 - ``snf`` with V only on the rank x n Hermite basis of those relations
   (``AbGroupInfo``);
 - ``hnf`` with U on a ``left_kernel`` stack: images over the target's
@@ -31,7 +32,7 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from kmw import _snf_py
-from kmw.exact_linear import IntMatrix, fp_group, fp_kernel
+from kmw.exact_linear import IntMatrix, _distinct_rows, fp_group, fp_kernel
 from kmw.scissors import scissors_context
 
 try:
@@ -49,19 +50,26 @@ REDUCTIONS = (
 Case = Tuple[str, IntMatrix, IntMatrix, IntMatrix]
 
 
+def distinct_relations(m: IntMatrix) -> IntMatrix:
+    """The rows ``AbGroupInfo`` hands to its Hermite reduction."""
+    return IntMatrix.from_rows(_distinct_rows(m), cols=m.cols)
+
+
 def scissors_case(q: int) -> Case:
-    """(name, relations, their Hermite basis, left_kernel stack)."""
+    """(name, distinct relation rows, their Hermite basis, left_kernel
+    stack)."""
     ctx = scissors_context(q)
     rp = ctx.rp_group()
     _, incl = fp_kernel(ctx.maps()[0])
     stack = incl.images.stack(rp.relation_basis)
-    return f"scissors q={q}", rp.relation_matrix, rp.relation_basis, stack
+    return (f"scissors q={q}", distinct_relations(rp.relation_matrix),
+            rp.relation_basis, stack)
 
 
 def random_case(rng: random.Random, rows: int, cols: int, magnitude: int) -> Case:
     m = IntMatrix(rows, cols, [rng.randint(-magnitude, magnitude) for _ in range(rows * cols)])
     basis = fp_group(range(cols), m).relation_basis
-    return f"random +-{magnitude}", m, basis, m
+    return f"random +-{magnitude}", distinct_relations(m), basis, m
 
 
 def best_of(repeat: int, fn: Callable[[], object]) -> Tuple[float, object]:

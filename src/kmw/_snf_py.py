@@ -1,10 +1,18 @@
 """Integer normal-form kernels (pure Python, arbitrary precision).
 
-Matrices are flat row-major lists of Python ints.  The compiled backend
-mirrors these routines word for word over 64-bit integers and raises on
-overflow, at which point callers re-run the computation here; both
-backends use the identical pivot rule (first entry of minimal absolute
-value, short-circuiting on +-1) so their outputs agree entrywise.
+Matrices go in and come out as flat row-major lists of Python ints.
+The compiled backend mirrors these routines over 64-bit integers and
+raises on overflow, at which point callers re-run the computation here;
+both backends use the identical pivot rule (first entry of minimal
+absolute value, short-circuiting on +-1) and the same order of row and
+column operations, so their outputs agree entrywise.
+
+``hnf_kernel`` holds the matrix and its transform as lists of rows
+inside, so swaps and negations move whole rows.  While column j is
+reduced, the pivot row and every row below it are zero left of j, so
+every row operation (which adds a multiple of the pivot row) runs over
+columns j.. of the matrix only; the transform rows stay full length.
+The skipped columns would only have received zeros.
 """
 
 from __future__ import annotations
@@ -149,68 +157,72 @@ def hnf_kernel(a, rows, cols, want_u=True):
     """Row Hermite normal form.  Returns (h, u, rank) with u*a = h,
     u unimodular, pivots positive with entries above them reduced into
     [0, pivot), and all zero rows at the bottom."""
-    a = list(a)
-    u = _identity(rows) if want_u else None
-
-    def swap_rows(i, j):
-        for c in range(cols):
-            a[i * cols + c], a[j * cols + c] = a[j * cols + c], a[i * cols + c]
-        if u is not None:
-            for c in range(rows):
-                u[i * rows + c], u[j * rows + c] = u[j * rows + c], u[i * rows + c]
-
-    def add_row(i, j, c):
-        for k in range(cols):
-            a[i * cols + k] += c * a[j * cols + k]
-        if u is not None:
-            for k in range(rows):
-                u[i * rows + k] += c * u[j * rows + k]
-
-    def neg_row(i):
-        for k in range(cols):
-            a[i * cols + k] = -a[i * cols + k]
-        if u is not None:
-            for k in range(rows):
-                u[i * rows + k] = -u[i * rows + k]
+    a = [list(a[i * cols : (i + 1) * cols]) for i in range(rows)]
+    u = None
+    if want_u:
+        u = [[0] * rows for _ in range(rows)]
+        for i in range(rows):
+            u[i][i] = 1
 
     r = 0
     for j in range(cols):
         if r == rows:
             break
+        # rows r.. are zero left of column j, so row operations start at j
+        nz = [i for i in range(r, rows) if a[i][j]]
+        if not nz:
+            continue  # column has no pivot
         while True:
-            best_abs = 0
-            best_i = -1
-            for i in range(r, rows):
-                x = a[i * cols + j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best_i < 0 or ax < best_abs:
+            # pivot: first entry of minimal |value| among the nonzero rows
+            best_i = nz[0]
+            best_abs = abs(a[best_i][j])
+            if best_abs != 1:
+                for i in nz:
+                    ax = abs(a[i][j])
+                    if ax < best_abs:
                         best_abs, best_i = ax, i
                         if ax == 1:
                             break
-            if best_i < 0:
-                break  # column has no pivot
+            # the rows left to reduce, in index order after the swap
+            if nz[0] == r:
+                others = nz[1:]
+            else:
+                others = [i for i in nz if i != best_i]
             if best_i != r:
-                swap_rows(best_i, r)
-            p = a[r * cols + j]
-            clean = True
-            for i in range(r + 1, rows):
-                x = a[i * cols + j]
-                if x:
-                    q = _nearest_quo(x, p)
-                    add_row(i, r, -q)
-                    if a[i * cols + j]:
-                        clean = False
-            if clean:
+                a[best_i], a[r] = a[r], a[best_i]
+                if u is not None:
+                    u[best_i], u[r] = u[r], u[best_i]
+            tail = a[r][j:]
+            p = tail[0]
+            ur = u[r] if u is not None else None
+            nz = [r]
+            for i in others:
+                ai = a[i]
+                q = _nearest_quo(ai[j], p)
+                ai[j:] = [x - q * y for x, y in zip(ai[j:], tail)]
+                if ur is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], ur)]
+                if ai[j]:
+                    nz.append(i)
+            if len(nz) == 1:
                 break
-        if best_i < 0:
-            continue
-        if a[r * cols + j] < 0:
-            neg_row(r)
-        p = a[r * cols + j]
+        ar = a[r]
+        if ar[j] < 0:
+            ar[j:] = [-x for x in ar[j:]]
+            if u is not None:
+                u[r] = [-x for x in u[r]]
+        tail = ar[j:]
+        p = tail[0]
+        ur = u[r] if u is not None else None
         for i in range(r):
-            q = a[i * cols + j] // p  # floor puts the entry in [0, p)
+            ai = a[i]
+            q = ai[j] // p  # floor puts the entry in [0, p)
             if q:
-                add_row(i, r, -q)
+                ai[j:] = [x - q * y for x, y in zip(ai[j:], tail)]
+                if ur is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], ur)]
         r += 1
-    return a, u, r
+    h = [x for row in a for x in row]
+    if u is not None:
+        u = [x for row in u for x in row]
+    return h, u, r

@@ -493,7 +493,7 @@ def _cmd_snf(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
     if matrix is None:
         payload = {"rows": 0, "cols": 0, "rank": 0, "diagonal": []}
     else:
-        diag, _, _ = snf(matrix)
+        diag, _, _ = snf(matrix, want_u=False, want_v=False)
         chain = list(diag.diagonal())
         payload = {
             "rows": matrix.rows,

@@ -5,12 +5,13 @@ over Z, lattice membership, and the presentation calculus (kernels,
 images, cokernels of maps between finitely presented abelian groups).
 
 A presentation is reduced once.  ``AbGroupInfo`` runs a Hermite normal
-form (no transform) over its relation matrix and keeps the nonzero rows
-as ``relation_basis``, a rank x n matrix spanning the same lattice; the
-Smith form that yields invariant factors and coordinates is then taken
-of that small basis (Cohen, GTM 138, section 2.4).  The kernel calculus
-stacks against ``relation_basis`` rather than the tall, sparse relation
-matrix, so its ``left_kernel`` transforms stay small.
+form (no transform) over the distinct rows, up to sign, of its relation
+matrix and keeps the nonzero rows as ``relation_basis``, a rank x n
+matrix spanning the same lattice; the Smith form that yields invariant
+factors and coordinates is then taken of that small basis (Cohen,
+GTM 138, section 2.4).  The kernel calculus stacks against
+``relation_basis`` rather than the tall, sparse relation matrix, so its
+``left_kernel`` transforms stay small.
 
 Two interchangeable kernel backends exist: a compiled 64-bit extension
 and pure-Python arbitrary precision.  They implement the identical pivot
@@ -173,15 +174,17 @@ class IntMatrix:
         return cls(int(obj["rows"]), int(obj["cols"]), [int(x) for x in obj["entries"]])
 
 
-def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def snf(
+    m: IntMatrix, want_u: bool = True, want_v: bool = True
+) -> tuple[IntMatrix, Optional[IntMatrix], Optional[IntMatrix]]:
     """Smith normal form: returns (D, U, V) with U*m*V = D, U and V
     unimodular, D diagonal with nonnegative entries in a divisibility
-    chain."""
-    d, u, v = _snf_raw(m.entries, m.rows, m.cols, True, True)
+    chain.  A transform that is not asked for is None."""
+    d, u, v = _snf_raw(m.entries, m.rows, m.cols, want_u, want_v)
     return (
         IntMatrix(m.rows, m.cols, d),
-        IntMatrix(m.rows, m.rows, u),
-        IntMatrix(m.cols, m.cols, v),
+        IntMatrix(m.rows, m.rows, u) if want_u else None,
+        IntMatrix(m.cols, m.cols, v) if want_v else None,
     )
 
 
@@ -254,6 +257,21 @@ def _member(pivots, vec: Sequence[int]) -> Optional[list[int]]:
     return coeffs
 
 
+def _distinct_rows(m: IntMatrix) -> list[tuple[int, ...]]:
+    """The nonzero rows of ``m``, each once up to sign, in order of first
+    appearance and signed so that the leading entry is positive.  They
+    span the same row lattice as ``m``."""
+    out = {}
+    for i in range(m.rows):
+        row = m.row(i)
+        lead = next((x for x in row if x), 0)
+        if lead < 0:
+            row = tuple(-x for x in row)
+        if lead:
+            out[row] = None
+    return list(out)
+
+
 def left_kernel(m: IntMatrix) -> IntMatrix:
     """Basis (as rows) of {x in Z^rows : x*m = 0}; saturated since it
     comes from a unimodular transform."""
@@ -308,9 +326,12 @@ class AbGroupInfo:
     The relations are reduced once, to their Hermite basis
     ``relation_basis`` (rank x n, same row lattice as
     ``relation_matrix``); the Smith form of that basis gives the
-    invariant factors.  Both readings come from the basis:
-    ``coordinate_map`` sends a generator-exponent vector to its image in
-    Z^free ⊕ ⊕_i Z/d_i through the Smith column transform, and
+    invariant factors.  Only the distinct nonzero relation rows, a row
+    and its negation counting as one, enter that reduction: they span
+    the same lattice, and the Hermite basis of a lattice is unique.
+    ``relation_matrix`` is kept as given.  Both readings come from the
+    basis: ``coordinate_map`` sends a generator-exponent vector to its
+    image in Z^free ⊕ ⊕_i Z/d_i through the Smith column transform, and
     ``is_zero`` decides lattice membership by reduction against the
     Hermite pivots (the two agree; the tests cross-check them)."""
 
@@ -322,7 +343,8 @@ class AbGroupInfo:
         self.relation_matrix = relations
         n = relations.cols
 
-        h_flat, _, rank = _hnf_raw(relations.entries, relations.rows, n, False)
+        rows = _distinct_rows(relations)
+        h_flat, _, rank = _hnf_raw([x for row in rows for x in row], len(rows), n, False)
         self.relation_basis = IntMatrix(rank, n, h_flat[: rank * n])
         self._pivots = _pivot_data(self.relation_basis.row_list(), rank)
 

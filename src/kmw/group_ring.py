@@ -176,10 +176,6 @@ def gr_class(cls: SquareClass) -> GroupRingElem:
     return GroupRingElem(cls.field, {cls: 1})
 
 
-def gr_add(x: GroupRingElem, y: GroupRingElem) -> GroupRingElem:
-    return x + y
-
-
 def gr_mul(x: GroupRingElem, y: GroupRingElem) -> GroupRingElem:
     return x * y
 

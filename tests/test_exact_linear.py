@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmw import _snf_py, exact_linear
+from kmw._snf_py import _identity, _nearest_quo
 from kmw.errors import RelationNotKilled
 from kmw.exact_linear import (
     AbMap,
@@ -597,6 +598,10 @@ class TestHermiteBasis:
             assert_stack_independent(f)
 
     def test_one_full_height_reduction(self, monkeypatch):
+        # built before recording: rp_presentation also builds the cached
+        # group of the presentation
+        labels, rows, _ = rp_presentation(7)
+        n = len(labels)
         calls = []
         hnf_raw, snf_raw = exact_linear._hnf_raw, exact_linear._snf_raw
 
@@ -610,8 +615,150 @@ class TestHermiteBasis:
 
         monkeypatch.setattr(exact_linear, "_hnf_raw", record_hnf)
         monkeypatch.setattr(exact_linear, "_snf_raw", record_snf)
-        labels, rows, _ = rp_presentation(7)
-        n = len(labels)
-        g = fp_group(labels, rows)
+        # the Hermite reduction sees each nonzero relation row once, up to sign
+        redundant = [[-x for x in rows[0]], list(rows[1]), [0] * n]
+        g = fp_group(labels, list(rows) + redundant)
         rank = n - g.free_rank
         assert calls == [("hnf", len(rows), n, False), ("snf", rank, n, False, True)]
+
+
+# -- row-list Hermite kernel, distinct relation rows -----------------------
+#
+# hnf_kernel holds rows as lists and starts each row operation at the
+# pivot column; AbGroupInfo reduces only the distinct nonzero relation
+# rows, up to sign.  The flat kernel below is the previous hnf_kernel,
+# kept verbatim as the oracle: h, u and rank must agree entrywise.
+
+
+def flat_hnf_kernel(a, rows, cols, want_u=True):
+    """Row Hermite normal form.  Returns (h, u, rank) with u*a = h,
+    u unimodular, pivots positive with entries above them reduced into
+    [0, pivot), and all zero rows at the bottom."""
+    a = list(a)
+    u = _identity(rows) if want_u else None
+
+    def swap_rows(i, j):
+        for c in range(cols):
+            a[i * cols + c], a[j * cols + c] = a[j * cols + c], a[i * cols + c]
+        if u is not None:
+            for c in range(rows):
+                u[i * rows + c], u[j * rows + c] = u[j * rows + c], u[i * rows + c]
+
+    def add_row(i, j, c):
+        for k in range(cols):
+            a[i * cols + k] += c * a[j * cols + k]
+        if u is not None:
+            for k in range(rows):
+                u[i * rows + k] += c * u[j * rows + k]
+
+    def neg_row(i):
+        for k in range(cols):
+            a[i * cols + k] = -a[i * cols + k]
+        if u is not None:
+            for k in range(rows):
+                u[i * rows + k] = -u[i * rows + k]
+
+    r = 0
+    for j in range(cols):
+        if r == rows:
+            break
+        while True:
+            best_abs = 0
+            best_i = -1
+            for i in range(r, rows):
+                x = a[i * cols + j]
+                if x:
+                    ax = -x if x < 0 else x
+                    if best_i < 0 or ax < best_abs:
+                        best_abs, best_i = ax, i
+                        if ax == 1:
+                            break
+            if best_i < 0:
+                break  # column has no pivot
+            if best_i != r:
+                swap_rows(best_i, r)
+            p = a[r * cols + j]
+            clean = True
+            for i in range(r + 1, rows):
+                x = a[i * cols + j]
+                if x:
+                    q = _nearest_quo(x, p)
+                    add_row(i, r, -q)
+                    if a[i * cols + j]:
+                        clean = False
+            if clean:
+                break
+        if best_i < 0:
+            continue
+        if a[r * cols + j] < 0:
+            neg_row(r)
+        p = a[r * cols + j]
+        for i in range(r):
+            q = a[i * cols + j] // p  # floor puts the entry in [0, p)
+            if q:
+                add_row(i, r, -q)
+        r += 1
+    return a, u, r
+
+
+dense_matrix = st.integers(0, 7).flatmap(
+    lambda r: st.integers(0, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-1000, 1000), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+def assert_kernel_matches_flat(rows, ncols):
+    flat = [x for r in rows for x in r]
+    for want_u in (True, False):
+        got = _snf_py.hnf_kernel(tuple(flat), len(rows), ncols, want_u)
+        assert got == flat_hnf_kernel(flat, len(rows), ncols, want_u)
+
+
+class TestRowListHNF:
+    @settings(max_examples=150, deadline=None)
+    @given(dense_matrix, st.integers(0, 6))
+    def test_dense_matches_flat_kernel(self, rows, ncols):
+        assert_kernel_matches_flat(rows, len(rows[0]) if rows else ncols)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tall_sparse)
+    def test_tall_sparse_matches_flat_kernel(self, rows):
+        assert_kernel_matches_flat(rows, len(rows[0]))
+
+    @pytest.mark.parametrize("q", (5, 9))
+    def test_rp_presentation_matches_flat_kernel(self, q):
+        labels, rows, _ = rp_presentation(q)
+        assert_kernel_matches_flat(rows, len(labels))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tall_sparse, st.integers(0, 2**32 - 1))
+    def test_redundant_relations_change_nothing(self, rows, seed):
+        rng = random.Random(seed)
+        n = len(rows[0])
+        extended = (
+            rows
+            + [[0] * n for _ in range(rng.randint(1, 3))]
+            + [rng.choice(rows) for _ in range(rng.randint(1, 4))]
+            + [[-x for x in rng.choice(rows)] for _ in range(rng.randint(1, 4))]
+        )
+        rng.shuffle(extended)
+        labels = [f"g{i}" for i in range(n)]
+        g = fp_group(labels, rows)
+        h = fp_group(labels, extended)
+        assert h.relation_matrix == IntMatrix.from_rows(extended)
+        assert h.relation_basis == g.relation_basis
+        assert h.invariant_factors == g.invariant_factors
+        assert h.free_rank == g.free_rank
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_matrix.filter(bool))
+    def test_snf_without_transforms(self, rows):
+        m = IntMatrix.from_rows(rows)
+        d, u, v = snf(m, want_u=False, want_v=False)
+        assert u is None and v is None
+        assert d == snf(m)[0]
