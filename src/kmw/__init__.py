@@ -12,7 +12,6 @@ else is importable from its submodule.
 from .descriptor import GroupDescriptor, Provenance, SymbolicFactor
 from .errors import KmwError
 from .exact_linear import (
-    COMPILED_BACKEND,
     AbGroupInfo,
     AbMap,
     IntMatrix,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbGroupInfo",
     "AbMap",
-    "COMPILED_BACKEND",
     "GroupDescriptor",
     "IntMatrix",
     "KmwError",

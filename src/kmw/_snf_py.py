@@ -1,11 +1,9 @@
 """Integer normal-form kernels (pure Python, arbitrary precision).
 
 Matrices go in and come out as flat row-major lists of Python ints.
-The compiled backend mirrors these routines over 64-bit integers and
-raises on overflow, at which point callers re-run the computation here;
-both backends use the identical pivot rule (first entry of minimal
-absolute value, short-circuiting on +-1) and the same order of row and
-column operations, so their outputs agree entrywise.
+The pivot rule is the first entry of minimal absolute value,
+short-circuiting on +-1; row and column operations run in a fixed
+order, so the output is a function of the input alone.
 
 ``hnf_kernel`` holds the matrix and its transform as lists of rows
 inside, so swaps and negations move whole rows.  While column j is

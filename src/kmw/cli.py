@@ -8,8 +8,9 @@ verification fails (the smallest witness is reported on stderr), and 2
 on invalid input.
 
 Sweeps (``--q-range A:B``) fan out one worker per q when the
-``KMW_THREADS`` environment variable allows more than one process;
-output order always follows input order.
+``KMW_THREADS`` environment variable allows more than one process (at
+most one per CPU; a value that is not a positive integer is invalid
+input); output order always follows input order.
 """
 
 from __future__ import annotations
@@ -97,17 +98,24 @@ def _expand_qs(ns: argparse.Namespace, minimum: int) -> List[int]:
 
 
 def _thread_cap() -> int:
+    """Worker processes allowed by ``KMW_THREADS``: 1 when it is unset or
+    empty, otherwise its value capped at the CPU count."""
     raw = os.environ.get("KMW_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    if not raw:
         return 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise BadBound(f"KMW_THREADS must be a positive integer, got {raw!r}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _ordered_map(fn: Callable, items: Sequence) -> list:
     items = list(items)
-    if _thread_cap() > 1 and len(items) > 1:
-        workers = min(_thread_cap(), len(items))
+    workers = min(_thread_cap(), len(items))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

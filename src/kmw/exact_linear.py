@@ -13,50 +13,17 @@ GTM 138, section 2.4).  The kernel calculus stacks against
 ``relation_basis`` rather than the tall, sparse relation matrix, so its
 ``left_kernel`` transforms stay small.
 
-Two interchangeable kernel backends exist: a compiled 64-bit extension
-and pure-Python arbitrary precision.  They implement the identical pivot
-rule, so results agree entrywise; the compiled path falls back per call
-when an intermediate would overflow 64 bits.  Set ``KMW_PURE_PYTHON=1``
-to force the pure backend.
+The kernels themselves live in ``_snf_py`` and work in arbitrary
+precision, so no entry size needs a special path.
 """
 
 from __future__ import annotations
 
-import os
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import _snf_py
 from .errors import IntegrityFailure, RelationNotKilled
-
-try:
-    from . import _snf_core as _core
-except ImportError:  # extension not built
-    _core = None
-
-if os.environ.get("KMW_PURE_PYTHON"):
-    _core = None
-
-#: True when the compiled kernel backend is in use.
-COMPILED_BACKEND = _core is not None
-
-
-def _snf_raw(entries, rows, cols, want_u=True, want_v=True):
-    if _core is not None:
-        try:
-            return _core.snf_kernel(list(entries), rows, cols, want_u, want_v)
-        except _core.Overflow:
-            pass
-    return _snf_py.snf_kernel(entries, rows, cols, want_u, want_v)
-
-
-def _hnf_raw(entries, rows, cols, want_u=True):
-    if _core is not None:
-        try:
-            return _core.hnf_kernel(list(entries), rows, cols, want_u)
-        except _core.Overflow:
-            pass
-    return _snf_py.hnf_kernel(entries, rows, cols, want_u)
 
 
 class IntMatrix:
@@ -180,7 +147,7 @@ def snf(
     """Smith normal form: returns (D, U, V) with U*m*V = D, U and V
     unimodular, D diagonal with nonnegative entries in a divisibility
     chain.  A transform that is not asked for is None."""
-    d, u, v = _snf_raw(m.entries, m.rows, m.cols, want_u, want_v)
+    d, u, v = _snf_py.snf_kernel(m.entries, m.rows, m.cols, want_u, want_v)
     return (
         IntMatrix(m.rows, m.cols, d),
         IntMatrix(m.rows, m.rows, u) if want_u else None,
@@ -190,7 +157,7 @@ def snf(
 
 def hnf(m: IntMatrix, want_u: bool = True):
     """Row Hermite normal form: returns (H, U, rank) with U*m = H."""
-    h, u, r = _hnf_raw(m.entries, m.rows, m.cols, want_u)
+    h, u, r = _snf_py.hnf_kernel(m.entries, m.rows, m.cols, want_u)
     return (
         IntMatrix(m.rows, m.cols, h),
         IntMatrix(m.rows, m.rows, u) if want_u else None,
@@ -344,11 +311,11 @@ class AbGroupInfo:
         n = relations.cols
 
         rows = _distinct_rows(relations)
-        h_flat, _, rank = _hnf_raw([x for row in rows for x in row], len(rows), n, False)
+        h_flat, _, rank = _snf_py.hnf_kernel([x for row in rows for x in row], len(rows), n, False)
         self.relation_basis = IntMatrix(rank, n, h_flat[: rank * n])
         self._pivots = _pivot_data(self.relation_basis.row_list(), rank)
 
-        d_flat, _, v = _snf_raw(self.relation_basis.entries, rank, n, False, True)
+        d_flat, _, v = _snf_py.snf_kernel(self.relation_basis.entries, rank, n, False, True)
         diag = [0] * n
         for j in range(min(rank, n)):
             diag[j] = d_flat[j * n + j]

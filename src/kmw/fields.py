@@ -1555,8 +1555,10 @@ def support_places(field: Field, elems: Iterable) -> list[Place]:
                 if part.degree() >= 1:
                     for irr, _ in factor_poly(part.monic()):
                         polys[_poly_key(irr)] = irr
+        # factor_poly returns monic irreducibles, so these places skip the
+        # irreducibility test function_place makes of caller input
         out = [function_place(field, "inf")]
-        out.extend(function_place(field, polys[k]) for k in sorted(polys))
+        out.extend(Place(field, "poly", polys[k]) for k in sorted(polys))
         return out
     raise UnsupportedField(f"no place enumeration over {field}")
 

@@ -2,12 +2,13 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from kmw.cli import _is_odd_prime_power, main, parse_field_spec
+from kmw.cli import _is_odd_prime_power, _thread_cap, main, parse_field_spec
 from kmw.errors import UnsupportedField
 from kmw.fields import FiniteField, RatFunField, RationalField
 
@@ -115,11 +116,27 @@ class TestPb:
         _, threaded, _ = run_cli(capsys, ["pb", "--q-range", "5:13", "--json"])
         assert threaded == serial
 
-    def test_thread_env_garbage_is_serial(self, capsys, monkeypatch):
-        monkeypatch.setenv("KMW_THREADS", "lots")
-        code, out, _ = run_cli(capsys, ["pb", "--q", "5", "--json"])
-        assert code == 0
-        assert out == PB5_JSON
+    @pytest.mark.parametrize("value", ["lots", "0", "-2", "2.5"])
+    def test_thread_env_garbage_is_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("KMW_THREADS", value)
+        code, out, err = run_cli(capsys, ["pb", "--q", "5", "--json"])
+        assert code == 2
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "BadBound"
+        assert "KMW_THREADS" in diag["detail"]
+
+    def test_thread_cap_is_cpu_count(self, monkeypatch):
+        # the parser only: no pool of this size is ever started
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("KMW_THREADS", "100000")
+        assert _thread_cap() == 2
+        monkeypatch.setenv("KMW_THREADS", "1")
+        assert _thread_cap() == 1
+        monkeypatch.setenv("KMW_THREADS", "")
+        assert _thread_cap() == 1
+        monkeypatch.delenv("KMW_THREADS")
+        assert _thread_cap() == 1
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "pb.json"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmw import _snf_py, exact_linear
+from kmw import _snf_py
 from kmw._snf_py import _identity, _nearest_quo
 from kmw.errors import RelationNotKilled
 from kmw.exact_linear import (
@@ -122,13 +122,17 @@ class TestSNF:
             assert u.mul(m).mul(v) == d
 
     def test_big_entries(self):
-        # forces the arbitrary-precision path regardless of backend
-        x = 10**25
-        m = IntMatrix.from_rows([[x, x + 2], [3, 7]])
-        d, u, v = snf(m)
-        assert u.mul(m).mul(v) == d
-        got = [y for y in d.diagonal() if y]
-        assert got == invariant_factors_oracle(m.row_list(), 2)
+        # entries far above 64 bits
+        x, y = 10**25, 2**70
+        for rows in ([[x, x + 2], [3, 7]], [[y, 1], [1, y]]):
+            m = IntMatrix.from_rows(rows)
+            d, u, v = snf(m)
+            assert u.mul(m).mul(v) == d
+            got = [z for z in d.diagonal() if z]
+            assert got == invariant_factors_oracle(m.row_list(), 2)
+            h, u, rank = hnf(m)
+            assert u.mul(m) == h
+            assert rank == 2
 
 
 class TestHNF:
@@ -603,18 +607,18 @@ class TestHermiteBasis:
         labels, rows, _ = rp_presentation(7)
         n = len(labels)
         calls = []
-        hnf_raw, snf_raw = exact_linear._hnf_raw, exact_linear._snf_raw
+        hnf_kernel, snf_kernel = _snf_py.hnf_kernel, _snf_py.snf_kernel
 
         def record_hnf(entries, rows, cols, want_u=True):
             calls.append(("hnf", rows, cols, want_u))
-            return hnf_raw(entries, rows, cols, want_u)
+            return hnf_kernel(entries, rows, cols, want_u)
 
         def record_snf(entries, rows, cols, want_u=True, want_v=True):
             calls.append(("snf", rows, cols, want_u, want_v))
-            return snf_raw(entries, rows, cols, want_u, want_v)
+            return snf_kernel(entries, rows, cols, want_u, want_v)
 
-        monkeypatch.setattr(exact_linear, "_hnf_raw", record_hnf)
-        monkeypatch.setattr(exact_linear, "_snf_raw", record_snf)
+        monkeypatch.setattr(_snf_py, "hnf_kernel", record_hnf)
+        monkeypatch.setattr(_snf_py, "snf_kernel", record_snf)
         # the Hermite reduction sees each nonzero relation row once, up to sign
         redundant = [[-x for x in rows[0]], list(rows[1]), [0] * n]
         g = fp_group(labels, list(rows) + redundant)

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kmw.fields as fl
 from kmw.errors import (
@@ -247,6 +249,51 @@ class TestRatFun:
 
         with pytest.raises(UnsupportedPlace):
             fl.function_place(Qt, fl.polynomial(fl.rationals(), [1, 0, 1]))
+
+
+def support_places_oracle(field, elems):
+    """support_places over F_q(t) with every factor passed through
+    function_place, which re-tests it for irreducibility and makes it
+    monic."""
+    polys = {}
+    for x in elems:
+        for part in x.val:
+            if part.degree() >= 1:
+                for irr, _ in fl.factor_poly(part.monic()):
+                    polys[fl._poly_key(irr)] = irr
+    out = [fl.function_place(field, "inf")]
+    out.extend(fl.function_place(field, polys[k]) for k in sorted(polys))
+    return out
+
+
+def nonzero_coeffs(q, max_size):
+    # indices into F_q.elements(), whose first element is 0; the leading
+    # coefficient varies, so numerators are not monic
+    return st.lists(st.integers(0, q - 1), min_size=1, max_size=max_size).filter(any)
+
+
+# (q, [(numerator, denominator), ...]) for one to three elements of F_q(t)
+ratfun_draws = st.sampled_from([5, 9]).flatmap(
+    lambda q: st.tuples(
+        st.just(q),
+        st.lists(st.tuples(nonzero_coeffs(q, 6), nonzero_coeffs(q, 4)), min_size=1, max_size=3),
+    )
+)
+
+
+class TestSupportPlaces:
+    @settings(max_examples=60, deadline=None)
+    @given(ratfun_draws)
+    def test_matches_function_place_oracle(self, draw):
+        q, pairs = draw
+        F = fl.finite_field(q)
+        K = fl.function_field(F)
+        els = list(F.elements())
+        poly = lambda idx: fl.polynomial(F, [els[i] for i in idx])
+        elems = [K.elem((poly(num), poly(den))) for num, den in pairs]
+        got = fl.support_places(K, elems)
+        assert got == support_places_oracle(K, elems)
+        assert all(p.data.is_monic() for p in got[1:])
 
 
 class TestSquareClasses:
