@@ -1,17 +1,19 @@
 """Scissors-congruence groups of finite fields from finite presentations.
 
-The plain group P(k) has one generator per unit with the normalization
-[1] = 0 and one five-term relation per ordered pair x != y of units
-distinct from 1.  The refined group RP(k) carries coefficients in the
-group ring of the square-class group; it is flattened to an abelian
-presentation with two generators per unit (one per square class) and
-every relation taken in both translates.
+The refined group RP(k) carries coefficients in the group ring of the
+square-class group; it is flattened to an abelian presentation with two
+generators per unit (one per square class), the normalization [1] = 0,
+and one five-term relation per ordered pair x != y of units distinct
+from 1.  Each five-term is flattened once; its s-translate swaps the two
+halves of that row, and its relation in the plain group P(k) (one
+generator per unit) is the fold, the two halves added.
 
 Derived objects are kernels and quotients computed with the integer
 linear algebra layer: the Bloch-type kernels B, RB, RP_1, the
 comparison kernel of RB -> B, the submodule generated by the
-one-dimensional cycles, and the quotient RP-tilde.  The specialization
-maps at a degree-one place of k(t) land in pairs of RP-tilde elements.
+one-dimensional cycles, and the quotient RP-tilde, presented by RP's
+Hermite basis with the K1 rows adjoined.  The specialization maps at a
+degree-one place of k(t) land in pairs of RP-tilde elements.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .fields import (
     square_class,
     valuation,
 )
-from .group_ring import GroupRingElem, gr_class, gr_int, gr_mul, gr_unit, pfister_elem
+from .group_ring import GroupRingElem, gr_int, gr_mul, gr_unit, pfister_elem
 
 
 # -- symmetric squares --------------------------------------------------
@@ -279,6 +281,20 @@ def _check_q(q: int):
         raise TooSmallQ("the field must have at least four elements")
 
 
+def _swap_halves(vec: Sequence[int]) -> List[int]:
+    """Flat coordinates multiplied by the nontrivial square class: the
+    two translates trade places."""
+    n = len(vec) // 2
+    return list(vec[n:]) + list(vec[:n])
+
+
+def _fold_halves(vec: Sequence[int]) -> List[int]:
+    """Flat refined coordinates pushed to P: each coefficient is
+    replaced by its augmentation, so the two translates add up."""
+    n = len(vec) // 2
+    return [a + b for a, b in zip(vec[:n], vec[n:])]
+
+
 class ScissorsContext:
     """All presentation data for one odd prime power, built once."""
 
@@ -297,8 +313,6 @@ class ScissorsContext:
         self._k1_rows: Optional[List[List[int]]] = None
         self._rp_tilde: Optional[AbGroupInfo] = None
 
-    # -- plain presentation --------------------------------------------
-
     def _pairs(self):
         one = self.field.one
         pool = [e for e in self.units if e != one]
@@ -307,22 +321,26 @@ class ScissorsContext:
                 if x != y:
                     yield x, y
 
+    def _five_term_rows(self):
+        """The untwisted flat row of the refined five-term at each pair,
+        in ``_pairs()`` order."""
+        for x, y in self._pairs():
+            yield self.rp_vector(refined_five_term(self.field, x, y))
+
+    # -- plain presentation --------------------------------------------
+
     def p_vector(self, elem: RPElem) -> List[int]:
-        """Coordinates of a plain (augmentation-coefficient) element."""
-        vec = [0] * self.n_units
-        for coeff, arg in elem.terms:
-            vec[self.unit_index[arg.val]] += coeff.augmentation()
-        return vec
+        """Coordinates of an element pushed to P (coefficients replaced
+        by their augmentations)."""
+        return _fold_halves(self.rp_vector(elem))
 
     def p_group(self) -> AbGroupInfo:
         if self._p_group is None:
             labels = [f"[{e!r}]" for e in self.units]
-            rows = []
             one_row = [0] * self.n_units
             one_row[self.unit_index[self.field.one.val]] = 1
-            rows.append(one_row)
-            for x, y in self._pairs():
-                rows.append(self.p_vector(plain_five_term(self.field, x, y)))
+            rows = [one_row]
+            rows.extend(_fold_halves(v) for v in self._five_term_rows())
             self._p_group = fp_group(labels, rows)
         return self._p_group
 
@@ -337,22 +355,17 @@ class ScissorsContext:
         vec = [0] * (2 * self.n_units)
         for coeff, arg in elem.terms:
             for cls, n in coeff.coeffs.items():
-                g = (cls.key + twist) % 2
-                vec[self.flat_index(g, arg)] += n
-        return vec
+                vec[self.flat_index(cls.key, arg)] += n
+        return _swap_halves(vec) if twist % 2 else vec
 
     def rp_rows(self) -> List[List[int]]:
         if self._rp_rows is None:
-            rows: List[List[int]] = []
-            one = self.field.one
-            for twist in (0, 1):
-                row = [0] * (2 * self.n_units)
-                row[self.flat_index(twist, one)] = 1
-                rows.append(row)
-            for x, y in self._pairs():
-                rel = refined_five_term(self.field, x, y)
-                rows.append(self.rp_vector(rel, 0))
-                rows.append(self.rp_vector(rel, 1))
+            one_row = [0] * (2 * self.n_units)
+            one_row[self.flat_index(0, self.field.one)] = 1
+            rows = [one_row, _swap_halves(one_row)]
+            for v in self._five_term_rows():
+                rows.append(v)
+                rows.append(_swap_halves(v))
             self._rp_rows = rows
         return self._rp_rows
 
@@ -366,21 +379,6 @@ class ScissorsContext:
 
     # -- lambda maps ----------------------------------------------------
 
-    def _lambda1_image(self, g: int, arg: FieldElem) -> Tuple[int, int]:
-        one = self.field.one
-        if arg == one:
-            return (0, 0)
-        w = pfister_elem(self.field, [arg, one - arg])
-        if g:
-            w = w * gr_class(square_class(self.field.nonsquare()))
-        return w.to_pair()
-
-    def _lambda2_bit(self, arg: FieldElem) -> int:
-        one = self.field.one
-        if arg == one:
-            return 0
-        return (self.field.dlog(arg) * self.field.dlog(one - arg)) % 2
-
     def maps(self):
         """(lambda_1, lambda_2, Lambda, lambda on P, projection RP->P)."""
         if self._maps is None:
@@ -389,28 +387,26 @@ class ScissorsContext:
             mixed = fp_group(["c1", "cs", "w"], [[0, 0, 2]])
             rp = self.rp_group()
             p = self.p_group()
-            im1: List[List[int]] = []
-            im2: List[List[int]] = []
-            im_mixed: List[List[int]] = []
-            im_proj: List[List[int]] = []
-            for g in (0, 1):
-                for arg in self.units:
-                    pair = self._lambda1_image(g, arg)
-                    bit = self._lambda2_bit(arg)
-                    im1.append(list(pair))
-                    im2.append([bit])
-                    im_mixed.append([pair[0], pair[1], bit])
-                    proj_row = [0] * self.n_units
-                    proj_row[self.unit_index[arg.val]] = 1
-                    im_proj.append(proj_row)
-            lambda1 = AbMap(rp, zz, im1)
-            lambda2 = AbMap(rp, z2, im2)
-            lam_mixed = AbMap(rp, mixed, im_mixed)
-            im_p = []
+            field = self.field
+            one = field.one
+            pairs: List[Tuple[int, int]] = []
+            bits: List[int] = []
             for arg in self.units:
-                im_p.append([self._lambda2_bit(arg)])
-            lambda_p = AbMap(p, z2, im_p)
-            proj = AbMap(rp, p, im_proj)
+                if arg == one:
+                    pairs.append((0, 0))
+                    bits.append(0)
+                else:
+                    pairs.append(pfister_elem(field, [arg, one - arg]).to_pair())
+                    bits.append((field.dlog(arg) * field.dlog(one - arg)) % 2)
+            # s * (c1 + cs s) = cs + c1 s
+            pairs += [(cs, c1) for c1, cs in pairs]
+            bits += bits
+            eye = IntMatrix.identity(self.n_units)
+            lambda1 = AbMap(rp, zz, pairs)
+            lambda2 = AbMap(rp, z2, [[bit] for bit in bits])
+            lam_mixed = AbMap(rp, mixed, [[c1, cs, bit] for (c1, cs), bit in zip(pairs, bits)])
+            lambda_p = AbMap(p, z2, [[bit] for bit in bits[: self.n_units]])
+            proj = AbMap(rp, p, eye.stack(eye))
             self._maps = (lambda1, lambda2, lam_mixed, lambda_p, proj)
         return self._maps
 
@@ -431,19 +427,25 @@ class ScissorsContext:
         if self._k1_rows is None:
             rows = []
             for x in self.units:
-                rows.append(self.psi1_vector(x, 0))
-                rows.append(self.psi1_vector(x, 1))
+                v = self.psi1_vector(x)
+                rows.append(v)
+                rows.append(_swap_halves(v))
             self._k1_rows = rows
         return self._k1_rows
 
     def rp_tilde(self) -> AbGroupInfo:
+        """RP modulo the K1 submodule: the K1 rows adjoined to RP's
+        Hermite basis, which spans the same lattice as its relations."""
         if self._rp_tilde is None:
-            self._rp_tilde = fp_group(self.rp_labels(), self.rp_rows() + self.k1_rows())
+            k1 = IntMatrix.from_rows(self.k1_rows(), cols=2 * self.n_units)
+            self._rp_tilde = fp_group(self.rp_labels(), self.rp_group().relation_basis.stack(k1))
         return self._rp_tilde
 
     # -- derived groups -------------------------------------------------
 
     def derived(self, strict: bool = True):
+        """The derived groups, computed once; with ``strict`` every call
+        checks that RB -> B is an isomorphism."""
         if self._derived is None:
             lambda1, lambda2, lam_mixed, lambda_p, proj = self.maps()
             p = self.p_group()
@@ -453,10 +455,7 @@ class ScissorsContext:
             rp1_grp, rp1_incl = fp_kernel(lambda1)
 
             # express the image of each RB generator in B coordinates
-            b_gens = [list(b_incl.images.row(i)) for i in range(b_grp.ngens)]
-            p_rel = p.relation_basis
-            stack_rows = b_gens + [list(p_rel.row(i)) for i in range(p_rel.rows)]
-            stacked = IntMatrix.from_rows(stack_rows, cols=self.n_units)
+            stacked = b_incl.images.stack(p.relation_basis)
             rb_to_b_images = []
             for i in range(rb_grp.ngens):
                 vec = proj.apply(rb_incl.images.row(i))
@@ -466,21 +465,10 @@ class ScissorsContext:
                 rb_to_b_images.append(list(sol[: b_grp.ngens]))
             rb_to_b = AbMap(rb_grp, b_grp, rb_to_b_images)
             rblker_grp, _ = fp_kernel(rb_to_b)
-            coker = fp_cokernel(rb_to_b)
-            if strict:
-                if rblker_grp.order() != 1:
-                    raise IntegrityFailure("comparison kernel RB -> B is not trivial")
-                if coker.order() != 1:
-                    raise IntegrityFailure("RB -> B fails to be onto")
 
             # intersection of RP1 with the K1 submodule inside RP
-            rp_rel = rp.relation_basis
-            rel_rows = [list(rp_rel.row(i)) for i in range(rp_rel.rows)]
-            rp1_rows = [list(rp1_incl.images.row(i)) for i in range(rp1_grp.ngens)]
-            cols = 2 * self.n_units
-            lat1 = IntMatrix.from_rows(rp1_rows + rel_rows, cols=cols)
-            lat2 = IntMatrix.from_rows(self.k1_rows() + rel_rows, cols=cols)
-            inter = lattice_intersection(lat1, lat2)
+            lat1 = rp1_incl.images.stack(rp.relation_basis)
+            inter = lattice_intersection(lat1, self.rp_tilde().relation_basis)
             exponent = 1
             for i in range(inter.rows):
                 order = rp.element_order(inter.row(i))
@@ -497,10 +485,15 @@ class ScissorsContext:
                 "RP1": rp1_grp,
                 "half_RP1": odd_part(rp1_grp),
                 "rblker": rblker_grp,
-                "cokernel_RB_to_B": coker,
+                "cokernel_RB_to_B": fp_cokernel(rb_to_b),
                 "RP_tilde": self.rp_tilde(),
                 "k1_intersection_exponent": exponent,
             }
+        if strict:
+            if self._derived["rblker"].order() != 1:
+                raise IntegrityFailure("comparison kernel RB -> B is not trivial")
+            if self._derived["cokernel_RB_to_B"].order() != 1:
+                raise IntegrityFailure("RB -> B fails to be onto")
         return self._derived
 
 
@@ -612,8 +605,7 @@ class RPTildeElem:
 
     def twist(self) -> "RPTildeElem":
         """Action of the nontrivial square class: swap the translates."""
-        n = len(self.vector) // 2
-        return RPTildeElem(self.q, list(self.vector[n:]) + list(self.vector[:n]))
+        return RPTildeElem(self.q, _swap_halves(self.vector))
 
     def __repr__(self):
         return f"RPTildeElem(q={self.q}, vector={self.vector})"

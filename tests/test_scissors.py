@@ -21,6 +21,7 @@ from kmw.group_ring import gr_int, gr_mul, gr_unit, pfister_elem
 from kmw.scissors import (
     RPElem,
     RPTildeElem,
+    ScissorsContext,
     Sym2Elem,
     delta_t_rp,
     derived_groups,
@@ -251,6 +252,77 @@ class TestDerivedGroups:
             assert lhs == odd_part_int(q + 1), f"q={q}"
             assert 4 % d["k1_intersection_exponent"] == 0, f"q={q}"
         assert time.monotonic() - start < 30.0
+
+
+class TestOneRowPerFact:
+    """P rows are folds of the untwisted RP rows, twisted rows are
+    half-swaps, and RP-tilde stacks the K1 rows on RP's Hermite basis;
+    the per-element paths these replaced are the oracles."""
+
+    @staticmethod
+    def _plain_oracle(ctx, elem):
+        vec = [0] * ctx.n_units
+        for coeff, arg in elem.terms:
+            vec[ctx.unit_index[arg.val]] += coeff.augmentation()
+        return vec
+
+    @staticmethod
+    def _twisted_oracle(ctx, elem):
+        vec = [0] * (2 * ctx.n_units)
+        for coeff, arg in elem.terms:
+            for cls, n in coeff.coeffs.items():
+                vec[ctx.flat_index((cls.key + 1) % 2, arg)] += n
+        return vec
+
+    @pytest.mark.parametrize("q", [5, 9, 13, 25, 27])
+    def test_p_rows_are_plain_five_terms(self, q):
+        ctx = scissors_context(q)
+        rows = ctx.p_group().relation_matrix.row_list()
+        pairs = list(ctx._pairs())
+        assert len(rows) == len(pairs) + 1
+        for (x, y), row in zip(pairs, rows[1:]):
+            plain = plain_five_term(ctx.field, x, y)
+            want = self._plain_oracle(ctx, plain)
+            assert ctx.p_vector(plain) == want
+            assert list(row) == want
+
+    @pytest.mark.parametrize("q", [5, 9, 13, 25, 27])
+    def test_twisted_rows_are_translates(self, q):
+        ctx = scissors_context(q)
+        field = ctx.field
+        rows = ctx.rp_rows()
+        pairs = list(ctx._pairs())
+        assert len(rows) == 2 * (len(pairs) + 1)
+        assert rows[1] == self._twisted_oracle(ctx, rp_gen(field, 1))
+        for i, (x, y) in enumerate(pairs):
+            rel = refined_five_term(field, x, y)
+            want = self._twisted_oracle(ctx, rel)
+            assert ctx.rp_vector(rel, 1) == want
+            assert rows[2 * i + 2] == ctx.rp_vector(rel, 0)
+            assert rows[2 * i + 3] == want
+        k1 = ctx.k1_rows()
+        for i, x in enumerate(ctx.units):
+            psi = RPElem(field, [(1, x), (gr_unit(field, field.elem(-1)), field.one / x)])
+            want = self._twisted_oracle(ctx, psi)
+            assert ctx.psi1_vector(x, 1) == want
+            assert k1[2 * i] == ctx.psi1_vector(x, 0) == ctx.rp_vector(psi)
+            assert k1[2 * i + 1] == want
+
+    @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17, 19, 23, 25])
+    def test_rp_tilde_matches_full_stack(self, q):
+        ctx = scissors_context(q)
+        full = fp_group(ctx.rp_labels(), ctx.rp_rows() + ctx.k1_rows())
+        got = ctx.rp_tilde()
+        assert got.relation_basis == full.relation_basis
+        assert got.invariant_factors == full.invariant_factors
+        assert got.free_rank == full.free_rank
+
+    def test_strict_checks_run_on_cached_groups(self, monkeypatch):
+        monkeypatch.setattr("kmw.scissors.fp_cokernel", lambda f: fp_group(["g"], [[3]]))
+        ctx = ScissorsContext(5)
+        assert ctx.derived(strict=False)["cokernel_RB_to_B"].order() == 3
+        with pytest.raises(IntegrityFailure):
+            ctx.derived(strict=True)
 
 
 class TestRElement:
