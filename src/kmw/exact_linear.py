@@ -20,7 +20,7 @@ precision, so no entry size needs a special path.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import _snf_py
 from .errors import IntegrityFailure, RelationNotKilled
@@ -224,19 +224,20 @@ def _member(pivots, vec: Sequence[int]) -> Optional[list[int]]:
     return coeffs
 
 
-def _distinct_rows(m: IntMatrix) -> list[tuple[int, ...]]:
+def _distinct_rows(m: IntMatrix) -> list[tuple[int, tuple[int, ...]]]:
     """The nonzero rows of ``m``, each once up to sign, in order of first
-    appearance and signed so that the leading entry is positive.  They
-    span the same row lattice as ``m``."""
+    appearance and signed so that the leading entry is positive, each
+    with the index of that first appearance.  They span the same row
+    lattice as ``m``."""
     out = {}
     for i in range(m.rows):
         row = m.row(i)
         lead = next((x for x in row if x), 0)
         if lead < 0:
             row = tuple(-x for x in row)
-        if lead:
-            out[row] = None
-    return list(out)
+        if lead and row not in out:
+            out[row] = i
+    return [(i, row) for row, i in out.items()]
 
 
 def left_kernel(m: IntMatrix) -> IntMatrix:
@@ -250,20 +251,32 @@ def left_kernel(m: IntMatrix) -> IntMatrix:
 def solve_left(m: IntMatrix, target: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Some x with x*m = target, or None if target is outside the row
     lattice of m."""
-    target = [int(t) for t in target]
-    if len(target) != m.cols:
-        raise ValueError("target length does not match column count")
+    return _left_solver(m)(target)
+
+
+def _left_solver(m: IntMatrix) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
+    """``solve_left`` against ``m`` for many targets: one Hermite
+    reduction with transform, shared by every call of the returned
+    function."""
     h, u, r = hnf(m, want_u=True)
-    coeffs = _member(_pivot_data(h.row_list(), r), target)
-    if coeffs is None:
-        return None
-    x = [0] * m.rows
-    for i, c in enumerate(coeffs):
-        if c:
-            urow = u.row(i)
-            for k in range(m.rows):
-                x[k] += c * urow[k]
-    return tuple(x)
+    pivots = _pivot_data(h.row_list(), r)
+
+    def solve(target: Sequence[int]) -> Optional[tuple[int, ...]]:
+        target = [int(t) for t in target]
+        if len(target) != m.cols:
+            raise ValueError("target length does not match column count")
+        coeffs = _member(pivots, target)
+        if coeffs is None:
+            return None
+        x = [0] * m.rows
+        for i, c in enumerate(coeffs):
+            if c:
+                urow = u.row(i)
+                for k in range(m.rows):
+                    x[k] += c * urow[k]
+        return tuple(x)
+
+    return solve
 
 
 def lattice_intersection(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -310,7 +323,7 @@ class AbGroupInfo:
         self.relation_matrix = relations
         n = relations.cols
 
-        rows = _distinct_rows(relations)
+        rows = [row for _, row in _distinct_rows(relations)]
         h_flat, _, rank = _snf_py.hnf_kernel([x for row in rows for x in row], len(rows), n, False)
         self.relation_basis = IntMatrix(rank, n, h_flat[: rank * n])
         self._pivots = _pivot_data(self.relation_basis.row_list(), rank)
@@ -423,10 +436,10 @@ class AbMap:
         self.source = source
         self.target = target
         self.images = images
-        rel = source.relation_matrix
-        for i in range(rel.rows):
-            vec = self.apply(rel.row(i))
-            if not target.is_zero(vec):
+        # a row and its negation die together, so check each distinct
+        # relation once and name it by its first row
+        for i, row in _distinct_rows(source.relation_matrix):
+            if not target.is_zero(self.apply(row)):
                 raise RelationNotKilled(
                     f"source relation {i} maps to a nonzero target element"
                 )

@@ -1,7 +1,7 @@
 """Base fields and their quadratic symbol calculus.
 
-Supported bases: odd-order finite fields F_q (built as towers of
-polynomial quotients over their prime field), the rationals, and
+Supported bases: odd-order finite fields F_q (polynomial quotients
+over a base field, down to the prime field), the rationals, and
 rational function fields over either.  On top of the arithmetic sit
 square classes with canonical keys, places with residue fields,
 valuations, polynomial factorization over F_q, and the Legendre /
@@ -9,6 +9,10 @@ Hilbert / tame symbols.
 
 Conventions that the rest of the library leans on:
 
+* an F_q element's raw value is an int in [0, q), its index in the
+  counting order; extensions with at most 2^16 elements compute by
+  log/Zech table lookups built on first use, larger ones by polynomial
+  arithmetic over their base;
 * square-class keys carry squarefree representatives, so a place divides
   a key with multiplicity 0 or 1 and residue maps never see squares;
 * finite places of a function field are monic irreducible polynomials,
@@ -20,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd as int_gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -85,7 +90,7 @@ def squarefree_part(n: int) -> int:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    fac = factor_int(q)
+    fac = factor_int(q) if q >= 2 else ()
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     return fac[0]
@@ -96,7 +101,8 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 class Field:
-    """Common surface of all field handles."""
+    """Common surface of all field handles.  ``_zero_raw`` and
+    ``_one_raw`` are the raw values of zero and one."""
 
     kind: str = ""
 
@@ -105,11 +111,11 @@ class Field:
 
     @property
     def zero(self) -> "FieldElem":
-        return FieldElem(self, self._zero_raw())
+        return FieldElem(self, self._zero_raw)
 
     @property
     def one(self) -> "FieldElem":
-        return FieldElem(self, self._one_raw())
+        return FieldElem(self, self._one_raw)
 
     def parse(self, text: str) -> "FieldElem":
         return parse_elem(self, text)
@@ -180,7 +186,7 @@ class FieldElem:
         return out
 
     def __bool__(self):
-        return self.val != self.field._zero_raw()
+        return self.val != self.field._zero_raw
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):
@@ -198,12 +204,22 @@ class FieldElem:
 
 
 class FiniteField(Field):
-    """F_q for odd prime powers q, as a tower of extensions over F_p.
+    """F_q for odd prime powers q.  Every raw element value is an int in
+    [0, q): the element's index in the counting order.
 
-    Raw element values are ints in [0, p) at the bottom and fixed-length
-    coefficient tuples over the base at each extension step."""
+    An extension of degree d over a base with b elements is base[x]
+    modulo a monic irreducible, and c_0 + c_1 x + ... + c_{d-1} x^{d-1}
+    has raw value c_0 + c_1 b + ... + c_{d-1} b^{d-1}, the c_i being base
+    raws, so the constant coefficient varies fastest.  Zero is 0, one is
+    1, and a base element keeps its raw value in the extension.
+
+    This class is the prime field, computing mod p.  Extensions with at
+    most 2^16 elements are ``_TabledExtension`` (log/Zech lookups);
+    larger ones are ``_PolyExtension`` (polynomials over the base)."""
 
     kind = "finite"
+    _zero_raw = 0
+    _one_raw = 1
 
     def __init__(self, p: int, base: Optional["FiniteField"] = None, modulus=None, _token=None):
         if _token is not _FF_TOKEN:
@@ -218,108 +234,62 @@ class FiniteField(Field):
             self.order = base.order ** modulus.degree()
             self.degree = base.degree * modulus.degree()
         self._nonsquare = None
-        # lazy lookup tables for small extension towers: structural
-        # arithmetic recurses through every level, so memoize per value
-        small = base is not None and self.order <= 4096
-        self._mul_memo = {} if small else None
-        self._add_memo = {} if small else None
-        self._inv_memo = {} if small else None
 
     # raw arithmetic -------------------------------------------------
 
-    def _zero_raw(self):
-        if self.base is None:
-            return 0
-        return (self.base._zero_raw(),) * self.modulus.degree()
-
-    def _one_raw(self):
-        if self.base is None:
-            return 1 % self.p
-        d = self.modulus.degree()
-        return (self.base._one_raw(),) + (self.base._zero_raw(),) * (d - 1)
-
     def _add(self, a, b):
-        if self.base is None:
-            return (a + b) % self.p
-        memo = self._add_memo
-        if memo is not None:
-            key = (a, b)
-            v = memo.get(key)
-            if v is None:
-                v = tuple(self.base._add(x, y) for x, y in zip(a, b))
-                memo[key] = v
-            return v
-        return tuple(self.base._add(x, y) for x, y in zip(a, b))
+        return (a + b) % self.p
 
     def _neg(self, a):
-        if self.base is None:
-            return (-a) % self.p
-        return tuple(self.base._neg(x) for x in a)
+        return -a % self.p
 
     def _mul(self, a, b):
-        if self.base is None:
-            return (a * b) % self.p
-        memo = self._mul_memo
-        if memo is not None:
-            key = (a, b)
-            v = memo.get(key)
-            if v is None:
-                prod = _pl_mul(self.base, list(a), list(b))
-                v = self._pad(_pl_rem(self.base, prod, list(self.modulus.coeffs)))
-                memo[key] = v
-            return v
-        prod = _pl_mul(self.base, list(a), list(b))
-        rem = _pl_rem(self.base, prod, list(self.modulus.coeffs))
-        return self._pad(rem)
+        return a * b % self.p
 
     def _inv(self, a):
-        if a == self._zero_raw():
+        if not a:
             raise ZeroInversion(f"division by zero in {self}")
-        if self.base is None:
-            return pow(a, -1, self.p)
-        memo = self._inv_memo
-        if memo is not None:
-            v = memo.get(a)
-            if v is None:
-                v = self._inv_struct(a)
-                memo[a] = v
-            return v
-        return self._inv_struct(a)
-
-    def _inv_struct(self, a):
-        g, s = _pl_invmod(self.base, list(a), list(self.modulus.coeffs))
-        if g is None:
-            raise ZeroInversion(f"non-invertible element in {self}")
-        return self._pad(s)
-
-    def _pad(self, coeffs: list) -> tuple:
-        d = self.modulus.degree()
-        z = self.base._zero_raw()
-        return tuple(coeffs[i] if i < len(coeffs) else z for i in range(d))
+        return pow(a, -1, self.p)
 
     def _pow_raw(self, a, e: int):
-        out = self._one_raw()
-        while e:
-            if e & 1:
-                out = self._mul(out, a)
-            a = self._mul(a, a)
-            e >>= 1
-        return out
+        return pow(a, e, self.p)
 
     def _format(self, a) -> str:
-        if self.base is None:
-            return str(a)
-        parts = []
-        for i, c in enumerate(a):
-            if c == self.base._zero_raw():
-                continue
-            cs = self.base._format(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                parts.append(xs if cs == "1" else f"{cs}*{xs}")
-        return " + ".join(parts) if parts else "0"
+        return str(a)
+
+    @cached_property
+    def _tables(self) -> tuple[list, list, list]:
+        """(exp, log, zech) for the generator g, built on first use:
+        exp[n] = g^n for 0 <= n < 2(q-1), so sums of two logs need no
+        reduction; log[g^n] = n; zech[n] = log(1 + g^n), or -1 where
+        1 + g^n = 0.  A negative index n > -(q-1) reads zech[n + q - 1]."""
+        powers = self._generator_powers()
+        log = [0] * self.order
+        for n, a in enumerate(powers):
+            log[a] = n
+        zech = [log[b] if b else -1 for b in map(self._plus_one, powers)]
+        return powers + powers, log, zech
+
+    def _generator_powers(self) -> list:
+        g = self._first_generator(self._pow_raw)
+        out = [1]
+        for _ in range(self.order - 2):
+            out.append(out[-1] * g % self.p)
+        return out
+
+    def _plus_one(self, a):
+        return (a + 1) % self.p
+
+    def _first_generator(self, pow_raw) -> int:
+        target = self.order - 1
+        primes = [r for r, _ in factor_int(target)] if target > 1 else []
+        # an extension's base elements, raws below |base|, have orders
+        # dividing |base| - 1 < q - 1, so the scan starts past them
+        start = 1 if self.base is None else self.base.order
+        for a in range(start, self.order):
+            if all(pow_raw(a, target // r) != 1 for r in primes):
+                return a
+        raise IndexError("no generator found")  # unreachable
 
     # public surface -------------------------------------------------
 
@@ -327,40 +297,24 @@ class FiniteField(Field):
         if isinstance(x, FieldElem):
             if x.field is self:
                 return x
-            if isinstance(x.field, FiniteField) and x.field is self.base:
-                return FieldElem(self, self._pad([x.val]))
             raise MixedFields(f"cannot coerce element of {x.field} into {self}")
         if isinstance(x, int):
-            if self.base is None:
-                return FieldElem(self, x % self.p)
-            return FieldElem(self, self._pad([self.base.elem(x).val]))
-        if isinstance(x, tuple) and self.base is not None:
-            return FieldElem(self, self._pad([self.base.elem(c).val for c in x]))
+            return FieldElem(self, x % self.p)
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
     def elements(self) -> Iterable[FieldElem]:
-        """All elements, in a fixed counting order."""
-        for raw in self._elements_raw():
+        """All elements, in the counting order of their raw values."""
+        for raw in range(self.order):
             yield FieldElem(self, raw)
 
-    def _elements_raw(self):
-        if self.base is None:
-            yield from range(self.p)
-        else:
-            base_vals = list(self.base._elements_raw())
-            d = self.modulus.degree()
-            for tup in itertools.product(base_vals, repeat=d):
-                yield tuple(reversed(tup))  # constant coefficient varies fastest
-
     def units(self) -> Iterable[FieldElem]:
-        for e in self.elements():
-            if e:
-                yield e
+        for raw in range(1, self.order):
+            yield FieldElem(self, raw)
 
     def is_square_raw(self, a) -> bool:
-        if a == self._zero_raw():
+        if not a:
             raise ZeroArgument("square class of zero")
-        return self._pow_raw(a, (self.order - 1) // 2) == self._one_raw()
+        return self._pow_raw(a, (self.order - 1) // 2) == 1
 
     def nonsquare(self) -> FieldElem:
         """First nonsquare in enumeration order (canonical representative
@@ -374,38 +328,225 @@ class FiniteField(Field):
 
     def generator(self) -> FieldElem:
         """First multiplicative generator in enumeration order."""
-        target = self.order - 1
-        primes = [p for p, _ in factor_int(target)] if target > 1 else []
-        for e in self.units():
-            if all(self._pow_raw(e.val, target // p) != self._one_raw() for p in primes):
-                return e
-        raise IndexError("no generator found")  # unreachable
+        return FieldElem(self, self._first_generator(self._pow_raw))
 
     def dlog(self, x: FieldElem) -> int:
         """Discrete log of a nonzero element with respect to the fixed
-        generator, by exhaustive table (fields here stay desk-sized)."""
+        generator."""
         if isinstance(x, FieldElem):
             if x.field is not self:
                 raise MixedFields("discrete log in the wrong field")
             x = x.val
-        if x == self._zero_raw():
+        if not x:
             raise ZeroArgument("discrete log of zero")
-        table = getattr(self, "_dlog_table", None)
-        if table is None:
-            g = self.generator().val
-            table = {}
-            acc = self._one_raw()
-            for i in range(self.order - 1):
-                table[acc] = i
-                acc = self._mul(acc, g)
-            self._dlog_table = table
-        return table[x]
+        return self._dlog_raw(x)
+
+    def _dlog_raw(self, a) -> int:
+        return self._tables[1][a]
 
     def __repr__(self):
         return f"F{self.order}"
 
 
+class _PolyExtension(FiniteField):
+    """base[x] modulo the modulus, computed on decoded coefficient lists
+    with the ``_pl_*`` helpers over the base: the arithmetic of
+    extensions above 2^16 elements, where tables would not pay, and of
+    the table build below that."""
+
+    def __init__(self, p, base, modulus, _token=None):
+        super().__init__(p, base, modulus, _token)
+        self._d = modulus.degree()
+        self._mod = list(modulus.coeffs)
+        self._weights = [base.order**i for i in range(self._d)]
+
+    def _coeffs(self, a) -> list:
+        """The d base raws of a raw value, constant coefficient first."""
+        b = self.base.order
+        out = []
+        for _ in range(self._d):
+            a, c = divmod(a, b)
+            out.append(c)
+        return out
+
+    def _encode(self, coeffs) -> int:
+        """Raw value of a base-raw coefficient list; entries past degree
+        d - 1 are ignored."""
+        return sum(c * w for c, w in zip(coeffs, self._weights))
+
+    def _add(self, a, b):
+        add = self.base._add
+        return self._encode([add(x, y) for x, y in zip(self._coeffs(a), self._coeffs(b))])
+
+    def _neg(self, a):
+        return self._encode([self.base._neg(x) for x in self._coeffs(a)])
+
+    def _poly_mul(self, a, b):
+        prod = _pl_mul(self.base, self._coeffs(a), self._coeffs(b))
+        return self._encode(_pl_rem(self.base, prod, self._mod))
+
+    def _poly_pow(self, a, e: int):
+        out = 1
+        while e:
+            if e & 1:
+                out = self._poly_mul(out, a)
+            a = self._poly_mul(a, a)
+            e >>= 1
+        return out
+
+    _mul = _poly_mul
+    _pow_raw = _poly_pow
+
+    def _inv(self, a):
+        if not a:
+            raise ZeroInversion(f"division by zero in {self}")
+        g, s = _pl_invmod(self.base, self._coeffs(a), self._mod)
+        if g is None:
+            raise ZeroInversion(f"non-invertible element in {self}")
+        return self._encode(s)
+
+    def _plus_one(self, a):
+        c = a % self.base.order
+        return a - c + self.base._add(c, 1)
+
+    def _dlog_raw(self, a) -> int:
+        # no tables at this size: walk the powers of the generator
+        g = self._first_generator(self._pow_raw)
+        acc = 1
+        for n in range(self.order - 1):
+            if acc == a:
+                return n
+            acc = self._mul(acc, g)
+        raise IndexError("element outside the generated group")  # unreachable
+
+    def _format(self, a) -> str:
+        parts = []
+        for i, c in enumerate(self._coeffs(a)):
+            if not c:
+                continue
+            cs = self.base._format(c)
+            if i == 0:
+                parts.append(cs)
+            else:
+                xs = "x" if i == 1 else f"x^{i}"
+                parts.append(xs if cs == "1" else f"{cs}*{xs}")
+        return " + ".join(parts) if parts else "0"
+
+    def elem(self, x) -> FieldElem:
+        if isinstance(x, FieldElem):
+            if x.field is self:
+                return x
+            if x.field is self.base:
+                return FieldElem(self, x.val)
+            raise MixedFields(f"cannot coerce element of {x.field} into {self}")
+        if isinstance(x, int):
+            return FieldElem(self, self.base.elem(x).val)
+        if isinstance(x, tuple):
+            return FieldElem(self, self._encode([self.base.elem(c).val for c in x]))
+        raise TypeError(f"cannot coerce {x!r} into {self}")
+
+
+class _TabledExtension(_PolyExtension):
+    """An extension with at most 2^16 elements: multiplication, inverse,
+    negation, squareness and discrete logs are lookups in ``_tables``,
+    and addition goes through the Zech table (Lidl & Niederreiter,
+    *Finite Fields*, ch. 9): g^a + g^b = g^(a + zech[b - a])."""
+
+    def _add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        exp, log, zech = self._tables
+        la = log[a]
+        z = zech[log[b] - la]
+        return exp[la + z] if z >= 0 else 0
+
+    def _neg(self, a):
+        if not a:
+            return 0
+        exp, log, _ = self._tables
+        return exp[log[a] + (self.order - 1) // 2]  # -1 = g^((q-1)/2)
+
+    def _mul(self, a, b):
+        if a and b:
+            exp, log, _ = self._tables
+            return exp[log[a] + log[b]]
+        return 0
+
+    def _inv(self, a):
+        if not a:
+            raise ZeroInversion(f"division by zero in {self}")
+        exp, log, _ = self._tables
+        return exp[-log[a]]
+
+    def _pow_raw(self, a, e: int):
+        if not a:
+            return 0 if e else 1
+        exp, log, _ = self._tables
+        return exp[log[a] * e % (self.order - 1)]
+
+    def is_square_raw(self, a) -> bool:
+        if not a:
+            raise ZeroArgument("square class of zero")
+        return not self._tables[1][a] & 1
+
+    def _dlog_raw(self, a) -> int:
+        return self._tables[1][a]
+
+    def _generator_powers(self) -> list:
+        # g^0, ..., g^(q-2).  Multiplication by g is linear over F_p, and
+        # a raw value is the vector of its n = degree base-p digits (see
+        # _flat_key).  Split each power into a high and a low half below
+        # K = p^k, look up g times each half, and add the two images half
+        # by half in a K x K table of digitwise sums mod p.
+        p, n = self.p, self.degree
+        k = (n + 1) // 2
+        K = p**k
+        places = [p**i for i in range(k)]
+
+        def by_top_digit(count, first, entry):
+            # out[c] = entry(out[c - P], P) for c < count, P the place of
+            # c's top digit
+            out = [first]
+            top = 1
+            for c in range(1, count):
+                if c == top * p:
+                    top *= p
+                out.append(entry(out[c - top], top))
+            return out
+
+        # add[u][v]: digitwise sum mod p of u and v < K
+        bump = {P: [w - (p - 1) * P if w // P % p == p - 1 else w + P for w in range(K)]
+                for P in places}
+        add = by_top_digit(K, list(range(K)), lambda row, P: [bump[P][w] for w in row])
+        g = self._first_generator(self._poly_pow)
+
+        def images(scale, count):
+            # divmod(g * c * scale, K) for c < count, from g times each place
+            unit = {P: divmod(self._poly_mul(g, P * scale), K) for P in places if P < count}
+
+            def entry(prev, P):
+                (uh, ul), (vh, vl) = prev, unit[P]
+                return add[uh][vh], add[ul][vl]
+
+            return by_top_digit(count, (0, 0), entry)
+
+        low, high = images(1, K), images(K, p ** (n - k))
+        out = []
+        a = 1
+        for _ in range(self.order - 1):
+            out.append(a)
+            h, l = divmod(a, K)
+            (uh, ul), (vh, vl) = high[h], low[l]
+            a = add[uh][vh] * K + add[ul][vl]
+        return out
+
+
 _FF_TOKEN = object()
+
+#: Extensions up to this order are tabled; larger ones use polynomials.
+_TABLE_LIMIT = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -450,15 +591,16 @@ def _extension_cached(base: FiniteField, coeffs: tuple) -> FiniteField:
     mod = Poly(base, coeffs)
     if not poly_is_irreducible(mod):
         raise NonIrreducibleModulus(f"{mod} factors over {base}")
-    return FiniteField(base.p, base, mod, _token=_FF_TOKEN)
+    tabled = base.order ** mod.degree() <= _TABLE_LIMIT
+    cls = _TabledExtension if tabled else _PolyExtension
+    return cls(base.p, base, mod, _token=_FF_TOKEN)
 
 
 def _first_irreducible(base: FiniteField, degree: int) -> "Poly":
     # scan monic polynomials x^d + c_{d-1} x^{d-1} + ... + c_0, ordered
     # lexicographically by (c_{d-1}, ..., c_0) in element counting order
-    base_vals = list(base._elements_raw())
-    for tup in itertools.product(base_vals, repeat=degree):
-        coeffs = tuple(reversed(tup)) + (base._one_raw(),)
+    for tup in itertools.product(range(base.order), repeat=degree):
+        coeffs = tuple(reversed(tup)) + (base._one_raw,)
         f = Poly(base, coeffs)
         if poly_is_irreducible(f):
             return f
@@ -469,12 +611,8 @@ class RationalField(Field):
     """The rationals; raw values are ``Fraction`` in lowest terms."""
 
     kind = "rational"
-
-    def _zero_raw(self):
-        return Fraction(0)
-
-    def _one_raw(self):
-        return Fraction(1)
+    _zero_raw = Fraction(0)
+    _one_raw = Fraction(1)
 
     def _add(self, a, b):
         return a + b
@@ -518,20 +656,18 @@ def rationals() -> RationalField:
 
 
 def _pl_trim(field: Field, c: list) -> list:
-    z = field._zero_raw()
+    z = field._zero_raw
     while c and c[-1] == z:
         c.pop()
     return c
 
 
 def _pl_add(field: Field, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    z = field._zero_raw()
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else z
-        y = b[i] if i < len(b) else z
-        out.append(field._add(x, y))
+    if len(a) < len(b):
+        a, b = b, a
+    add = field._add
+    out = [add(x, y) for x, y in zip(a, b)]
+    out.extend(a[len(b):])
     return _pl_trim(field, out)
 
 
@@ -542,13 +678,14 @@ def _pl_neg(field: Field, a: list) -> list:
 def _pl_mul(field: Field, a: list, b: list) -> list:
     if not a or not b:
         return []
-    z = field._zero_raw()
+    z = field._zero_raw
+    add, mul = field._add, field._mul
     out = [z] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == z:
             continue
-        for j, y in enumerate(b):
-            out[i + j] = field._add(out[i + j], field._mul(x, y))
+        for j, y in enumerate(b, i):
+            out[j] = add(out[j], mul(x, y))
     return _pl_trim(field, out)
 
 
@@ -556,18 +693,19 @@ def _pl_divmod(field: Field, a: list, b: list) -> tuple[list, list]:
     if not b:
         raise ZeroInversion("polynomial division by zero")
     a = list(a)
-    z = field._zero_raw()
+    z = field._zero_raw
     db, da = len(b) - 1, len(a) - 1
     if da < db:
         return [], _pl_trim(field, a)
-    inv_lc = field._inv(b[-1])
+    add, mul = field._add, field._mul
+    neg_inv_lc = field._neg(field._inv(b[-1]))
     q = [z] * (da - db + 1)
     for i in range(da - db, -1, -1):
-        c = field._mul(a[i + db], inv_lc)
+        c = mul(a[i + db], neg_inv_lc)  # minus the quotient coefficient
         if c != z:
-            q[i] = c
-            for j in range(db + 1):
-                a[i + j] = field._add(a[i + j], field._neg(field._mul(c, b[j])))
+            q[i] = field._neg(c)
+            for j, y in enumerate(b, i):
+                a[j] = add(a[j], mul(c, y))
     return _pl_trim(field, q), _pl_trim(field, a)
 
 
@@ -578,7 +716,7 @@ def _pl_rem(field: Field, a: list, b: list) -> list:
 def _pl_invmod(field: Field, a: list, m: list):
     """(1, s) with s*a = 1 mod m when gcd(a, m) = 1, else (None, None)."""
     r0, r1 = list(m), _pl_rem(field, a, m)
-    s0, s1 = [], [field._one_raw()]
+    s0, s1 = [], [field._one_raw]
     while r1:
         q, r = _pl_divmod(field, r0, r1)
         r0, r1 = r1, r
@@ -612,7 +750,7 @@ class Poly:
 
     @classmethod
     def x(cls, field: Field) -> "Poly":
-        return cls(field, [field._zero_raw(), field._one_raw()])
+        return cls(field, [field._zero_raw, field._one_raw])
 
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -621,7 +759,7 @@ class Poly:
         return not self.coeffs
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field._one_raw()
+        return bool(self.coeffs) and self.coeffs[-1] == self.field._one_raw
 
     def lc(self) -> FieldElem:
         if not self.coeffs:
@@ -629,7 +767,7 @@ class Poly:
         return FieldElem(self.field, self.coeffs[-1])
 
     def coeff(self, i: int) -> FieldElem:
-        z = self.field._zero_raw()
+        z = self.field._zero_raw
         return FieldElem(self.field, self.coeffs[i] if i < len(self.coeffs) else z)
 
     def _same(self, other) -> "Poly":
@@ -693,7 +831,7 @@ class Poly:
         out = []
         for i in range(1, len(self.coeffs)):
             c = self.coeffs[i]
-            acc = self.field._zero_raw()
+            acc = self.field._zero_raw
             for _ in range(i):
                 acc = self.field._add(acc, c)
             out.append(acc)
@@ -701,7 +839,7 @@ class Poly:
 
     def eval(self, x) -> FieldElem:
         xv = self.field.elem(x).val
-        acc = self.field._zero_raw()
+        acc = self.field._zero_raw
         for c in reversed(self.coeffs):
             acc = self.field._add(self.field._mul(acc, xv), c)
         return FieldElem(self.field, acc)
@@ -710,7 +848,7 @@ class Poly:
         if e < 0:
             raise ValueError("negative exponent")
         mm = list(self._same(m).coeffs)
-        acc = [self.field._one_raw()]
+        acc = [self.field._one_raw]
         base = _pl_rem(self.field, list(self.coeffs), mm)
         while e:
             if e & 1:
@@ -746,7 +884,7 @@ class Poly:
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if c == self.field._zero_raw():
+            if c == self.field._zero_raw:
                 continue
             cs = self.field._format(c)
             if i == 0:
@@ -764,13 +902,15 @@ def polynomial(field: Field, coeffs: Sequence) -> Poly:
 
 
 def _flat_key(field: Field, raw) -> tuple[int, ...]:
-    """Stable integer key for a raw field value (sorting, seeds)."""
+    """Stable integer key for a raw field value (sorting, seeds).  Over
+    F_q it is the element's coordinates over the prime field, constant
+    coefficient first: the base-p digits of the raw value, since an
+    extension's raw value is its base coefficients in base b = |base|."""
     if isinstance(field, FiniteField):
-        if field.base is None:
-            return (raw,)
         out = []
-        for c in raw:
-            out.extend(_flat_key(field.base, c))
+        for _ in range(field.degree):
+            raw, c = divmod(raw, field.p)
+            out.append(c)
         return tuple(out)
     if isinstance(field, RationalField):
         return (raw.numerator, raw.denominator)
@@ -795,7 +935,7 @@ def poly_is_irreducible(f: Poly) -> bool:
         return False
     if d == 1:
         return True
-    if f.coeffs[0] == field._zero_raw():
+    if f.coeffs[0] == field._zero_raw:
         return False  # divisible by x
     q = field.order
     x = Poly.x(field)
@@ -879,18 +1019,8 @@ def _equal_degree_split(f: Poly, d: int, rng) -> list[Poly]:
     if f.degree() == d:
         return [f]
     q = field.order
-    base_vals = list(range(field.p)) if field.base is None else None
     while True:
-        deg = f.degree()
-        coeffs = []
-        for _ in range(deg):
-            if base_vals is not None:
-                coeffs.append(rng.randrange(field.p))
-            else:
-                # uniform raw value through the counting enumeration
-                idx = rng.randrange(field.order)
-                coeffs.append(_nth_element_raw(field, idx))
-        r = Poly.from_elems(field, coeffs) if base_vals is not None else Poly(field, coeffs)
+        r = Poly(field, [rng.randrange(q) for _ in range(f.degree())])
         if r.degree() < 1:
             continue
         g = f.gcd(r)
@@ -900,17 +1030,6 @@ def _equal_degree_split(f: Poly, d: int, rng) -> list[Poly]:
         g = f.gcd(s - 1)
         if 0 < g.degree() < f.degree():
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
-
-
-def _nth_element_raw(field: FiniteField, idx: int):
-    if field.base is None:
-        return idx % field.p
-    b = field.base.order
-    out = []
-    for _ in range(field.modulus.degree()):
-        out.append(_nth_element_raw(field.base, idx % b))
-        idx //= b
-    return tuple(out)
 
 
 def _factor_seed(f: Poly) -> int:
@@ -973,24 +1092,20 @@ class RatFunField(Field):
         if _token is not _FF_TOKEN:
             raise TypeError("use function_field()")
         self.base = base
-
-    def _zero_raw(self):
-        return (Poly(self.base, []), Poly.constant(self.base, 1))
-
-    def _one_raw(self):
-        one = Poly.constant(self.base, 1)
-        return (one, one)
+        one = Poly.constant(base, 1)
+        self._zero_raw = (Poly(base, []), one)
+        self._one_raw = (one, one)
 
     def _normalize(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroInversion(f"division by zero in {self}")
         if num.is_zero():
-            return self._zero_raw()
+            return self._zero_raw
         g = num.gcd(den)
         if g.degree() > 0:
             num, den = num // g, den // g
         lc_inv = self.base._inv(den.coeffs[-1])
-        if den.coeffs[-1] != self.base._one_raw():
+        if den.coeffs[-1] != self.base._one_raw:
             scale = Poly.constant(self.base, FieldElem(self.base, lc_inv))
             num, den = num * scale, den * scale
         return (num, den)
@@ -1201,9 +1316,7 @@ def _residue_of_poly(g: Poly, place: Place) -> FieldElem:
     if pi.degree() == 1:
         root = pi.field._neg(pi.coeffs[0])  # pi = t - root, monic
         return g.eval(FieldElem(pi.field, root))
-    rem = g % pi
-    coeffs = list(rem.coeffs)
-    return FieldElem(kappa, kappa._pad(coeffs))
+    return FieldElem(kappa, kappa._encode((g % pi).coeffs))
 
 
 def valuation(f: FieldElem, place) -> tuple[int, FieldElem]:
@@ -1289,6 +1402,17 @@ class SquareClass:
             raise MixedFields("square classes over different fields")
         return SquareClass(self.field, _key_mul(self.field, self.key, other.key))
 
+    @property
+    def sort_key(self):
+        """The key with coefficients over an extension F_q written as
+        ``_flat_key`` digit tuples: the order in which forms list their
+        classes, and the key as forms print it."""
+        field = self.field
+        if isinstance(field, RatFunField) and isinstance(field.base, _PolyExtension):
+            b, coeffs = self.key
+            return (b, tuple(_flat_key(field.base, c) for c in coeffs))
+        return self.key
+
     def rep(self) -> FieldElem:
         """Canonical representative element of the class."""
         return _key_rep(self.field, self.key)
@@ -1313,7 +1437,7 @@ def _trivial_key(field: Field):
     if isinstance(field, RationalField):
         return (0, 1)
     if isinstance(field, RatFunField):
-        return (_trivial_key(field.base), (field.base._one_raw(),))
+        return (_trivial_key(field.base), (field.base._one_raw,))
     raise UnsupportedField(f"no square classes over {field}")
 
 
@@ -1332,7 +1456,7 @@ def _key_mul(field: Field, k1, k2):
         f1, f2 = Poly(base, c1), Poly(base, c2)
         g = f1.gcd(f2)
         prod = (f1 // g) * (f2 // g)
-        return (_key_mul(base, b1, b2), prod.coeffs or (base._one_raw(),))
+        return (_key_mul(base, b1, b2), prod.coeffs or (base._one_raw,))
     raise UnsupportedField(f"no square classes over {field}")
 
 
@@ -1384,7 +1508,7 @@ def square_class(x: FieldElem) -> SquareClass:
             fr = lc.val
             n = fr.numerator * fr.denominator
             base_key = (1 if n < 0 else 0, squarefree_part(n))
-        return SquareClass(field, (base_key, sf.coeffs or (base._one_raw(),)))
+        return SquareClass(field, (base_key, sf.coeffs or (base._one_raw,)))
     raise UnsupportedField(f"no square classes over {field}")
 
 

@@ -35,6 +35,7 @@ from .fields import (
     Poly,
     RatFunField,
     RationalField,
+    _flat_key,
     _poly_key,
     finite_field,
     parse_elem,
@@ -748,6 +749,8 @@ def _format_poly_in_t(p: Poly) -> str:
         if not c:
             continue
         cv = c.val
+        if isinstance(p.field, FiniteField) and p.field.degree > 1:
+            cv = _flat_key(p.field, cv)  # coordinates over the prime field
         cs = str(cv)
         if d == 0:
             bits.append(cs)

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from .exact_linear import AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_group, fp_kernel, lattice_intersection, odd_part, solve_left
+from .exact_linear import _left_solver, AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_group, fp_kernel, lattice_intersection, odd_part
 from .fields import (
     FieldElem,
     FiniteField,
@@ -455,11 +455,11 @@ class ScissorsContext:
             rp1_grp, rp1_incl = fp_kernel(lambda1)
 
             # express the image of each RB generator in B coordinates
-            stacked = b_incl.images.stack(p.relation_basis)
+            solve = _left_solver(b_incl.images.stack(p.relation_basis))
             rb_to_b_images = []
             for i in range(rb_grp.ngens):
                 vec = proj.apply(rb_incl.images.row(i))
-                sol = solve_left(stacked, vec)
+                sol = solve(vec)
                 if sol is None:
                     raise IntegrityFailure("image of RB escapes the Bloch kernel")
                 rb_to_b_images.append(list(sol[: b_grp.ngens]))

@@ -15,6 +15,7 @@ from typing import List, Tuple
 
 from .errors import DegenerateArguments, ZeroArgument
 from .fields import (
+    FieldElem,
     FiniteField,
     Poly,
     RationalField,
@@ -73,13 +74,14 @@ def random_rational(rng: random.Random, height: int = 1000) -> Fraction:
 
 def random_poly(rng: random.Random, base: FiniteField, max_deg: int,
                 unit_at_zero: bool = False) -> Poly:
-    elems = list(base.elements())
+    # raw values are indices in counting order, so draw the index
+    q = base.order
     while True:
         deg = rng.randint(0, max_deg)
-        coeffs = [elems[rng.randrange(len(elems))] for _ in range(deg + 1)]
+        coeffs = [rng.randrange(q) for _ in range(deg + 1)]
         if unit_at_zero and not coeffs[0]:
             continue
-        p = Poly(base, [c.val for c in coeffs])
+        p = Poly(base, coeffs)
         if not p.is_zero():
             return p
 
@@ -97,8 +99,7 @@ def _random_elem(rng: random.Random, field, height: int = 1000, max_deg: int = 3
     if isinstance(field, RatFunField):
         return random_ratfun(rng, field, max_deg)
     if isinstance(field, FiniteField):
-        units = [e for e in field.elements() if e]
-        return units[rng.randrange(len(units))]
+        return FieldElem(field, 1 + rng.randrange(field.order - 1))
     raise TypeError(f"no sampler for {field}")
 
 
@@ -187,10 +188,9 @@ def run_sv(q: int, samples: int, seed: int) -> Tuple[int, List[str]]:
     failures: List[str] = []
     checked = 0
     attempts = 0
-    elems = list(ctx.field.elements())
     while checked < samples and attempts < 100 * samples:
         attempts += 1
-        c = [elems[rng.randrange(len(elems))].val for _ in range(4)]
+        c = [rng.randrange(q) for _ in range(4)]  # raw values of F_q
         x = field.elem(Poly(ctx.field, [c[0], c[1]]))
         y = field.elem(Poly(ctx.field, [c[2], c[3]]))
         try:

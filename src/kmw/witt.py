@@ -131,7 +131,7 @@ class VirtualForm:
         multiples of ``<a>`` are replaced by copies of ``<-a>``."""
         minus_one = square_class(self.field.elem(-1))
         rep: List[SquareClass] = []
-        for cls in sorted(self.coeffs, key=lambda s: s.key):
+        for cls in sorted(self.coeffs, key=lambda s: s.sort_key):
             c = self.coeffs[cls]
             if c > 0:
                 rep.extend([cls] * c)
@@ -143,7 +143,7 @@ class VirtualForm:
         if not self.coeffs:
             return "VirtualForm(0)"
         bits = []
-        for cls in sorted(self.coeffs, key=lambda s: s.key):
+        for cls in sorted(self.coeffs, key=lambda s: s.sort_key):
             c = self.coeffs[cls]
             bits.append(f"{c:+d}<{cls.rep()!r}>")
         return f"VirtualForm({' '.join(bits)})"
@@ -253,7 +253,7 @@ class WittInvariants:
 
     def __repr__(self):
         return (
-            f"WittInvariants(rank={self.rank}, disc={self.signed_disc.key}, "
+            f"WittInvariants(rank={self.rank}, disc={self.signed_disc.sort_key}, "
             f"signatures={self.signatures}, hasse={self.hasse})"
         )
 

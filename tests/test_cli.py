@@ -213,6 +213,29 @@ class TestVerify:
         assert row["field"] == "F5t"
         assert row["checked"] == 5
 
+    def test_delta_t_over_tabled_f6561(self, capsys):
+        # F6561 = F3[x]/(x^8 + x^2 + 2): log/Zech-tabled arithmetic, and a
+        # degree-2 residue field of 6561^2 elements over it
+        code, out, _ = run_cli(
+            capsys, ["verify", "delta-t", "--field", "F6561", "--samples", "1",
+                     "--json"]
+        )
+        assert code == 0
+        assert out == (
+            '{"suite":"delta-t","field":"F6561","samples":1,"seed":0,'
+            '"checked":1,"failures":0,"pass":true,"witness":null}\n'
+        )
+
+    @pytest.mark.parametrize("spec", ["F0", "F1", "F4", "F12"])
+    def test_unsupported_field_order_exits_two(self, capsys, spec):
+        code, out, err = run_cli(
+            capsys, ["verify", "delta-t", "--field", spec, "--samples", "1",
+                     "--json"]
+        )
+        assert code == 2
+        assert not out
+        assert json.loads(err)["error"] == "UnsupportedField"
+
     def test_delta_t_rejects_function_field(self, capsys):
         code, _, err = run_cli(
             capsys, ["verify", "delta-t", "--field", "F5t", "--samples", "5",

@@ -374,6 +374,29 @@ class TestMaps:
         with pytest.raises(RelationNotKilled):
             AbMap(z2, z, [[1]])
 
+    def test_duplicated_relation_still_checked(self):
+        # relation 2 (2x), the second distinct one, is not killed; it
+        # recurs negated as relation 4
+        src = fp_group(["x", "y"], [[0, 3], [0, -3], [2, 0], [0, 3], [-2, 0]])
+        z3 = fp_group(["z"], [[3]])
+        with pytest.raises(RelationNotKilled, match="relation 2 "):
+            AbMap(src, z3, [[1], [1]])
+        AbMap(src, z3, [[3], [1]])
+
+    def test_each_distinct_relation_applied_once(self, monkeypatch):
+        src = fp_group(["x", "y"], [[0, 3], [2, 0], [0, 3], [-2, 0], [0, -3]])
+        z6 = fp_group(["z"], [[6]])
+        applied = []
+        real_apply = AbMap.apply
+
+        def recording_apply(self, vec):
+            applied.append(tuple(vec))
+            return real_apply(self, vec)
+
+        monkeypatch.setattr(AbMap, "apply", recording_apply)
+        AbMap(src, z6, [[3], [2]])
+        assert applied == [(0, 3), (2, 0)]
+
     def test_kernel_image_orders_multiply(self):
         rng = random.Random(59)
         checked = 0

@@ -3,6 +3,8 @@ the symbol calculus, checked against brute-force oracles where one
 exists (squares mod p for Legendre, congruence solvability for the
 2-adic Hilbert symbol, the product formula globally)."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -519,3 +521,270 @@ class TestTameSymbol:
         got = fl.tame_symbol(2, 3, 2)
         assert got.field.order == 2
         assert got == got.field.one
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: F_q as a tower of coefficient tuples
+
+
+def _tw_trim(field, c):
+    z = field._zero_raw()
+    while c and c[-1] == z:
+        c.pop()
+    return c
+
+
+def _tw_add(field, a, b):
+    n = max(len(a), len(b))
+    z = field._zero_raw()
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else z
+        y = b[i] if i < len(b) else z
+        out.append(field._add(x, y))
+    return _tw_trim(field, out)
+
+
+def _tw_neg(field, a):
+    return [field._neg(x) for x in a]
+
+
+def _tw_mul(field, a, b):
+    if not a or not b:
+        return []
+    z = field._zero_raw()
+    out = [z] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == z:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = field._add(out[i + j], field._mul(x, y))
+    return _tw_trim(field, out)
+
+
+def _tw_divmod(field, a, b):
+    a = list(a)
+    z = field._zero_raw()
+    db, da = len(b) - 1, len(a) - 1
+    if da < db:
+        return [], _tw_trim(field, a)
+    inv_lc = field._inv(b[-1])
+    q = [z] * (da - db + 1)
+    for i in range(da - db, -1, -1):
+        c = field._mul(a[i + db], inv_lc)
+        if c != z:
+            q[i] = c
+            for j in range(db + 1):
+                a[i + j] = field._add(a[i + j], field._neg(field._mul(c, b[j])))
+    return _tw_trim(field, q), _tw_trim(field, a)
+
+
+def _tw_invmod(field, a, m):
+    r0, r1 = list(m), _tw_divmod(field, a, m)[1]
+    s0, s1 = [], [field._one_raw()]
+    while r1:
+        q, r = _tw_divmod(field, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _tw_add(field, s0, _tw_neg(field, _tw_mul(field, q, s1)))
+    inv_lc = field._inv(r0[0])
+    return _tw_trim(field, [field._mul(x, inv_lc) for x in s0])
+
+
+class Tower:
+    """The field of a kmw ``FiniteField`` rebuilt as a tower over F_p on
+    the same moduli: raw values are ints in [0, p) at the bottom and
+    fixed-length coefficient tuples over the base at each extension
+    step, and every operation recurses through the levels.  Independent
+    of kmw's int encoding except through ``lift``, whose counting order
+    ``test_counting_order`` pins to the tower's own enumeration."""
+
+    def __init__(self, field):
+        self.p = field.p
+        self.order = field.order
+        self.base = None if field.base is None else tower(field.base)
+        if self.base is not None:
+            self.modulus = [self.base.lift(c) for c in field.modulus.coeffs]
+            self.d = len(self.modulus) - 1
+        self._dlog = None
+
+    def _zero_raw(self):
+        if self.base is None:
+            return 0
+        return (self.base._zero_raw(),) * self.d
+
+    def _one_raw(self):
+        if self.base is None:
+            return 1
+        return (self.base._one_raw(),) + (self.base._zero_raw(),) * (self.d - 1)
+
+    def _pad(self, coeffs):
+        z = self.base._zero_raw()
+        return tuple(coeffs[i] if i < len(coeffs) else z for i in range(self.d))
+
+    def _add(self, a, b):
+        if self.base is None:
+            return (a + b) % self.p
+        return tuple(self.base._add(x, y) for x, y in zip(a, b))
+
+    def _neg(self, a):
+        if self.base is None:
+            return (-a) % self.p
+        return tuple(self.base._neg(x) for x in a)
+
+    def _mul(self, a, b):
+        if self.base is None:
+            return (a * b) % self.p
+        prod = _tw_mul(self.base, list(a), list(b))
+        return self._pad(_tw_divmod(self.base, prod, self.modulus)[1])
+
+    def _inv(self, a):
+        if self.base is None:
+            return pow(a, -1, self.p)
+        return self._pad(_tw_invmod(self.base, list(a), self.modulus))
+
+    def _pow(self, a, e):
+        out = self._one_raw()
+        while e:
+            if e & 1:
+                out = self._mul(out, a)
+            a = self._mul(a, a)
+            e >>= 1
+        return out
+
+    def _format(self, a):
+        if self.base is None:
+            return str(a)
+        parts = []
+        for i, c in enumerate(a):
+            if c == self.base._zero_raw():
+                continue
+            cs = self.base._format(c)
+            if i == 0:
+                parts.append(cs)
+            else:
+                xs = "x" if i == 1 else f"x^{i}"
+                parts.append(xs if cs == "1" else f"{cs}*{xs}")
+        return " + ".join(parts) if parts else "0"
+
+    def elements(self):
+        """All raw values, constant coefficient varying fastest."""
+        if self.base is None:
+            yield from range(self.p)
+        else:
+            for tup in itertools.product(list(self.base.elements()), repeat=self.d):
+                yield tuple(reversed(tup))
+
+    def lift(self, raw: int):
+        """The tower value of the element with index ``raw``."""
+        if self.base is None:
+            return raw
+        b = self.base.order
+        return tuple(self.base.lift(raw // b**i % b) for i in range(self.d))
+
+    def flat(self, a) -> tuple:
+        if self.base is None:
+            return (a,)
+        return tuple(x for c in a for x in self.base.flat(c))
+
+    def is_square(self, a) -> bool:
+        return self._pow(a, (self.order - 1) // 2) == self._one_raw()
+
+    def generator(self):
+        target = self.order - 1
+        primes = [r for r, _ in fl.factor_int(target)]
+        for e in itertools.islice(self.elements(), 1, None):
+            if all(self._pow(e, target // r) != self._one_raw() for r in primes):
+                return e
+
+    def dlog(self, a) -> int:
+        if self._dlog is None:
+            g, acc, self._dlog = self.generator(), self._one_raw(), {}
+            for i in range(self.order - 1):
+                self._dlog[acc] = i
+                acc = self._mul(acc, g)
+        return self._dlog[a]
+
+
+@functools.lru_cache(maxsize=None)
+def tower(field) -> Tower:
+    return Tower(field)
+
+
+def assert_unary_ops_agree(F, T, a, with_dlog=True):
+    ta = T.lift(a)
+    assert T.lift(F._neg(a)) == T._neg(ta)
+    assert F._format(a) == T._format(ta) == repr(fl.FieldElem(F, a))
+    assert fl._flat_key(F, a) == T.flat(ta)
+    if a:
+        assert T.lift(F._inv(a)) == T._inv(ta)
+        assert F.is_square_raw(a) == T.is_square(ta)
+        if with_dlog:
+            assert F.dlog(fl.FieldElem(F, a)) == T.dlog(ta)
+
+
+def assert_binary_ops_agree(F, T, a, b):
+    ta, tb = T.lift(a), T.lift(b)
+    assert T.lift(F._add(a, b)) == T._add(ta, tb)
+    assert T.lift(F._mul(a, b)) == T._mul(ta, tb)
+
+
+SMALL_Q = (9, 25, 27, 49, 81, 121, 125)
+SAMPLED = ("F6561", "F9[x]/(x^2-s)", "residue F6561^2")
+
+
+@functools.lru_cache(maxsize=None)
+def sampled_fields() -> dict:
+    """Fields too large for exhaustive checks: F6561 (tabled, degree 8
+    over F3), an extension of F9 by a degree-2 modulus (tabled over a
+    tabled base), and the degree-2 residue field of F6561(t) at
+    t^2 - s, s the first nonsquare (6561^2 elements, polynomial
+    arithmetic over the tabled F6561)."""
+    F9, F6561 = fl.finite_field(9), fl.finite_field(6561)
+    pi9 = fl.Poly.from_elems(F9, [-F9.nonsquare(), 0, 1])
+    pi6561 = fl.Poly.from_elems(F6561, [-F6561.nonsquare(), 0, 1])
+    residue = fl.function_place(fl.function_field(F6561), pi6561).residue_field()
+    return dict(zip(SAMPLED, (F6561, fl.extension_field(F9, pi9), residue)))
+
+
+class TestTowerOracle:
+    @pytest.mark.parametrize("q", SMALL_Q)
+    def test_counting_order(self, q):
+        F, T = fl.finite_field(q), tower(fl.finite_field(q))
+        assert list(T.elements()) == [T.lift(a) for a in range(q)]
+        assert [e.val for e in F.elements()] == list(range(q))
+        assert T.lift(F.generator().val) == T.generator()
+        assert T.lift(F.nonsquare().val) == next(
+            e for e in itertools.islice(T.elements(), 1, None) if not T.is_square(e)
+        )
+
+    @pytest.mark.parametrize("q", SMALL_Q)
+    def test_exhaustive(self, q):
+        F, T = fl.finite_field(q), tower(fl.finite_field(q))
+        for a in range(q):
+            assert_unary_ops_agree(F, T, a)
+            for b in range(q):
+                assert_binary_ops_agree(F, T, a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SAMPLED), st.data())
+    def test_sampled_pairs(self, name, data):
+        F = sampled_fields()[name]
+        T = tower(F)
+        a = data.draw(st.integers(0, F.order - 1))
+        b = data.draw(st.integers(0, F.order - 1))
+        # discrete logs above 2^16 elements walk the powers of g; too slow here
+        assert_unary_ops_agree(F, T, a, with_dlog=F.order <= 1 << 16)
+        assert_binary_ops_agree(F, T, a, b)
+
+    def test_sampled_field_kinds(self):
+        fields = sampled_fields()
+        residue, nested = fields["residue F6561^2"], fields["F9[x]/(x^2-s)"]
+        assert residue.order == 6561**2 and residue.base is fields["F6561"]
+        assert nested.base is fl.finite_field(9)
+        # the tower's own generator search over 6561^2 elements is too
+        # slow for a unit test (about 25 s on a 2-vCPU VM)
+        for F in (fields["F6561"], nested):
+            assert tower(F).lift(F.generator().val) == tower(F).generator()
+        g = residue.generator()
+        for k in (0, 1, 2, 1000):
+            assert residue.dlog(g**k) == k
