@@ -10,9 +10,10 @@ Hilbert / tame symbols.
 Conventions that the rest of the library leans on:
 
 * an F_q element's raw value is an int in [0, q), its index in the
-  counting order; extensions with at most 2^16 elements compute by
-  log/Zech table lookups built on first use, larger ones by polynomial
-  arithmetic over their base;
+  counting order; the fields of ``finite_field(q)`` with at most 2^16
+  elements compute by log/Zech table lookups built on first use, other
+  extensions (residue fields among them) by polynomial arithmetic over
+  their base;
 * square-class keys carry squarefree representatives, so a place divides
   a key with multiplicity 0 or 1 and residue maps never see squares;
 * finite places of a function field are monic irreducible polynomials,
@@ -213,9 +214,10 @@ class FiniteField(Field):
     raws, so the constant coefficient varies fastest.  Zero is 0, one is
     1, and a base element keeps its raw value in the extension.
 
-    This class is the prime field, computing mod p.  Extensions with at
-    most 2^16 elements are ``_TabledExtension`` (log/Zech lookups);
-    larger ones are ``_PolyExtension`` (polynomials over the base)."""
+    This class is the prime field, computing mod p.  The extensions of
+    ``finite_field(q)`` with at most 2^16 elements are
+    ``_TabledExtension`` (log/Zech lookups); all others are
+    ``_PolyExtension`` (polynomials over the base); see ``_TABLE_LIMIT``."""
 
     kind = "finite"
     _zero_raw = 0
@@ -271,7 +273,7 @@ class FiniteField(Field):
         return powers + powers, log, zech
 
     def _generator_powers(self) -> list:
-        g = self._first_generator(self._pow_raw)
+        g = self._generator
         out = [1]
         for _ in range(self.order - 2):
             out.append(out[-1] * g % self.p)
@@ -328,10 +330,16 @@ class FiniteField(Field):
 
     def generator(self) -> FieldElem:
         """First multiplicative generator in enumeration order."""
-        return FieldElem(self, self._first_generator(self._pow_raw))
+        return FieldElem(self, self._generator)
+
+    @cached_property
+    def _generator(self) -> int:
+        return self._first_generator(self._pow_raw)
 
     def dlog(self, x: FieldElem) -> int:
         """Discrete log of a nonzero element with respect to the fixed
+        generator: a table lookup, except in fields without tables
+        (``_PolyExtension``), where every call walks the powers of the
         generator."""
         if isinstance(x, FieldElem):
             if x.field is not self:
@@ -350,9 +358,10 @@ class FiniteField(Field):
 
 class _PolyExtension(FiniteField):
     """base[x] modulo the modulus, computed on decoded coefficient lists
-    with the ``_pl_*`` helpers over the base: the arithmetic of
-    extensions above 2^16 elements, where tables would not pay, and of
-    the table build below that."""
+    with the ``_pl_*`` helpers over the base: the arithmetic of residue
+    fields, of nested extensions and of extensions above 2^16 elements,
+    where tables would not pay, and of the table build.  ``dlog`` walks
+    the powers of the generator on every call."""
 
     def __init__(self, p, base, modulus, _token=None):
         super().__init__(p, base, modulus, _token)
@@ -397,6 +406,11 @@ class _PolyExtension(FiniteField):
     _mul = _poly_mul
     _pow_raw = _poly_pow
 
+    @cached_property
+    def _generator(self) -> int:
+        # by polynomial powers, which the table build itself relies on
+        return self._first_generator(self._poly_pow)
+
     def _inv(self, a):
         if not a:
             raise ZeroInversion(f"division by zero in {self}")
@@ -410,8 +424,8 @@ class _PolyExtension(FiniteField):
         return a - c + self.base._add(c, 1)
 
     def _dlog_raw(self, a) -> int:
-        # no tables at this size: walk the powers of the generator
-        g = self._first_generator(self._pow_raw)
+        # no tables here: every call walks the powers of the generator
+        g = self._generator
         acc = 1
         for n in range(self.order - 1):
             if acc == a:
@@ -447,10 +461,11 @@ class _PolyExtension(FiniteField):
 
 
 class _TabledExtension(_PolyExtension):
-    """An extension with at most 2^16 elements: multiplication, inverse,
-    negation, squareness and discrete logs are lookups in ``_tables``,
-    and addition goes through the Zech table (Lidl & Niederreiter,
-    *Finite Fields*, ch. 9): g^a + g^b = g^(a + zech[b - a])."""
+    """A ``finite_field(q)`` extension with at most 2^16 elements:
+    multiplication, inverse, negation, squareness and discrete logs are
+    lookups in ``_tables``, and addition goes through the Zech table
+    (Lidl & Niederreiter, *Finite Fields*, ch. 9):
+    g^a + g^b = g^(a + zech[b - a])."""
 
     def _add(self, a, b):
         if not a:
@@ -497,13 +512,15 @@ class _TabledExtension(_PolyExtension):
     def _generator_powers(self) -> list:
         # g^0, ..., g^(q-2).  Multiplication by g is linear over F_p, and
         # a raw value is the vector of its n = degree base-p digits (see
-        # _flat_key).  Split each power into a high and a low half below
-        # K = p^k, look up g times each half, and add the two images half
-        # by half in a K x K table of digitwise sums mod p.
+        # _flat_key).  Split each power into a high and a low part at
+        # S = p^ceil(n/2), look up g times each part, and add the two
+        # images chunk by chunk in a K x K table of digitwise sums mod p.
+        # The images are cut into two chunks of n/2 digits for even n and
+        # three of ceil(n/3) for odd n, so the table has K^2 <= q entries.
         p, n = self.p, self.degree
-        k = (n + 1) // 2
-        K = p**k
-        places = [p**i for i in range(k)]
+        chunks = 2 if n % 2 == 0 else 3
+        K = p ** -(-n // chunks)
+        S = p ** -(-n // 2)
 
         def by_top_digit(count, first, entry):
             # out[c] = entry(out[c - P], P) for c < count, P the place of
@@ -516,36 +533,51 @@ class _TabledExtension(_PolyExtension):
                 out.append(entry(out[c - top], top))
             return out
 
+        def places(count):
+            return [p**i for i in range(n) if p**i < count]
+
         # add[u][v]: digitwise sum mod p of u and v < K
         bump = {P: [w - (p - 1) * P if w // P % p == p - 1 else w + P for w in range(K)]
-                for P in places}
+                for P in places(K)}
         add = by_top_digit(K, list(range(K)), lambda row, P: [bump[P][w] for w in row])
-        g = self._first_generator(self._poly_pow)
+        g = self._generator
+
+        def split(a):
+            out = []
+            for _ in range(chunks):
+                a, c = divmod(a, K)
+                out.append(c)
+            return out[::-1]
 
         def images(scale, count):
-            # divmod(g * c * scale, K) for c < count, from g times each place
-            unit = {P: divmod(self._poly_mul(g, P * scale), K) for P in places if P < count}
+            # the chunks of g * c * scale for c < count, from g times each place
+            unit = {P: split(self._poly_mul(g, P * scale)) for P in places(count)}
+            return by_top_digit(count, [0] * chunks,
+                                lambda prev, P: [add[u][v] for u, v in zip(prev, unit[P])])
 
-            def entry(prev, P):
-                (uh, ul), (vh, vl) = prev, unit[P]
-                return add[uh][vh], add[ul][vl]
-
-            return by_top_digit(count, (0, 0), entry)
-
-        low, high = images(1, K), images(K, p ** (n - k))
+        low, high = images(1, S), images(S, self.order // S)
         out = []
         a = 1
         for _ in range(self.order - 1):
             out.append(a)
-            h, l = divmod(a, K)
-            (uh, ul), (vh, vl) = high[h], low[l]
-            a = add[uh][vh] * K + add[ul][vl]
+            h, l = divmod(a, S)
+            a = 0
+            for u, v in zip(high[h], low[l]):
+                a = a * K + add[u][v]
         return out
 
 
 _FF_TOKEN = object()
 
-#: Extensions up to this order are tabled; larger ones use polynomials.
+#: Building the tables costs about as much as q polynomial operations, so
+#: they pay only in a field that serves more operations than it has
+#: elements.  The fields of ``finite_field(q)`` are the bases that whole
+#: suites and commands compute in, and serve thousands to millions of
+#: operations; a residue field of F_q(t), one per place, serves a few
+#: dozen to about a thousand whatever its order.  So only the former are
+#: tabled, recognised by their modulus (the first irreducible over the
+#: prime field) however they are reached, and only up to this order,
+#: where the tables take about 5 MiB.
 _TABLE_LIMIT = 1 << 16
 
 
@@ -591,11 +623,14 @@ def _extension_cached(base: FiniteField, coeffs: tuple) -> FiniteField:
     mod = Poly(base, coeffs)
     if not poly_is_irreducible(mod):
         raise NonIrreducibleModulus(f"{mod} factors over {base}")
-    tabled = base.order ** mod.degree() <= _TABLE_LIMIT
+    d = mod.degree()
+    tabled = (base.base is None and base.order**d <= _TABLE_LIMIT
+              and coeffs == _first_irreducible(base, d).coeffs)
     cls = _TabledExtension if tabled else _PolyExtension
     return cls(base.p, base, mod, _token=_FF_TOKEN)
 
 
+@lru_cache(maxsize=None)
 def _first_irreducible(base: FiniteField, degree: int) -> "Poly":
     # scan monic polynomials x^d + c_{d-1} x^{d-1} + ... + c_0, ordered
     # lexicographically by (c_{d-1}, ..., c_0) in element counting order

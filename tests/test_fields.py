@@ -735,8 +735,8 @@ SAMPLED = ("F6561", "F9[x]/(x^2-s)", "residue F6561^2")
 @functools.lru_cache(maxsize=None)
 def sampled_fields() -> dict:
     """Fields too large for exhaustive checks: F6561 (tabled, degree 8
-    over F3), an extension of F9 by a degree-2 modulus (tabled over a
-    tabled base), and the degree-2 residue field of F6561(t) at
+    over F3), an extension of F9 by a degree-2 modulus (polynomials over
+    a tabled base), and the degree-2 residue field of F6561(t) at
     t^2 - s, s the first nonsquare (6561^2 elements, polynomial
     arithmetic over the tabled F6561)."""
     F9, F6561 = fl.finite_field(9), fl.finite_field(6561)
@@ -788,3 +788,67 @@ class TestTowerOracle:
         g = residue.generator()
         for k in (0, 1, 2, 1000):
             assert residue.dlog(g**k) == k
+
+
+class TestTableChoice:
+    """Only the fields of ``finite_field(q)`` up to 2^16 elements build
+    tables; residue fields and nested extensions compute by polynomials."""
+
+    @staticmethod
+    def cubic_residue_field():
+        # x^3 + x + 4 over F5: irreducible, and not the first irreducible
+        # cubic x^3 + x + 1 that finite_field(125) is made with
+        F5 = fl.finite_field(5)
+        pi = fl.Poly.from_elems(F5, [4, 1, 0, 1])
+        assert fl.poly_is_irreducible(pi) and pi != fl.finite_field(125).modulus
+        return fl.function_place(fl.function_field(F5), pi).residue_field()
+
+    @pytest.mark.parametrize("q", (9, 27, 125, 6561, 50653))
+    def test_finite_field_is_tabled(self, q):
+        assert isinstance(fl.finite_field(q), fl._TabledExtension)
+
+    def test_residue_field_is_not_tabled(self):
+        kappa = self.cubic_residue_field()
+        assert type(kappa) is fl._PolyExtension and kappa.order == 125
+        T = tower(kappa)
+        for a in range(125):
+            assert_unary_ops_agree(kappa, T, a)
+            for b in range(0, 125, 7):
+                assert_binary_ops_agree(kappa, T, a, b)
+        assert "_tables" not in vars(kappa)
+
+    def test_canonical_residue_field_is_the_tabled_field(self):
+        F3t = fl.function_field(fl.finite_field(3))
+        place = fl.function_place(F3t, fl.finite_field(9).modulus)
+        assert place.residue_field() is fl.finite_field(9)
+
+    def test_nested_extension_is_not_tabled(self):
+        assert type(sampled_fields()["F9[x]/(x^2-s)"]) is fl._PolyExtension
+
+    def test_untabled_dlog_finds_the_generator_once(self, monkeypatch):
+        kappa = self.cubic_residue_field()
+        vars(kappa).pop("_generator", None)
+        calls = []
+        first = fl.FiniteField._first_generator
+        monkeypatch.setattr(fl.FiniteField, "_first_generator",
+                            lambda self, pow_raw: calls.append(self) or first(self, pow_raw))
+        g = kappa.generator()
+        assert tower(kappa).lift(g.val) == tower(kappa).generator()
+        for k in (0, 1, 5, 123):
+            assert kappa.dlog(g**k) == k
+        assert calls == [kappa]
+
+    @pytest.mark.parametrize("q", (27, 125, 243, 2187, 6561, 50653))
+    def test_tables_follow_polynomial_arithmetic(self, q):
+        # odd degrees cut the digit sums into three chunks, even into two
+        F = fl.finite_field(q)
+        exp, log, zech = F._tables
+        g = F._generator
+        assert len(exp) == 2 * (q - 1) and exp[: q - 1] == exp[q - 1:]
+        assert sorted(exp[: q - 1]) == list(range(1, q))
+        for n in range(q - 2):
+            assert exp[n + 1] == F._poly_mul(exp[n], g)
+        for n, a in enumerate(exp[: q - 1]):
+            assert log[a] == n
+            b = F._plus_one(a)
+            assert zech[n] == (log[b] if b else -1)
