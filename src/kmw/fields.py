@@ -456,6 +456,8 @@ class _PolyExtension(FiniteField):
         if isinstance(x, int):
             return FieldElem(self, self.base.elem(x).val)
         if isinstance(x, tuple):
+            if len(x) > self._d:
+                raise ValueError(f"{x!r} has more than {self._d} coefficients for {self}")
             return FieldElem(self, self._encode([self.base.elem(c).val for c in x]))
         raise TypeError(f"cannot coerce {x!r} into {self}")
 

@@ -5,9 +5,15 @@ with ``m - k`` equal to the degree.  Alongside the formal monomials,
 every element of degree at most 2 over a supported field carries a
 normalized pair (Milnor coordinates, virtual form) living in the fiber
 product of Milnor K-theory with the matching power of the fundamental
-ideal; the two components are checked for mod-2 compatibility whenever
-a pair is built, and equality of elements is decided componentwise on
-the pairs.
+ideal (Morel, *A^1-algebraic topology over a field*, LNM 2052).
+Equality of elements is decided componentwise on the pairs.
+
+Every pair is checked for mod-2 compatibility when it is built, by the
+one function ``_check_fiber``.  In degree 2 it reads the Milnor side
+from the coordinates themselves: they record a local value at each
+place, and its Hilbert sign (the quadratic character of a tame symbol,
+or the recorded sign at the real and 2-adic places of Q) is compared
+with the Hasse invariant of the virtual form there.
 
 Degree-3 elements stay formal: they have no equality oracle and are
 consumed by ``eta_mul``, which lowers them into testable degree 2.
@@ -32,12 +38,14 @@ from .errors import (
 from .fields import (
     FieldElem,
     FiniteField,
+    Place,
     Poly,
     RatFunField,
     RationalField,
     _flat_key,
     _poly_key,
     finite_field,
+    hilbert,
     parse_elem,
     square_class,
     support_places,
@@ -54,10 +62,8 @@ from .witt import (
     signature,
     unit_form,
     witt_equal,
-    witt_is_zero,
     zero_form,
 )
-from .fields import hilbert
 
 
 Monomial = Tuple[int, Tuple[FieldElem, ...]]
@@ -77,11 +83,14 @@ class MilnorCoords:
     """Complete coordinates of the Milnor component, by degree.
 
     Degree 0 holds an integer (K_0), degree 1 a unit of the field
-    (K_1), degree 2 a finite fingerprint of symbols: over the rationals
-    the 2-adic and real Hilbert symbols together with tame symbols at
-    odd primes; over a rational function field with finite base the
-    tame symbols at monic irreducible places; over a finite field
-    nothing (K_2 vanishes there).
+    (K_1).  Degree 2 holds a tuple of ``(place, local value)`` in the
+    order of ``_place_order``, without trivial entries.  The local value
+    is the Hilbert sign, an int +-1, at the real and 2-adic places of
+    the rationals, and the tame symbol, in the residue field, at every
+    other place: the odd primes of Q, and the monic irreducibles and
+    infinity of a rational function field with finite base.  Over a
+    finite field the tuple is empty (K_2 vanishes there).  By Weil
+    reciprocity the entry at infinity is determined by the others.
     """
 
     __slots__ = ("field", "degree", "data")
@@ -109,12 +118,6 @@ class MilnorCoords:
         if self.degree == 1:
             return self.data == self.field.one
         if self.degree == 2:
-            kind = _field_kind(self.field)
-            if kind == "finite":
-                return True
-            if kind == "rational":
-                two_adic, infinite, tame = self.data
-                return two_adic == 1 and infinite == 1 and not tame
             return not self.data
         raise UnsupportedDegree("no normal form in degree 3")
 
@@ -135,47 +138,39 @@ def _k1_coords(field, monomials: Dict[Monomial, int]) -> MilnorCoords:
     return MilnorCoords(field, 1, acc)
 
 
+def _place_order(place: Place) -> tuple:
+    """The real place or infinity first, then primes ascending, or
+    monic irreducibles by degree and coefficients."""
+    if place.kind == "prime":
+        return (1, place.data)
+    if place.kind == "poly":
+        return (1, place.data.degree(), _poly_key(place.data))
+    return (0,)
+
+
 def _k2_coords(field, monomials: Dict[Monomial, int]) -> MilnorCoords:
     kind = _field_kind(field)
-    pairs = [(syms, c) for (k, syms), c in monomials.items() if k == 0]
     if kind == "finite":
-        return MilnorCoords(field, 2, None)
-    if kind == "rational":
-        two_adic = 1
-        infinite = 1
-        tame: Dict[int, FieldElem] = {}
-        for (a, b), c in pairs:
-            two_adic *= hilbert(a, b, 2) ** c
-            infinite *= hilbert(a, b, "real") ** c
-            for place in support_places(field, [a, b]):
-                if place.kind != "prime" or place.data == 2:
-                    continue
-                p = place.data
+        return MilnorCoords(field, 2, ())
+    if kind not in ("rational", "ratfun-finite"):
+        raise UnsupportedField("no degree-2 Milnor coordinates for this field")
+    local: Dict[Place, object] = {}
+    for (k, syms), c in monomials.items():
+        if k:
+            continue
+        a, b = syms
+        for place in support_places(field, syms):
+            if place.kind == "real" or (place.kind == "prime" and place.data == 2):
+                val = hilbert(a, b, place) ** (c % 2)
+            else:
                 val = tame_symbol(a, b, place) ** c
-                tame[p] = tame[p] * val if p in tame else val
-        cleaned = tuple(
-            (p, tame[p]) for p in sorted(tame) if tame[p] != finite_field(p).one
-        )
-        return MilnorCoords(field, 2, (two_adic, infinite, cleaned))
-    if kind == "ratfun-finite":
-        tame_places: Dict[object, FieldElem] = {}
-        for (a, b), c in pairs:
-            for place in support_places(field, [a, b]):
-                if place.kind != "poly":
-                    continue
-                val = tame_symbol(a, b, place) ** c
-                tame_places[place] = (
-                    tame_places[place] * val if place in tame_places else val
-                )
-        cleaned = tuple(
-            (place, tame_places[place])
-            for place in sorted(
-                tame_places, key=lambda pl: (pl.data.degree(), _poly_key(pl.data))
-            )
-            if tame_places[place] != place.residue_field().one
-        )
-        return MilnorCoords(field, 2, cleaned)
-    raise UnsupportedField("no degree-2 Milnor coordinates for this field")
+            local[place] = local[place] * val if place in local else val
+    data = tuple(
+        (place, local[place])
+        for place in sorted(local, key=_place_order)
+        if local[place] != 1
+    )
+    return MilnorCoords(field, 2, data)
 
 
 def _milnor_coords(field, degree: int, monomials: Dict[Monomial, int]) -> MilnorCoords:
@@ -266,45 +261,43 @@ def _pair_supported(field) -> bool:
     return _field_kind(field) in ("finite", "rational", "ratfun-finite")
 
 
-def _check_fiber(field, degree: int, monomials: Dict[Monomial, int],
-                 milnor: MilnorCoords, witt: VirtualForm):
+def _local_sign(value) -> int:
+    """Hilbert sign of a degree-2 local value: the recorded sign, or
+    the quadratic character of a tame symbol."""
+    if isinstance(value, int):
+        return value
+    return 1 if value.field.is_square_raw(value.val) else -1
+
+
+def _check_fiber(field, degree: int, milnor: MilnorCoords, witt: VirtualForm):
     """Mod-2 agreement of the two fiber components, checked on every
     construction."""
-    kind = _field_kind(field)
     if degree == 0:
         if (milnor.data - witt.rank()) % 2:
             raise IntegrityFailure("rank parity disagrees with the K_0 part")
         return
     if not in_i_power(witt, degree):
         raise IntegrityFailure("witt component escapes the expected ideal power")
+    rep = witt.diag_rep()
     if degree == 1:
-        if square_class(milnor.data) != _signed_disc(field, witt.diag_rep()):
+        if square_class(milnor.data) != _signed_disc(field, rep):
             raise IntegrityFailure("K_1 square class disagrees with the discriminant")
         return
-    # degree 2: compare local mod-2 symbol data at every relevant place
-    if kind == "finite":
-        if not witt_is_zero(witt):
-            raise IntegrityFailure("degree-2 form over a finite field must vanish")
+    # over a finite field the Witt class is decided by rank parity and
+    # signed discriminant, which in_i_power(witt, 2) has just found trivial
+    if _field_kind(field) == "finite":
         return
-    pairs = [(syms, c) for (k, syms), c in monomials.items() if k == 0]
-    support: List = []
-    seen = set()
-    gather: List[FieldElem] = []
-    for (a, b), _ in pairs:
-        gather.extend([a, b])
-    rep_elems = _rep_elems(witt.diag_rep())
-    gather.extend(rep_elems)
-    if gather:
-        for place in support_places(field, gather):
-            if place not in seen:
-                seen.add(place)
-                support.append(place)
-    for place in support:
-        milnor_side = 1
-        for (a, b), c in pairs:
-            milnor_side *= hilbert(a, b, place) ** c
-        witt_side = 1 if _ehat_matches_hyperbolic(field, rep_elems, place) else -1
-        if milnor_side != witt_side:
+    # degree 2: at every place where either side can be nontrivial, the
+    # Hilbert sign the Milnor coordinates record (1 where they record
+    # nothing) against the Hasse comparison of the form with the
+    # hyperbolic form of its rank
+    elems = _rep_elems(rep)
+    recorded = dict(milnor.data)
+    places = dict.fromkeys(support_places(field, elems) if elems else ())
+    places.update(recorded)
+    for place in places:
+        witt_side = 1 if _ehat_matches_hyperbolic(field, elems, place) else -1
+        if _local_sign(recorded.get(place, 1)) != witt_side:
             raise IntegrityFailure(
                 "local symbol data of the two fiber components disagree"
             )
@@ -321,7 +314,7 @@ def _make(field, degree: int, monomials: Dict[Monomial, int]) -> MWElem:
     if degree <= 2 and _pair_supported(field):
         milnor = _milnor_coords(field, degree, clean)
         witt = _witt_component(field, clean)
-        _check_fiber(field, degree, clean, milnor, witt)
+        _check_fiber(field, degree, milnor, witt)
         return MWElem(field, degree, clean, milnor, witt)
     return MWElem(field, degree, clean)
 
@@ -418,7 +411,7 @@ def eta_mul(x: MWElem) -> MWElem:
             out[(k + 1, syms)] = out.get((k + 1, syms), 0) + c
         return _make(x.field, x.degree - 1, out)
     m, w = x.pair()
-    return _pair_elem(x.field, x.degree - 1, _trivial_coords(x.field, x.degree - 1), w)
+    return _pair_elem(x.field, x.degree - 1, _milnor_coords(x.field, x.degree - 1, {}), w)
 
 
 def gw_scale(x: MWElem, u) -> MWElem:
@@ -437,21 +430,6 @@ def gw_scale(x: MWElem, u) -> MWElem:
 
 
 # -- pair-backed construction ------------------------------------------
-
-
-def _trivial_coords(field, degree: int) -> MilnorCoords:
-    if degree == 0:
-        return MilnorCoords(field, 0, 0)
-    if degree == 1:
-        return MilnorCoords(field, 1, field.one)
-    if degree == 2:
-        kind = _field_kind(field)
-        if kind == "finite":
-            return MilnorCoords(field, 2, None)
-        if kind == "rational":
-            return MilnorCoords(field, 2, (1, 1, ()))
-        return MilnorCoords(field, 2, ())
-    raise UnsupportedDegree("no coordinates in degree 3")
 
 
 def _coords_add(a: MilnorCoords, b: MilnorCoords) -> MilnorCoords:
@@ -473,15 +451,7 @@ def _coords_neg(a: MilnorCoords) -> MilnorCoords:
 
 
 def _pair_elem(field, degree: int, milnor: MilnorCoords, witt: VirtualForm) -> MWElem:
-    # pair-backed elements re-run the scalar fiber checks directly
-    if degree == 0:
-        if (milnor.data - witt.rank()) % 2:
-            raise IntegrityFailure("rank parity disagrees with the K_0 part")
-    elif degree == 1:
-        if not in_i_power(witt, 1):
-            raise IntegrityFailure("witt component escapes the fundamental ideal")
-        if square_class(milnor.data) != _signed_disc(field, witt.diag_rep()):
-            raise IntegrityFailure("K_1 square class disagrees with the discriminant")
+    _check_fiber(field, degree, milnor, witt)
     return MWElem(field, degree, None, milnor, witt)
 
 
@@ -542,7 +512,7 @@ def mw_delta(x: MWElem, place) -> MWElem:
         if k == 0:
             a, b = syms
             acc = acc * tame_symbol(a, b, place) ** c
-    witt_part = second_residue(_witt_component(field, x.monomials), place)
+    witt_part = second_residue(mw_witt_part(x), place)
     return _pair_elem(kappa, 1, MilnorCoords(kappa, 1, acc), witt_part)
 
 
@@ -553,11 +523,7 @@ def t_sigma(x: MWElem) -> int:
         raise UnsupportedField("the signature map is defined over the rationals")
     if x.degree != 2:
         raise UnsupportedDegree("the signature map consumes degree-2 elements")
-    if x.monomials is not None:
-        witt = _witt_component(x.field, x.monomials)
-    else:
-        witt = x.pair()[1]
-    return signature(witt) // 4
+    return signature(mw_witt_part(x)) // 4
 
 
 # -- structure descriptors ---------------------------------------------

@@ -300,30 +300,13 @@ def _check_decidable(field):
 
 
 def witt_is_zero(form: VirtualForm) -> bool:
-    """Whether the form is hyperbolic (zero in the Witt group)."""
-    field = form.field
-    _check_decidable(field)
-    rep = form.diag_rep()
-    if len(rep) % 2:
+    """Whether the form is hyperbolic (zero in the Witt group).
+
+    The cube of the fundamental ideal vanishes over finite fields and
+    over F_q(t); over the rationals the signature is injective on it."""
+    if isinstance(form.field, RationalField) and signature(form) != 0:
         return False
-    if not _signed_disc(field, rep).is_trivial():
-        return False
-    if isinstance(field, FiniteField):
-        return True
-    if isinstance(field, RationalField):
-        if signature(form) != 0:
-            return False
-        elems = _rep_elems(rep)
-        for place in _support_of_rep(field, elems):
-            if not _ehat_matches_hyperbolic(field, elems, place):
-                return False
-        return True
-    # remaining case: function field over a finite base
-    elems = _rep_elems(rep)
-    for place in _support_of_rep(field, elems):
-        if not _ehat_matches_hyperbolic(field, elems, place):
-            return False
-    return True
+    return in_i_power(form, 3)
 
 
 def witt_equal(a: VirtualForm, b: VirtualForm) -> bool:
@@ -364,6 +347,21 @@ def in_i_power(form: VirtualForm, n: int) -> bool:
 # -- residues -----------------------------------------------------------
 
 
+def _residue_form(form: VirtualForm, place, parity: int) -> VirtualForm:
+    # classes <pi^v u> with v of the given parity map to <u-bar>
+    if place.field is not form.field:
+        raise MixedFields("place does not belong to the form's field")
+    residue_field = place.residue_field()
+    out: Dict[SquareClass, int] = {}
+    for cls, c in form.coeffs.items():
+        v, res = valuation(cls.rep(), place)
+        if v % 2 != parity:
+            continue
+        rcls = square_class(res if isinstance(res, FieldElem) else residue_field.elem(res))
+        out[rcls] = out.get(rcls, 0) + c
+    return VirtualForm(residue_field, out)
+
+
 def second_residue(form: VirtualForm, place) -> VirtualForm:
     """Second residue form at a place of a rational function field.
 
@@ -371,39 +369,17 @@ def second_residue(form: VirtualForm, place) -> VirtualForm:
     over the residue field; classes of even valuation contribute
     nothing.  Normalised so that ``<pi>`` maps to ``<1>``.
     """
-    field = form.field
-    if not isinstance(field, RatFunField):
+    if not isinstance(form.field, RatFunField):
         raise UnsupportedField("second residues live over function fields")
-    if place.field is not field:
-        raise MixedFields("place does not belong to the form's field")
-    residue_field = place.residue_field()
-    out: Dict[SquareClass, int] = {}
-    for cls, c in form.coeffs.items():
-        v, res = valuation(cls.rep(), place)
-        if v % 2 == 0:
-            continue
-        rcls = square_class(res if isinstance(res, FieldElem) else residue_field.elem(res))
-        out[rcls] = out.get(rcls, 0) + c
-    return VirtualForm(residue_field, out)
+    return _residue_form(form, place, 1)
 
 
 def first_residue(form: VirtualForm, place) -> VirtualForm:
     """First residue form: even-valuation classes ``<pi^(2m) u>`` map to
     ``<u-bar>``; odd-valuation classes contribute nothing."""
-    field = form.field
-    if not isinstance(field, RatFunField):
+    if not isinstance(form.field, RatFunField):
         raise UnsupportedField("residues live over function fields")
-    if place.field is not field:
-        raise MixedFields("place does not belong to the form's field")
-    residue_field = place.residue_field()
-    out: Dict[SquareClass, int] = {}
-    for cls, c in form.coeffs.items():
-        v, res = valuation(cls.rep(), place)
-        if v % 2:
-            continue
-        rcls = square_class(res if isinstance(res, FieldElem) else residue_field.elem(res))
-        out[rcls] = out.get(rcls, 0) + c
-    return VirtualForm(residue_field, out)
+    return _residue_form(form, place, 0)
 
 
 # -- brute-force route over finite fields -------------------------------

@@ -54,6 +54,19 @@ class TestFiniteFields:
             if e:
                 assert e**8 == F9.one
 
+    def test_extension_elem_rejects_extra_coefficients(self):
+        F9 = fl.finite_field(9)
+        assert F9.elem((1, 2)).val == 1 + 2 * 3
+        with pytest.raises(ValueError):
+            F9.elem((1, 2, 1))
+        F3t = fl.function_field(fl.finite_field(3))
+        place = fl.function_place(F3t, [1, 0, 1])  # t^2 + 1
+        kappa = place.residue_field()
+        assert kappa.order == 9
+        assert kappa.elem((0, 1)) ** 2 == kappa.elem(-1)
+        with pytest.raises(ValueError):
+            kappa.elem((0, 1, 0))
+
     def test_tower_field(self):
         F9 = fl.finite_field(9)
         # x^2 - (generator) is irreducible over F_9 iff generator is a nonsquare

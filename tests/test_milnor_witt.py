@@ -3,8 +3,11 @@ equality oracle, residues, the signature map, and structure
 descriptors."""
 
 import random
+from typing import Dict, List
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmw.errors import (
     BadBound,
@@ -17,10 +20,23 @@ from kmw.errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from kmw.fields import finite_field, function_field, function_place, rationals
+from kmw.fields import (
+    FieldElem,
+    _poly_key,
+    finite_field,
+    function_field,
+    function_place,
+    hilbert,
+    rationals,
+    square_class,
+    support_places,
+    tame_symbol,
+)
 from kmw.milnor_witt import (
     MilnorCoords,
     MWElem,
+    _check_fiber,
+    _field_kind,
     _pair_elem,
     eta_mul,
     format_mw,
@@ -34,6 +50,7 @@ from kmw.milnor_witt import (
     mw_equal,
     mw_is_zero,
     mw_mul,
+    mw_neg,
     mw_one,
     mw_scale,
     mw_symbol,
@@ -42,7 +59,17 @@ from kmw.milnor_witt import (
     parse_mw,
     t_sigma,
 )
-from kmw.witt import pfister_form, unit_form
+from kmw.witt import (
+    _ehat_matches_hyperbolic,
+    _rep_elems,
+    _signed_disc,
+    in_i_power,
+    pfister_form,
+    unit_form,
+    witt_equal,
+    witt_is_zero,
+    zero_form,
+)
 
 Q = rationals()
 F5 = finite_field(5)
@@ -362,3 +389,271 @@ class TestBracketExpressions:
             parse_mw(Q, "[2]+[2][3]")
         with pytest.raises(ZeroArgument):
             parse_mw(Q, "[0]")
+
+
+# -- the per-pair fiber check, kept as an oracle --------------------------
+#
+# Before degree-2 coordinates recorded a local value at every place, the
+# coordinates over Q were (2-adic sign, real sign, odd-prime tame symbols),
+# those over F_q(t) left out infinity, and the fiber check recomputed a
+# Hilbert symbol for every monomial pair at every place.  The two
+# functions below are that implementation, unchanged but for their names.
+
+
+def oracle_k2_coords(field, monomials) -> MilnorCoords:
+    kind = _field_kind(field)
+    pairs = [(syms, c) for (k, syms), c in monomials.items() if k == 0]
+    if kind == "finite":
+        return MilnorCoords(field, 2, None)
+    if kind == "rational":
+        two_adic = 1
+        infinite = 1
+        tame: Dict[int, FieldElem] = {}
+        for (a, b), c in pairs:
+            two_adic *= hilbert(a, b, 2) ** c
+            infinite *= hilbert(a, b, "real") ** c
+            for place in support_places(field, [a, b]):
+                if place.kind != "prime" or place.data == 2:
+                    continue
+                p = place.data
+                val = tame_symbol(a, b, place) ** c
+                tame[p] = tame[p] * val if p in tame else val
+        cleaned = tuple(
+            (p, tame[p]) for p in sorted(tame) if tame[p] != finite_field(p).one
+        )
+        return MilnorCoords(field, 2, (two_adic, infinite, cleaned))
+    if kind == "ratfun-finite":
+        tame_places: Dict[object, FieldElem] = {}
+        for (a, b), c in pairs:
+            for place in support_places(field, [a, b]):
+                if place.kind != "poly":
+                    continue
+                val = tame_symbol(a, b, place) ** c
+                tame_places[place] = (
+                    tame_places[place] * val if place in tame_places else val
+                )
+        cleaned = tuple(
+            (place, tame_places[place])
+            for place in sorted(
+                tame_places, key=lambda pl: (pl.data.degree(), _poly_key(pl.data))
+            )
+            if tame_places[place] != place.residue_field().one
+        )
+        return MilnorCoords(field, 2, cleaned)
+    raise UnsupportedField("no degree-2 Milnor coordinates for this field")
+
+
+def oracle_check_fiber(field, degree: int, monomials,
+                       milnor: MilnorCoords, witt):
+    """Mod-2 agreement of the two fiber components, checked on every
+    construction."""
+    kind = _field_kind(field)
+    if degree == 0:
+        if (milnor.data - witt.rank()) % 2:
+            raise IntegrityFailure("rank parity disagrees with the K_0 part")
+        return
+    if not in_i_power(witt, degree):
+        raise IntegrityFailure("witt component escapes the expected ideal power")
+    if degree == 1:
+        if square_class(milnor.data) != _signed_disc(field, witt.diag_rep()):
+            raise IntegrityFailure("K_1 square class disagrees with the discriminant")
+        return
+    # degree 2: compare local mod-2 symbol data at every relevant place
+    if kind == "finite":
+        if not witt_is_zero(witt):
+            raise IntegrityFailure("degree-2 form over a finite field must vanish")
+        return
+    pairs = [(syms, c) for (k, syms), c in monomials.items() if k == 0]
+    support: List = []
+    seen = set()
+    gather: List[FieldElem] = []
+    for (a, b), _ in pairs:
+        gather.extend([a, b])
+    rep_elems = _rep_elems(witt.diag_rep())
+    gather.extend(rep_elems)
+    if gather:
+        for place in support_places(field, gather):
+            if place not in seen:
+                seen.add(place)
+                support.append(place)
+    for place in support:
+        milnor_side = 1
+        for (a, b), c in pairs:
+            milnor_side *= hilbert(a, b, place) ** c
+        witt_side = 1 if _ehat_matches_hyperbolic(field, rep_elems, place) else -1
+        if milnor_side != witt_side:
+            raise IntegrityFailure(
+                "local symbol data of the two fiber components disagree"
+            )
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except IntegrityFailure as exc:
+        return str(exc)
+    return None
+
+
+def _fiber_verdicts(x, witt):
+    """(oracle verdict, current verdict) on the pair (Milnor part of x, witt)."""
+    old = _verdict(
+        oracle_check_fiber, x.field, 2, x.monomials,
+        oracle_k2_coords(x.field, x.monomials), witt,
+    )
+    new = _verdict(_check_fiber, x.field, 2, x.milnor, witt)
+    return old, new
+
+
+DIFF_FIELDS = {
+    "Q": Q,
+    "F3t": function_field(finite_field(3)),
+    "F5t": F5t,
+    "F9t": function_field(finite_field(9)),
+}
+
+
+def _field_elem(field, draw):
+    """A nonzero element from (sign or base raws of numerator, same of
+    denominator): a small rational over Q, a ratio of polynomials of
+    degree at most 2 over F_q(t)."""
+    num, den = draw
+    if field is Q:
+        return Q.elem(num[0] or 1) / Q.elem(den[0] or 1)
+    base = list(field.base.elements())
+    t = field.t
+
+    def poly(raws):
+        out = field.zero
+        for i, r in enumerate(raws):
+            out = out + field.from_base(base[r % len(base)]) * t ** i
+        return out or field.one
+
+    return poly(num) / poly(den)
+
+
+raw_draws = st.tuples(
+    st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+    st.lists(st.integers(-12, 12), min_size=1, max_size=2),
+)
+
+
+def _two_term(field, a, b, c, c2, d):
+    """x = [a][b] + c [c2][d]."""
+    return mw_add(sym(field, a, b), mw_scale(sym(field, c2, d), c))
+
+
+def _witt_variants(x, a, b, d):
+    """The genuine Witt component of x and two perturbed ones."""
+    field = x.field
+    return [x.witt, x.witt + pfister_form(field, [a, d]), pfister_form(field, [a, b])]
+
+
+class TestFiberCheckDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(DIFF_FIELDS)),
+        st.lists(raw_draws, min_size=4, max_size=4),
+        st.integers(-3, 3),
+    )
+    def test_verdicts_match_per_pair_oracle(self, name, draws, c):
+        field = DIFF_FIELDS[name]
+        a, b, c2, d = (_field_elem(field, draw) for draw in draws)
+        x = _two_term(field, a, b, c, c2, d)
+        for witt in _witt_variants(x, a, b, d):
+            old, new = _fiber_verdicts(x, witt)
+            assert old == new
+
+    def test_seeded_corpus_reaches_both_verdicts(self):
+        rng = random.Random(8)
+        tally = {"pass": 0, "fail": 0}
+        for name in sorted(DIFF_FIELDS):
+            field = DIFF_FIELDS[name]
+            for _ in range(15):
+                draws = [
+                    ([rng.randint(-12, 12) for _ in range(3)], [rng.randint(-12, 12)])
+                    for _ in range(4)
+                ]
+                a, b, c2, d = (_field_elem(field, draw) for draw in draws)
+                x = _two_term(field, a, b, rng.randint(-3, 3), c2, d)
+                for witt in _witt_variants(x, a, b, d):
+                    old, new = _fiber_verdicts(x, witt)
+                    assert old == new
+                    tally["pass" if new is None else "fail"] += 1
+        assert tally["pass"] and tally["fail"]
+
+    def test_coordinate_equality_matches_oracle(self):
+        rng = random.Random(80)
+        seen = set()
+        for name in sorted(DIFF_FIELDS):
+            field = DIFF_FIELDS[name]
+            for _ in range(8):
+                a, b, c = (
+                    _field_elem(field, ([rng.randint(-9, 9) for _ in range(2)], [1]))
+                    for _ in range(3)
+                )
+                pairs = [
+                    (sym(field, a, b * c), sym(field, a, b) + sym(field, a, c)),
+                    (sym(field, a, b), -sym(field, b, a)),
+                    (sym(field, a, -a), mw_zero(field, 2)),
+                    (sym(field, a, b), sym(field, a, c)),
+                    (mw_scale(sym(field, a, b), 2), sym(field, a * a, b)),
+                ]
+                for x, y in pairs:
+                    old_eq = (
+                        oracle_k2_coords(field, x.monomials).data
+                        == oracle_k2_coords(field, y.monomials).data
+                    )
+                    assert (x.milnor == y.milnor) == old_eq
+                    assert mw_equal(x, y) == (old_eq and witt_equal(x.witt, y.witt))
+                    seen.add(old_eq)
+        assert seen == {True, False}
+
+
+class TestFiberCheck:
+    def test_corrupt_pair_recorded_only_in_coordinates(self):
+        # [t][2] has Hilbert sign -1 at t and at infinity; the zero form
+        # has no support, so only the recorded places can catch it
+        coords = sym(F5t, F5t.t, 2).milnor
+        with pytest.raises(IntegrityFailure, match="local symbol data"):
+            _pair_elem(F5t, 2, coords, zero_form(F5t))
+
+    def test_corrupt_pair_at_infinity_alone(self):
+        inf = function_place(F5t, "inf")
+        coords = MilnorCoords(F5t, 2, ((inf, F5.elem(2)),))
+        with pytest.raises(IntegrityFailure, match="local symbol data"):
+            _pair_elem(F5t, 2, coords, zero_form(F5t))
+
+    def test_corrupt_pair_over_q(self):
+        coords = sym(Q, -1, -1).milnor
+        with pytest.raises(IntegrityFailure, match="local symbol data"):
+            _pair_elem(Q, 2, coords, zero_form(Q))
+
+    def test_two_trivial_symbol_pairs_with_zero_form(self):
+        # over F_5(t), [t][t+1] has tame symbol -1 at t + 1 and at
+        # infinity, a square in F_5: a nonzero Milnor class whose Pfister
+        # form is hyperbolic, so (coordinates, 0) lies in the fiber product
+        x = sym(F5t, F5t.t, F5t.t + 1)
+        assert not x.milnor.is_trivial()
+        assert witt_is_zero(x.witt)
+        _pair_elem(F5t, 2, x.milnor, zero_form(F5t))
+
+    def test_pair_elem_degree_one_shares_message(self):
+        with pytest.raises(IntegrityFailure, match="expected ideal power"):
+            _pair_elem(Q, 1, MilnorCoords(Q, 1, Q.one), unit_form(Q, 2))
+
+    def test_degree_two_coordinates_are_exact(self):
+        for entries in ([-1, -1], [-3, 6], [2, -5], [-7, -1]):
+            x = sym(Q, *entries)
+            for y in (mw_neg(x), mw_scale(x, -3), mw_scale(x, 2), mw_scale(x, -1)):
+                values = [value for _, value in y.milnor.data]
+                assert all(type(v) is int or isinstance(v, FieldElem) for v in values)
+        assert mw_neg(sym(Q, -1, -1)).milnor == sym(Q, -1, -1).milnor
+
+    def test_infinity_is_recorded(self):
+        F3t = DIFF_FIELDS["F3t"]
+        t = F3t.t
+        coords = sym(F3t, t, t + 1).milnor
+        assert [pl for pl, _ in coords.data] == [
+            function_place(F3t, "inf"), function_place(F3t, t + 1),
+        ]
