@@ -361,7 +361,8 @@ class _PolyExtension(FiniteField):
     with the ``_pl_*`` helpers over the base: the arithmetic of residue
     fields, of nested extensions and of extensions above 2^16 elements,
     where tables would not pay, and of the table build.  ``dlog`` walks
-    the powers of the generator on every call."""
+    the powers of the generator on every call; ``_tables``, built only
+    when asked for, comes from polynomial powers of the generator."""
 
     def __init__(self, p, base, modulus, _token=None):
         super().__init__(p, base, modulus, _token)
@@ -410,6 +411,13 @@ class _PolyExtension(FiniteField):
     def _generator(self) -> int:
         # by polynomial powers, which the table build itself relies on
         return self._first_generator(self._poly_pow)
+
+    def _generator_powers(self) -> list:
+        g = self._generator
+        out = [1]
+        for _ in range(self.order - 2):
+            out.append(self._poly_mul(out[-1], g))
+        return out
 
     def _inv(self, a):
         if not a:
@@ -1731,7 +1739,10 @@ def support_places(field: Field, elems: Iterable) -> list[Place]:
 def parse_elem(field: Field, text: str) -> FieldElem:
     """Parse a field element: integers and fractions everywhere,
     polynomial expressions in t (with +, -, *, /, ^ and parentheses)
-    over rational function fields."""
+    over rational function fields, and over an extension F_q (or F_q(t))
+    constants written as their coordinates over the prime field, constant
+    coefficient first, as ``_flat_key`` gives them: ``(1, 2)`` is 1 + 2x
+    in F9."""
     tokens = _tokenize(text)
     elem, pos = _parse_expr(field, tokens, 0)
     if pos != len(tokens):
@@ -1752,7 +1763,7 @@ def _tokenize(text: str) -> list[str]:
                 j += 1
             out.append(text[i:j])
             i = j
-        elif c in "+-*/^()t":
+        elif c in "+-*/^()t,":
             out.append(c)
             i += 1
         else:
@@ -1797,6 +1808,8 @@ def _parse_atom(field, toks, pos):
     if pos >= len(toks):
         raise ValueError("unexpected end of input")
     tok = toks[pos]
+    if tok == "(" and toks[pos + 2 : pos + 3] == [","]:
+        return _parse_digit_tuple(field, toks, pos + 1)
     if tok == "(":
         elem, pos = _parse_expr(field, toks, pos + 1)
         if pos >= len(toks) or toks[pos] != ")":
@@ -1809,3 +1822,24 @@ def _parse_atom(field, toks, pos):
     if tok.isdigit():
         return field.elem(int(tok)), pos + 1
     raise ValueError(f"unexpected token {tok!r}")
+
+
+def _parse_digit_tuple(field, toks, pos):
+    # the inverse of _flat_key: base-p digits, constant coefficient first
+    digits = []
+    while True:
+        sep = toks[pos + 1 : pos + 2]
+        if not toks[pos].isdigit() or sep not in ([","], [")"]):
+            raise ValueError("a coordinate tuple holds integers separated by commas")
+        digits.append(int(toks[pos]))
+        pos += 2
+        if sep == [")"]:
+            break
+        if pos >= len(toks):
+            raise ValueError("unbalanced parentheses")
+    consts = field.base if isinstance(field, RatFunField) else field
+    if (not isinstance(consts, FiniteField) or len(digits) != consts.degree
+            or any(d >= consts.p for d in digits)):
+        raise ValueError(f"{tuple(digits)} is not an element of {consts} over its prime field")
+    raw = sum(d * consts.p**i for i, d in enumerate(digits))
+    return field.elem(FieldElem(consts, raw)), pos

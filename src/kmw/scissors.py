@@ -8,6 +8,13 @@ from 1.  Each five-term is flattened once; its s-translate swaps the two
 halves of that row, and its relation in the plain group P(k) (one
 generator per unit) is the fold, the two halves added.
 
+The rows of the presentations, the K1 rows and the images of the lambda
+maps are index arithmetic on discrete logs: a unit is g^a, its square
+class is a mod 2, and 1 - g^a is a Zech-table lookup in the field's
+exp/log/Zech tables.  The element path (``refined_five_term``,
+``rp_vector``, ``psi1_vector``, ``pfister_elem``) is their row-for-row
+oracle and serves ``r_element`` and the specialization maps.
+
 Derived objects are kernels and quotients computed with the integer
 linear algebra layer: the Bloch-type kernels B, RB, RP_1, the
 comparison kernel of RB -> B, the submodule generated by the
@@ -321,11 +328,50 @@ class ScissorsContext:
                 if x != y:
                     yield x, y
 
+    def _logs(self):
+        """Discrete-log data of the units, from the field's exp/log/Zech
+        tables: ``col[k]`` is the unit column of g^k for -2(q-1) <= k <
+        2(q-1), so a difference of two logs needs no reduction;
+        ``log[raw]`` is a unit's log; ``one_minus[k]`` = log(1 - g^k) =
+        zech[k + h] with h = (q-1)/2 = log(-1), and -1 at k = 0, where
+        1 - g^k = 0.  A unit's square class is its log mod 2."""
+        exp, log, zech = self.field._tables
+        n = self.n_units
+        col = [self.unit_index[r] for r in exp]
+        one_minus = [zech[(k + n // 2) % n] for k in range(n)]
+        return col, log, one_minus
+
     def _five_term_rows(self):
         """The untwisted flat row of the refined five-term at each pair,
-        in ``_pairs()`` order."""
-        for x, y in self._pairs():
-            yield self.rp_vector(refined_five_term(self.field, x, y))
+        in ``_pairs()`` order, by index arithmetic on discrete logs:
+        for x = g^a and y = g^b the terms are [x], -[y], <x>[g^(b-a)],
+        -<x^-1 - 1>[(1 - x^-1)/(1 - y^-1)] and <1 - x>[(1 - x)/(1 - y)],
+        with x^-1 - 1 = -(1 - x^-1).  ``rp_vector(refined_five_term(...))``
+        is the row-for-row oracle."""
+        col, log, one_minus = self._logs()
+        n = self.n_units
+        h = n // 2
+        # (column of [x], log x, log(1 - x), log(1 - x^-1)) for x != 1, in
+        # _pairs() order
+        pool = []
+        for e in self.units:
+            a = log[e.val]
+            if a:
+                pool.append((col[a], a, one_minus[a], one_minus[-a]))
+        for px, a, z, w in pool:
+            cls_x = (a & 1) * n
+            cls_inv = ((w + h) & 1) * n
+            cls_one_minus = (z & 1) * n
+            for py, b, z2, w2 in pool:
+                if py == px:
+                    continue
+                row = [0] * (2 * n)
+                row[px] += 1
+                row[py] -= 1
+                row[cls_x + col[b - a]] += 1
+                row[cls_inv + col[w - w2]] -= 1
+                row[cls_one_minus + col[z - z2]] += 1
+                yield row
 
     # -- plain presentation --------------------------------------------
 
@@ -379,6 +425,29 @@ class ScissorsContext:
 
     # -- lambda maps ----------------------------------------------------
 
+    def _lambda_images(self):
+        """For each unit a, in ``units`` order: the pair (on 1, on s) of
+        <<a>><<1-a>> = <a(1-a)> - <a> - <1-a> + 1, collected by class
+        parity, and the lambda_2 bit dlog(a) dlog(1-a) mod 2; both are 0
+        at a = 1."""
+        _, log, one_minus = self._logs()
+        pairs: List[Tuple[int, int]] = []
+        bits: List[int] = []
+        for arg in self.units:
+            a = log[arg.val]
+            if not a:
+                pairs.append((0, 0))
+                bits.append(0)
+                continue
+            ca, cb = a & 1, one_minus[a] & 1
+            pair = [1, 0]
+            pair[ca ^ cb] += 1
+            pair[ca] -= 1
+            pair[cb] -= 1
+            pairs.append((pair[0], pair[1]))
+            bits.append(ca & cb)
+        return pairs, bits
+
     def maps(self):
         """(lambda_1, lambda_2, Lambda, lambda on P, projection RP->P)."""
         if self._maps is None:
@@ -387,17 +456,7 @@ class ScissorsContext:
             mixed = fp_group(["c1", "cs", "w"], [[0, 0, 2]])
             rp = self.rp_group()
             p = self.p_group()
-            field = self.field
-            one = field.one
-            pairs: List[Tuple[int, int]] = []
-            bits: List[int] = []
-            for arg in self.units:
-                if arg == one:
-                    pairs.append((0, 0))
-                    bits.append(0)
-                else:
-                    pairs.append(pfister_elem(field, [arg, one - arg]).to_pair())
-                    bits.append((field.dlog(arg) * field.dlog(one - arg)) % 2)
+            pairs, bits = self._lambda_images()
             # s * (c1 + cs s) = cs + c1 s
             pairs += [(cs, c1) for c1, cs in pairs]
             bits += bits
@@ -424,10 +483,19 @@ class ScissorsContext:
         return self.rp_vector(elem, twist)
 
     def k1_rows(self) -> List[List[int]]:
+        """``psi1_vector(x)`` and its s-translate for every unit x, from
+        discrete logs: [x] + <-1>[g^-a] for x = g^a, where <-1> has
+        class (q-1)/2 mod 2."""
         if self._k1_rows is None:
+            col, log, _ = self._logs()
+            n = self.n_units
+            cls_minus_one = ((n // 2) & 1) * n
             rows = []
             for x in self.units:
-                v = self.psi1_vector(x)
+                a = log[x.val]
+                v = [0] * (2 * n)
+                v[col[a]] += 1
+                v[cls_minus_one + col[-a]] += 1
                 rows.append(v)
                 rows.append(_swap_halves(v))
             self._k1_rows = rows

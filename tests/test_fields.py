@@ -219,6 +219,24 @@ class TestRatFun:
         assert F5t.parse("1/t") * F5t.t == F5t.from_base(1)
         assert F5t.parse("(t^2+1)/(t+3)") == F5t.parse("t^2+1") / F5t.parse("t+3")
 
+    def test_parse_coordinate_tuples(self):
+        # extension constants as their _flat_key digits over the prime field
+        for q in (9, 25, 27):
+            F = fl.finite_field(q)
+            Ft = fl.function_field(F)
+            for raw in range(q):
+                text = str(fl._flat_key(F, raw))
+                assert F.parse(text) == fl.FieldElem(F, raw)
+                assert Ft.parse(text) == Ft.from_base(fl.FieldElem(F, raw))
+        F9t = fl.function_field(fl.finite_field(9))
+        x = F9t.from_base((0, 1))
+        assert F9t.parse("((1, 0)*t+(0, 1))/(t^2+(2, 2))") == (F9t.t + x) / (F9t.t**2 + 2 + 2 * x)
+        F5t = fl.function_field(fl.finite_field(5))
+        for field, text in ((F9t, "(1, 3)"), (F9t, "(1, 0, 0)"), (F9t, "(1, t)"),
+                            (F9t, "(1, 2"), (F9t, "1, 2"), (F5t, "(1, 2)")):
+            with pytest.raises(ValueError):
+                field.parse(text)
+
     def test_normalization(self):
         F5 = fl.finite_field(5)
         F5t = fl.function_field(F5)
@@ -865,3 +883,25 @@ class TestTableChoice:
             assert log[a] == n
             b = F._plus_one(a)
             assert zech[n] == (log[b] if b else -1)
+
+    def test_untabled_field_tables_follow_polynomial_powers(self):
+        # a _PolyExtension builds _tables only when asked for (the
+        # scissors presentation of finite_field(q) above 2^16 elements
+        # would); they must come from polynomial powers of its generator
+        F5 = fl.finite_field(5)
+        pi = fl.Poly.from_elems(F5, [1, 0, 1, 1])  # t^3 + t^2 + 1
+        kappa = fl.extension_field(F5, pi)
+        assert type(kappa) is fl._PolyExtension and kappa.order == 125
+        T = tower(kappa)
+        exp, log, zech = kappa._tables
+        g = kappa._generator
+        assert T.lift(g) == T.generator()
+        assert len(exp) == 2 * 124 and len(log) == 125 and len(zech) == 124
+        acc = 1
+        for n in range(124):
+            assert exp[n] == exp[n + 124] == acc
+            assert log[acc] == n
+            b = kappa._add(acc, 1)
+            assert zech[n] == (log[b] if b else -1)
+            acc = kappa._poly_mul(acc, g)
+        assert acc == 1

@@ -382,6 +382,23 @@ class TestBracketExpressions:
             back = parse_mw(x.field, format_mw(x))
             assert mw_equal(back, x)
 
+    @pytest.mark.parametrize("q", [9, 25, 27])
+    def test_roundtrip_over_prime_power_function_fields(self, q):
+        # extension coefficients print as digit tuples, e.g. (1, 0)*t+(1, 1)
+        K = function_field(finite_field(q))
+        t, x = K.t, K.from_base(K.base.generator())
+        samples = [
+            sym(K, t + x),
+            sym(K, x * t**2 + x * x, t + 1),
+            mw_scale(sym(K, (x * t + 1) / (t**2 + x)), 3) + eta_mul(sym(K, t, t + x)),
+        ]
+        for elem in samples:
+            text = format_mw(elem)
+            assert "," in text
+            back = parse_mw(K, text)
+            assert mw_equal(back, elem)
+            assert format_mw(back) == text
+
     def test_parse_errors(self):
         with pytest.raises(KmwError):
             parse_mw(Q, "[2")

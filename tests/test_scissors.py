@@ -308,6 +308,52 @@ class TestOneRowPerFact:
             assert k1[2 * i] == ctx.psi1_vector(x, 0) == ctx.rp_vector(psi)
             assert k1[2 * i + 1] == want
 
+    # every odd q <= 49; log(-1) = (q-1)/2 is odd for q = 3 mod 4 (7, 11,
+    # 19, 23, 27, 31, 43, 47), where a wrong Zech offset can still pass at
+    # q = 5, 9, 25
+    ODD_Q = [5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49]
+
+    @pytest.mark.parametrize("q", ODD_Q)
+    def test_log_rows_match_element_path(self, q):
+        ctx = ScissorsContext(q)
+        field = ctx.field
+        rows = list(ctx._five_term_rows())
+        pairs = list(ctx._pairs())
+        assert len(rows) == len(pairs)
+        for (x, y), row in zip(pairs, rows):
+            assert row == ctx.rp_vector(refined_five_term(field, x, y))
+        k1 = ctx.k1_rows()
+        assert len(k1) == 2 * ctx.n_units
+        for i, x in enumerate(ctx.units):
+            assert k1[2 * i] == ctx.psi1_vector(x)
+            assert k1[2 * i + 1] == ctx.psi1_vector(x, 1)
+
+    @pytest.mark.parametrize("q", ODD_Q)
+    def test_lambda_images_match_pfister_products(self, q):
+        ctx = ScissorsContext(q)
+        field, one = ctx.field, ctx.field.one
+        pairs, bits = ctx._lambda_images()
+        assert len(pairs) == len(bits) == ctx.n_units
+        for a, pair, bit in zip(ctx.units, pairs, bits):
+            if a == one:
+                assert (pair, bit) == ((0, 0), 0)
+            else:
+                assert pair == pfister_elem(field, [a, one - a]).to_pair()
+                assert bit == field.dlog(a) * field.dlog(one - a) % 2
+
+    @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+    def test_maps_take_the_lambda_images(self, q):
+        ctx = scissors_context(q)
+        pairs, bits = ctx._lambda_images()
+        twisted = [(cs, c1) for c1, cs in pairs]
+        lambda1, lambda2, lam_mixed, lambda_p, _ = ctx.maps()
+        assert lambda1.images.row_list() == pairs + twisted
+        assert lambda2.images.row_list() == [(b,) for b in bits + bits]
+        assert lam_mixed.images.row_list() == [
+            (c1, cs, b) for (c1, cs), b in zip(pairs + twisted, bits + bits)
+        ]
+        assert lambda_p.images.row_list() == [(b,) for b in bits]
+
     @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17, 19, 23, 25])
     def test_rp_tilde_matches_full_stack(self, q):
         ctx = scissors_context(q)
