@@ -427,26 +427,13 @@ class ScissorsContext:
 
     def _lambda_images(self):
         """For each unit a, in ``units`` order: the pair (on 1, on s) of
-        <<a>><<1-a>> = <a(1-a)> - <a> - <1-a> + 1, collected by class
-        parity, and the lambda_2 bit dlog(a) dlog(1-a) mod 2; both are 0
-        at a = 1."""
+        <<a>><<1-a>> and the lambda_2 bit dlog(a) dlog(1-a) mod 2, both 0
+        at a = 1.  Collected by class parity, <<a>><<1-a>> = <a(1-a)> -
+        <a> - <1-a> + 1 vanishes unless a and 1 - a are both nonsquares,
+        where it is 2 - 2s, and the bit is 1 exactly there."""
         _, log, one_minus = self._logs()
-        pairs: List[Tuple[int, int]] = []
-        bits: List[int] = []
-        for arg in self.units:
-            a = log[arg.val]
-            if not a:
-                pairs.append((0, 0))
-                bits.append(0)
-                continue
-            ca, cb = a & 1, one_minus[a] & 1
-            pair = [1, 0]
-            pair[ca ^ cb] += 1
-            pair[ca] -= 1
-            pair[cb] -= 1
-            pairs.append((pair[0], pair[1]))
-            bits.append(ca & cb)
-        return pairs, bits
+        both = [log[x.val] & one_minus[log[x.val]] & 1 for x in self.units]
+        return [(2 * b, -2 * b) for b in both], both
 
     def maps(self):
         """(lambda_1, lambda_2, Lambda, lambda on P, projection RP->P)."""
