@@ -45,8 +45,9 @@ class MixedFields(KmwError):
     """Two operands live over different field handles."""
 
 
-class ZeroEntry(KmwError):
-    """A diagonal form constructor received a zero diagonal entry."""
+class ZeroEntry(ZeroArgument):
+    """A diagonal form constructor received a zero diagonal entry, or a
+    Pfister constructor a zero slot."""
 
 
 class UnsupportedField(KmwError):

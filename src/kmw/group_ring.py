@@ -5,18 +5,23 @@ finite field the group has order two, so the ring is Z[s]/(s^2 - 1) and
 elements flatten to coefficient pairs.  The forms ⟪a⟫ = ⟨a⟩ - 1 satisfy
 ⟪ab⟫ = ⟪a⟫ + ⟪b⟫ + ⟪a⟫⟪b⟫, and products of two of them land in the
 square of the augmentation ideal.
+
+The same ring carries the Grothendieck-Witt side: an element is a
+virtual diagonal form, its augmentation is the virtual rank, and
+``kmw.witt`` builds its forms here and decides their Witt classes.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import MixedFields, ZeroArgument
-from .fields import Field, FieldElem, SquareClass, square_class
+from .errors import MixedFields, ZeroEntry
+from .fields import Field, FiniteField, SquareClass, _trivial_key, square_class
 
 
 class GroupRingElem:
-    """Z-linear combination of square classes of a fixed field."""
+    """Z-linear combination of square classes of a fixed field; read
+    as a virtual diagonal form, ``n<a>`` is n copies of ``<a>``."""
 
     __slots__ = ("field", "coeffs")
 
@@ -25,8 +30,9 @@ class GroupRingElem:
         for cls, c in coeffs.items():
             if cls.field is not field:
                 raise MixedFields("square class over a different field")
+            c = int(c)
             if c:
-                clean[cls] = int(c)
+                clean[cls] = c
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", clean)
 
@@ -85,6 +91,8 @@ class GroupRingElem:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    is_formally_zero = is_zero
+
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -102,6 +110,8 @@ class GroupRingElem:
 
     def augmentation(self) -> int:
         return sum(self.coeffs.values())
+
+    rank = augmentation  # the virtual rank of the form
 
     def in_augmentation_ideal(self) -> bool:
         return self.augmentation() == 0
@@ -121,8 +131,6 @@ class GroupRingElem:
     def to_pair(self) -> tuple[int, int]:
         """Coefficients (on 1, on the nonsquare class) over a finite
         field, where the class group is {1, s}."""
-        from .fields import FiniteField
-
         if not isinstance(self.field, FiniteField):
             raise MixedFields("coefficient pairs need a finite base field")
         c1 = cs = 0
@@ -133,11 +141,25 @@ class GroupRingElem:
                 cs = c
         return c1, cs
 
+    def diag_rep(self) -> list[SquareClass]:
+        """Diagonal representative of the same Witt class: negative
+        multiples of ``<a>`` are replaced by copies of ``<-a>``."""
+        minus_one = square_class(self.field.elem(-1))
+        rep: list[SquareClass] = []
+        for cls in sorted(self.coeffs, key=lambda s: s.sort_key):
+            c = self.coeffs[cls]
+            if c > 0:
+                rep.extend([cls] * c)
+            else:
+                rep.extend([cls * minus_one] * (-c))
+        return rep
+
     def __repr__(self):
         if not self.coeffs:
             return "0"
         parts = []
-        for cls, c in sorted(self.coeffs.items(), key=lambda kv: repr(kv[0])):
+        for cls in sorted(self.coeffs, key=lambda s: s.sort_key):
+            c = self.coeffs[cls]
             tag = f"<{cls.rep()!r}>"
             if c == 1:
                 parts.append(tag)
@@ -149,8 +171,6 @@ class GroupRingElem:
 
 
 def _trivial_class(field: Field) -> SquareClass:
-    from .fields import _trivial_key
-
     return SquareClass(field, _trivial_key(field))
 
 
@@ -162,14 +182,16 @@ def gr_int(field: Field, n: int) -> GroupRingElem:
     return GroupRingElem(field, {_trivial_class(field): n})
 
 
+def _unit_class(field: Field, a) -> SquareClass:
+    e = field.elem(a)
+    if not e:
+        raise ZeroEntry("form entries and Pfister slots must be units")
+    return square_class(e)
+
+
 def gr_unit(field: Field, a) -> GroupRingElem:
     """The basis element ⟨a⟩ for a nonzero field element a."""
-    a = field.elem(a) if not isinstance(a, FieldElem) else a
-    if a.field is not field:
-        raise MixedFields("unit from a different field")
-    if not a:
-        raise ZeroArgument("no square class of zero")
-    return GroupRingElem(field, {square_class(a): 1})
+    return GroupRingElem(field, {_unit_class(field, a): 1})
 
 
 def gr_class(cls: SquareClass) -> GroupRingElem:
@@ -186,8 +208,16 @@ def augmentation(x: GroupRingElem) -> int:
 
 def pfister_elem(field: Field, slots: Iterable) -> GroupRingElem:
     """The product of the forms ⟪a⟫ = ⟨a⟩ - 1 over the given nonzero
-    slots."""
-    out = gr_int(field, 1)
+    slots: multiplicative in each slot against addition of slots.  Also
+    bound as ``kmw.witt.pfister_form``."""
+    coeffs = {_trivial_class(field): 1}
     for a in slots:
-        out = out * (gr_unit(field, a) - gr_int(field, 1))
-    return out
+        cls = _unit_class(field, a)
+        out: dict[SquareClass, int] = {}
+        for c, n in coeffs.items():
+            if n:  # a square slot cancels terms; skip them in later slots
+                key = c * cls
+                out[key] = out.get(key, 0) + n
+                out[c] = out.get(c, 0) - n
+        coeffs = out
+    return GroupRingElem(field, coeffs)

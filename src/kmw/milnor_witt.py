@@ -51,9 +51,10 @@ from .fields import (
     support_places,
     tame_symbol,
 )
+from .group_ring import GroupRingElem
 from .witt import (
-    VirtualForm,
     _ehat_matches_hyperbolic,
+    _has_witt_decisions,
     _rep_elems,
     _signed_disc,
     in_i_power,
@@ -149,10 +150,9 @@ def _place_order(place: Place) -> tuple:
 
 
 def _k2_coords(field, monomials: Dict[Monomial, int]) -> MilnorCoords:
-    kind = _field_kind(field)
-    if kind == "finite":
+    if _field_kind(field) == "finite":
         return MilnorCoords(field, 2, ())
-    if kind not in ("rational", "ratfun-finite"):
+    if not _has_witt_decisions(field):
         raise UnsupportedField("no degree-2 Milnor coordinates for this field")
     local: Dict[Place, object] = {}
     for (k, syms), c in monomials.items():
@@ -183,7 +183,7 @@ def _milnor_coords(field, degree: int, monomials: Dict[Monomial, int]) -> Milnor
     raise UnsupportedDegree("no normal form in degree 3")
 
 
-def _witt_component(field, monomials: Dict[Monomial, int]) -> VirtualForm:
+def _witt_component(field, monomials: Dict[Monomial, int]) -> GroupRingElem:
     total = zero_form(field)
     for (k, syms), c in monomials.items():
         total = total + c * pfister_form(field, syms)
@@ -202,7 +202,7 @@ class MWElem:
         degree: int,
         monomials: Optional[Dict[Monomial, int]],
         milnor: Optional[MilnorCoords] = None,
-        witt: Optional[VirtualForm] = None,
+        witt: Optional[GroupRingElem] = None,
     ):
         if degree not in (0, 1, 2, 3):
             raise DegreeOverflow("degrees are restricted to 0..3")
@@ -218,7 +218,7 @@ class MWElem:
     def has_pair(self) -> bool:
         return self.milnor is not None
 
-    def pair(self) -> Tuple[MilnorCoords, VirtualForm]:
+    def pair(self) -> Tuple[MilnorCoords, GroupRingElem]:
         if self.milnor is None:
             if self.degree == 3:
                 raise UnsupportedDegree("degree-3 elements have no normal form")
@@ -257,10 +257,6 @@ class MWElem:
         return f"MWElem({format_mw(self)!r})"
 
 
-def _pair_supported(field) -> bool:
-    return _field_kind(field) in ("finite", "rational", "ratfun-finite")
-
-
 def _local_sign(value) -> int:
     """Hilbert sign of a degree-2 local value: the recorded sign, or
     the quadratic character of a tame symbol."""
@@ -269,7 +265,7 @@ def _local_sign(value) -> int:
     return 1 if value.field.is_square_raw(value.val) else -1
 
 
-def _check_fiber(field, degree: int, milnor: MilnorCoords, witt: VirtualForm):
+def _check_fiber(field, degree: int, milnor: MilnorCoords, witt: GroupRingElem):
     """Mod-2 agreement of the two fiber components, checked on every
     construction."""
     if degree == 0:
@@ -311,7 +307,7 @@ def _make(field, degree: int, monomials: Dict[Monomial, int]) -> MWElem:
         if len(syms) - k != degree:
             raise DegreeOverflow("monomial degree does not match the element degree")
         clean[(k, syms)] = c
-    if degree <= 2 and _pair_supported(field):
+    if degree <= 2 and _has_witt_decisions(field):
         milnor = _milnor_coords(field, degree, clean)
         witt = _witt_component(field, clean)
         _check_fiber(field, degree, milnor, witt)
@@ -450,7 +446,7 @@ def _coords_neg(a: MilnorCoords) -> MilnorCoords:
     raise UnsupportedDegree("pair-backed negation is limited to degrees 0-1")
 
 
-def _pair_elem(field, degree: int, milnor: MilnorCoords, witt: VirtualForm) -> MWElem:
+def _pair_elem(field, degree: int, milnor: MilnorCoords, witt: GroupRingElem) -> MWElem:
     _check_fiber(field, degree, milnor, witt)
     return MWElem(field, degree, None, milnor, witt)
 
@@ -466,7 +462,7 @@ def mw_equal(x: MWElem, y: MWElem) -> bool:
         raise UnsupportedDegree("elements have different degrees")
     if x.degree == 3:
         raise UnsupportedDegree("no equality oracle in degree 3")
-    if not _pair_supported(x.field):
+    if not _has_witt_decisions(x.field):
         raise UnsupportedField("no equality oracle over this field")
     xm, xw = x.pair()
     ym, yw = y.pair()
@@ -477,7 +473,7 @@ def mw_is_zero(x: MWElem) -> bool:
     return mw_equal(x, mw_zero(x.field, x.degree))
 
 
-def mw_witt_part(x: MWElem) -> VirtualForm:
+def mw_witt_part(x: MWElem) -> GroupRingElem:
     """The virtual-form component, available for monomial-backed
     elements over any field (formal pfister expansion)."""
     if x.witt is not None:
@@ -579,7 +575,7 @@ def k2_finite_vanishing(q: int) -> bool:
     zero, the computational face of the vanishing of K^MW_2 there."""
     field = finite_field(q)
     zero = mw_zero(field, 2)
-    units = list(field.units()) if hasattr(field, "units") else [e for e in field.elements() if e]
+    units = list(field.units())
     for a in units:
         for b in units:
             if not mw_equal(mw_symbol(field, [a, b]), zero):
@@ -706,6 +702,13 @@ def parse_mw(field, text: str) -> MWElem:
     return _make(field, degree, monomials)
 
 
+def _format_const(c: FieldElem) -> str:
+    """An F_q element: its value, or over an extension its coordinates
+    over the prime field (``_flat_key``), which ``parse_elem`` reads."""
+    field = c.field
+    return str(_flat_key(field, c.val) if field.degree > 1 else c.val)
+
+
 def _format_poly_in_t(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -714,10 +717,7 @@ def _format_poly_in_t(p: Poly) -> str:
         c = p.coeff(d)
         if not c:
             continue
-        cv = c.val
-        if isinstance(p.field, FiniteField) and p.field.degree > 1:
-            cv = _flat_key(p.field, cv)  # coordinates over the prime field
-        cs = str(cv)
+        cs = _format_const(c) if isinstance(p.field, FiniteField) else str(c.val)
         if d == 0:
             bits.append(cs)
         elif d == 1:
@@ -732,9 +732,7 @@ def _format_elem(e: FieldElem) -> str:
     if isinstance(field, RationalField):
         return str(e.val)
     if isinstance(field, FiniteField):
-        if field.degree != 1:
-            raise UnsupportedField("no printable form for extension-field entries")
-        return str(e.val)
+        return _format_const(e)
     if isinstance(field, RatFunField):
         num, den = field.num_den(e)
         ns = _format_poly_in_t(num)

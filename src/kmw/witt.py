@@ -1,11 +1,14 @@
 """Virtual diagonal quadratic forms and Witt-group decision procedures.
 
-A ``VirtualForm`` is a formal integer combination of rank-one diagonal
+A virtual form is a formal integer combination of rank-one diagonal
 classes ``<a>`` indexed by square classes, i.e. an element of the
 Grothendieck-Witt presentation with only the square-class relation
-applied.  Witt-group questions (is this class zero, are two classes
-equal, does this lie in a power of the fundamental ideal) are answered
-by complete invariant sets per field kind:
+applied.  That is the group ring Z[k^x / (k^x)^2], so forms are
+``kmw.group_ring.GroupRingElem`` values (``VirtualForm`` is the same
+class) and ``pfister_form`` is ``pfister_elem``.  Witt-group questions
+(is this class zero, are two classes equal, does this lie in a power of
+the fundamental ideal) are answered by complete invariant sets per
+field kind:
 
 * finite fields: parity of the virtual rank and the signed discriminant;
 * the rationals: parity, signed discriminant, real signature, and
@@ -22,15 +25,13 @@ to derive the group structure of the Witt group from scratch.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .descriptor import GroupDescriptor, Provenance
 from .errors import (
     MixedFields,
     UnsupportedDegree,
     UnsupportedField,
-    UnsupportedPlace,
     ZeroEntry,
 )
 from .fields import (
@@ -45,151 +46,36 @@ from .fields import (
     support_places,
     valuation,
 )
+from .group_ring import GroupRingElem, _unit_class, gr_unit, gr_zero, pfister_elem
 
 
-class VirtualForm:
-    """Formal Z-combination of diagonal classes over a fixed field."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs: Dict[SquareClass, int]):
-        clean = {}
-        for cls, c in coeffs.items():
-            if cls.field is not field:
-                raise MixedFields("form entries must live over the form's field")
-            c = int(c)
-            if c:
-                clean[cls] = c
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VirtualForm is immutable")
-
-    # -- basic structure ------------------------------------------------
-
-    def rank(self) -> int:
-        """Virtual rank: the sum of all coefficients."""
-        return sum(self.coeffs.values())
-
-    def is_formally_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, VirtualForm):
-            return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.field), frozenset(self.coeffs.items())))
-
-    # -- arithmetic -----------------------------------------------------
-
-    def _check(self, other: "VirtualForm"):
-        if self.field is not other.field:
-            raise MixedFields("cannot combine forms over different fields")
-
-    def __add__(self, other):
-        if not isinstance(other, VirtualForm):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for cls, c in other.coeffs.items():
-            out[cls] = out.get(cls, 0) + c
-        return VirtualForm(self.field, out)
-
-    def __neg__(self):
-        return VirtualForm(self.field, {cls: -c for cls, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, VirtualForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return VirtualForm(self.field, {cls: c * other for cls, c in self.coeffs.items()})
-        if isinstance(other, VirtualForm):
-            self._check(other)
-            out: Dict[SquareClass, int] = {}
-            for c1, n1 in self.coeffs.items():
-                for c2, n2 in other.coeffs.items():
-                    prod = c1 * c2
-                    out[prod] = out.get(prod, 0) + n1 * n2
-            return VirtualForm(self.field, out)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    # -- representatives ------------------------------------------------
-
-    def diag_rep(self) -> List[SquareClass]:
-        """Diagonal representative of the same Witt class: negative
-        multiples of ``<a>`` are replaced by copies of ``<-a>``."""
-        minus_one = square_class(self.field.elem(-1))
-        rep: List[SquareClass] = []
-        for cls in sorted(self.coeffs, key=lambda s: s.sort_key):
-            c = self.coeffs[cls]
-            if c > 0:
-                rep.extend([cls] * c)
-            else:
-                rep.extend([cls * minus_one] * (-c))
-        return rep
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "VirtualForm(0)"
-        bits = []
-        for cls in sorted(self.coeffs, key=lambda s: s.sort_key):
-            c = self.coeffs[cls]
-            bits.append(f"{c:+d}<{cls.rep()!r}>")
-        return f"VirtualForm({' '.join(bits)})"
+VirtualForm = GroupRingElem
 
 
-def _unit_class(field, x) -> SquareClass:
-    e = field.elem(x)
-    if not e:
-        raise ZeroEntry("diagonal entries must be units")
-    return square_class(e)
-
-
-def diagonal_form(field, entries: Iterable) -> VirtualForm:
+def diagonal_form(field, entries: Iterable) -> GroupRingElem:
     """Form ``<a_1, ..., a_n>`` from nonzero entries."""
     coeffs: Dict[SquareClass, int] = {}
     for x in entries:
         cls = _unit_class(field, x)
         coeffs[cls] = coeffs.get(cls, 0) + 1
-    return VirtualForm(field, coeffs)
+    return GroupRingElem(field, coeffs)
 
 
-def unit_form(field, x) -> VirtualForm:
+def unit_form(field, x) -> GroupRingElem:
     """The rank-one form ``<x>``."""
-    return VirtualForm(field, {_unit_class(field, x): 1})
+    return gr_unit(field, x)
 
 
-def zero_form(field) -> VirtualForm:
-    return VirtualForm(field, {})
+def zero_form(field) -> GroupRingElem:
+    return gr_zero(field)
 
 
-def hyperbolic_form(field, m: int = 1) -> VirtualForm:
+def hyperbolic_form(field, m: int = 1) -> GroupRingElem:
     """``m`` hyperbolic planes ``<1, -1>``."""
     return diagonal_form(field, [1, -1]) * m
 
 
-def pfister_form(field, slots: Sequence) -> VirtualForm:
-    """Product of the binary classes ``<a_i> - <1>`` over the slots.
-
-    Multiplicative in each slot against addition of slots, matching
-    the group-ring convention for the augmentation-ideal generators.
-    """
-    one = unit_form(field, 1)
-    out = one
-    for a in slots:
-        out = out * (unit_form(field, a) - one)
-    return out
+pfister_form = pfister_elem
 
 
 # -- invariants ---------------------------------------------------------
@@ -217,7 +103,7 @@ def _signed_disc(field, rep: Sequence[SquareClass]) -> SquareClass:
     return disc
 
 
-def signature(form: VirtualForm) -> int:
+def signature(form: GroupRingElem) -> int:
     """Signature at the real place; defined over the rationals only."""
     if not isinstance(form.field, RationalField):
         raise UnsupportedField("signatures require the rational field")
@@ -264,12 +150,11 @@ def _support_of_rep(field, elems: Sequence[FieldElem]):
     return support_places(field, elems)
 
 
-def witt_invariants(form: VirtualForm) -> WittInvariants:
+def witt_invariants(form: GroupRingElem) -> WittInvariants:
     """Rank, signed discriminant, signatures, and Hasse products of a
     diagonal representative over the support of the form."""
     field = form.field
-    if isinstance(field, RatFunField) and not isinstance(field.base, FiniteField):
-        raise UnsupportedField("invariants over function fields require a finite base")
+    _check_decidable(field)
     rep = form.diag_rep()
     disc = _signed_disc(field, rep)
     signatures: Dict[str, int] = {}
@@ -291,15 +176,20 @@ def _ehat_matches_hyperbolic(field, elems: Sequence[FieldElem], place) -> bool:
     return _hasse_product(elems, place) == want
 
 
+def _has_witt_decisions(field) -> bool:
+    """Whether the invariants here decide Witt classes over the field:
+    F_q, Q and F_q(t)."""
+    if isinstance(field, RatFunField):
+        return isinstance(field.base, FiniteField)
+    return isinstance(field, (FiniteField, RationalField))
+
+
 def _check_decidable(field):
-    if isinstance(field, (FiniteField, RationalField)):
-        return
-    if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
-        return
-    raise UnsupportedField("no Witt decision procedure for this field")
+    if not _has_witt_decisions(field):
+        raise UnsupportedField("no Witt decision procedure for this field")
 
 
-def witt_is_zero(form: VirtualForm) -> bool:
+def witt_is_zero(form: GroupRingElem) -> bool:
     """Whether the form is hyperbolic (zero in the Witt group).
 
     The cube of the fundamental ideal vanishes over finite fields and
@@ -309,13 +199,11 @@ def witt_is_zero(form: VirtualForm) -> bool:
     return in_i_power(form, 3)
 
 
-def witt_equal(a: VirtualForm, b: VirtualForm) -> bool:
-    if a.field is not b.field:
-        raise MixedFields("cannot compare forms over different fields")
-    return witt_is_zero(a - b)
+def witt_equal(a: GroupRingElem, b: GroupRingElem) -> bool:
+    return witt_is_zero(a - b)  # a - b raises MixedFields across fields
 
 
-def in_i_power(form: VirtualForm, n: int) -> bool:
+def in_i_power(form: GroupRingElem, n: int) -> bool:
     """Membership in the n-th power of the fundamental ideal, n in 1..3."""
     if n not in (1, 2, 3):
         raise UnsupportedDegree("fundamental-ideal filtration is decided for n in 1..3")
@@ -347,22 +235,21 @@ def in_i_power(form: VirtualForm, n: int) -> bool:
 # -- residues -----------------------------------------------------------
 
 
-def _residue_form(form: VirtualForm, place, parity: int) -> VirtualForm:
+def _residue_form(form: GroupRingElem, place, parity: int) -> GroupRingElem:
     # classes <pi^v u> with v of the given parity map to <u-bar>
     if place.field is not form.field:
         raise MixedFields("place does not belong to the form's field")
-    residue_field = place.residue_field()
     out: Dict[SquareClass, int] = {}
     for cls, c in form.coeffs.items():
         v, res = valuation(cls.rep(), place)
         if v % 2 != parity:
             continue
-        rcls = square_class(res if isinstance(res, FieldElem) else residue_field.elem(res))
+        rcls = square_class(res)
         out[rcls] = out.get(rcls, 0) + c
-    return VirtualForm(residue_field, out)
+    return GroupRingElem(place.residue_field(), out)
 
 
-def second_residue(form: VirtualForm, place) -> VirtualForm:
+def second_residue(form: GroupRingElem, place) -> GroupRingElem:
     """Second residue form at a place of a rational function field.
 
     Classes of odd valuation ``<pi^(2m+1) u>`` contribute ``<u-bar>``
@@ -374,7 +261,7 @@ def second_residue(form: VirtualForm, place) -> VirtualForm:
     return _residue_form(form, place, 1)
 
 
-def first_residue(form: VirtualForm, place) -> VirtualForm:
+def first_residue(form: GroupRingElem, place) -> GroupRingElem:
     """First residue form: even-valuation classes ``<pi^(2m) u>`` map to
     ``<u-bar>``; odd-valuation classes contribute nothing."""
     if not isinstance(form.field, RatFunField):
@@ -453,7 +340,7 @@ class CountingTable:
         merged = list(e1) + [-self.field.elem(x) for x in e2]
         return self.rep_is_witt_zero(merged)
 
-    def form_is_witt_zero(self, form: VirtualForm) -> bool:
+    def form_is_witt_zero(self, form: GroupRingElem) -> bool:
         if form.field is not self.field:
             raise MixedFields("form lives over a different field")
         return self.rep_is_witt_zero(_rep_elems(form.diag_rep()))

@@ -59,6 +59,7 @@ from kmw.milnor_witt import (
     parse_mw,
     t_sigma,
 )
+from kmw.group_ring import pfister_elem
 from kmw.witt import (
     _ehat_matches_hyperbolic,
     _rep_elems,
@@ -97,6 +98,16 @@ class TestConstruction:
     def test_too_long_symbol(self):
         with pytest.raises(DegreeOverflow):
             mw_symbol(Q, [2, 3, 5, 7])
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+    def test_steinberg_witt_part_is_the_pfister_element(self, q):
+        # the Witt part of [a][1-a] is the group-ring element <<a>><<1-a>>
+        F = finite_field(q)
+        for a in F.units():
+            if a == F.one:
+                continue
+            x = mw_symbol(F, [a, F.one - a])
+            assert mw_witt_part(x) == pfister_elem(F, [a, F.one - a])
 
     def test_function_field_constructor(self):
         x = sym(Qt, 5, Qt.t)
@@ -398,6 +409,19 @@ class TestBracketExpressions:
             back = parse_mw(K, text)
             assert mw_equal(back, elem)
             assert format_mw(back) == text
+
+    @pytest.mark.parametrize("q", [9, 25, 27])
+    def test_roundtrip_over_extension_fields(self, q):
+        # extension-field constants print as digit tuples, e.g. [(1, 1)]
+        F = finite_field(q)
+        g = F.generator()
+        for elem in (sym(F, g), sym(F, g, g + 1)):
+            text = format_mw(elem)
+            assert "," in text
+            back = parse_mw(F, text)
+            assert back.monomials == elem.monomials
+            assert mw_equal(back, elem)
+            assert repr(elem) == f"MWElem({text!r})"
 
     def test_parse_errors(self):
         with pytest.raises(KmwError):

@@ -9,6 +9,7 @@ from kmw.errors import (
     MixedFields,
     UnsupportedDegree,
     UnsupportedField,
+    ZeroArgument,
     ZeroEntry,
 )
 from kmw.fields import (
@@ -20,6 +21,8 @@ from kmw.fields import (
     square_class,
     support_places,
 )
+from kmw.group_ring import GroupRingElem, gr_unit, pfister_elem
+from kmw.milnor_witt import mw_equal, mw_symbol
 from kmw.witt import (
     CountingTable,
     VirtualForm,
@@ -81,6 +84,19 @@ class TestVirtualForms:
     def test_zero_entry_rejected(self):
         with pytest.raises(ZeroEntry):
             diagonal_form(Q, [1, 0])
+        assert issubclass(ZeroEntry, ZeroArgument)
+
+    def test_forms_are_group_ring_elements(self):
+        assert VirtualForm is GroupRingElem
+        assert pfister_form is pfister_elem
+        F7 = finite_field(7)
+        assert unit_form(F7, 3) == gr_unit(F7, 3)
+        assert hyperbolic_form(F7).rank() == hyperbolic_form(F7).augmentation() == 2
+
+    def test_repr_lists_classes_in_sort_key_order(self):
+        f = unit_form(Q, -1) + 2 * unit_form(Q, 2) - unit_form(Q, 1)
+        assert repr(f) == "-<1> + 2*<2> + <-1>"
+        assert repr(zero_form(Q)) == "0"
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(MixedFields):
@@ -298,3 +314,7 @@ class TestFunctionFieldWitt:
         Qt = function_field(Q)
         with pytest.raises(UnsupportedField):
             witt_is_zero(unit_form(Qt, Qt.t))
+        with pytest.raises(UnsupportedField):
+            witt_invariants(unit_form(Qt, Qt.t))
+        with pytest.raises(UnsupportedField):
+            mw_equal(mw_symbol(Qt, [Qt.t]), mw_symbol(Qt, [Qt.t]))
