@@ -13,7 +13,7 @@ Conventions that the rest of the library leans on:
   counting order; the fields of ``finite_field(q)`` with at most 2^16
   elements compute by log/Zech table lookups built on first use, other
   extensions (residue fields among them) by polynomial arithmetic over
-  their base;
+  their base, deciding squares by quadratic reciprocity;
 * square-class keys carry squarefree representatives, so a place divides
   a key with multiplicity 0 or 1 and residue maps never see squares;
 * finite places of a function field are monic irreducible polynomials,
@@ -360,9 +360,11 @@ class _PolyExtension(FiniteField):
     """base[x] modulo the modulus, computed on decoded coefficient lists
     with the ``_pl_*`` helpers over the base: the arithmetic of residue
     fields, of nested extensions and of extensions above 2^16 elements,
-    where tables would not pay, and of the table build.  ``dlog`` walks
-    the powers of the generator on every call; ``_tables``, built only
-    when asked for, comes from polynomial powers of the generator."""
+    where tables would not pay, and of the table build.  Squares are
+    decided by quadratic reciprocity in base[x], a few Euclid steps.
+    ``dlog`` walks the powers of the generator on every call;
+    ``_tables``, built only when asked for, comes from polynomial powers
+    of the generator."""
 
     def __init__(self, p, base, modulus, _token=None):
         super().__init__(p, base, modulus, _token)
@@ -430,6 +432,30 @@ class _PolyExtension(FiniteField):
     def _plus_one(self, a):
         c = a % self.base.order
         return a - c + self.base._add(c, 1)
+
+    def is_square_raw(self, a) -> bool:
+        """The Jacobi symbol (a / m) in base[x], m the modulus, by the
+        Euclid steps of quadratic reciprocity in F_Q[x] (Rosen, *Number
+        Theory in Function Fields*, ch. 3), Q = |base|: for monic coprime
+        a and m, (a/m) = (-1)^(((Q-1)/2) deg a deg m) (m/a), and a
+        constant c has (c/m) = chi(c)^deg m, chi the base character."""
+        if not a:
+            raise ZeroArgument("square class of zero")
+        base = self.base
+        half = (base.order - 1) // 2
+        a, m = _pl_trim(base, self._coeffs(a)), self._mod
+        odd = False  # the symbol is (-1)^odd times (a / m)
+        while True:
+            lc = a[-1]
+            if len(m) % 2 == 0 and not base.is_square_raw(lc):  # deg m odd
+                odd = not odd
+            if len(a) == 1:
+                return not odd
+            inv = base._inv(lc)
+            a = [base._mul(c, inv) for c in a]
+            if half * (len(a) - 1) * (len(m) - 1) % 2:
+                odd = not odd
+            a, m = _pl_rem(base, m, a), a
 
     def _dlog_raw(self, a) -> int:
         # no tables here: every call walks the powers of the generator

@@ -106,6 +106,13 @@ class GroupRingElem:
         )
 
     def __hash__(self):
+        # n<1> equals the int n, so it hashes as n
+        if not self.coeffs:
+            return hash(0)
+        if len(self.coeffs) == 1:
+            (cls, c), = self.coeffs.items()
+            if cls.is_trivial():
+                return hash(c)
         return hash((id(self.field), frozenset(self.coeffs.items())))
 
     def augmentation(self) -> int:

@@ -11,9 +11,11 @@ Equality of elements is decided componentwise on the pairs.
 Every pair is checked for mod-2 compatibility when it is built, by the
 one function ``_check_fiber``.  In degree 2 it reads the Milnor side
 from the coordinates themselves: they record a local value at each
-place, and its Hilbert sign (the quadratic character of a tame symbol,
-or the recorded sign at the real and 2-adic places of Q) is compared
-with the Hasse invariant of the virtual form there.
+place, and the places where its Hilbert sign (the quadratic character
+of a tame symbol, or the recorded sign at the real and 2-adic places of
+Q) is -1 must be those where the Hasse product of the virtual form
+differs from the hyperbolic form's, which ``kmw.witt`` reads off the
+form's local square-class counts.
 
 Degree-3 elements stay formal: they have no equality oracle and are
 consumed by ``eta_mul``, which lowers them into testable degree 2.
@@ -53,9 +55,8 @@ from .fields import (
 )
 from .group_ring import GroupRingElem
 from .witt import (
-    _ehat_matches_hyperbolic,
     _has_witt_decisions,
-    _rep_elems,
+    _hasse_defects,
     _signed_disc,
     in_i_power,
     pfister_form,
@@ -283,20 +284,16 @@ def _check_fiber(field, degree: int, milnor: MilnorCoords, witt: GroupRingElem):
     # signed discriminant, which in_i_power(witt, 2) has just found trivial
     if _field_kind(field) == "finite":
         return
-    # degree 2: at every place where either side can be nontrivial, the
-    # Hilbert sign the Milnor coordinates record (1 where they record
-    # nothing) against the Hasse comparison of the form with the
-    # hyperbolic form of its rank
-    elems = _rep_elems(rep)
-    recorded = dict(milnor.data)
-    places = dict.fromkeys(support_places(field, elems) if elems else ())
-    places.update(recorded)
-    for place in places:
-        witt_side = 1 if _ehat_matches_hyperbolic(field, elems, place) else -1
-        if _local_sign(recorded.get(place, 1)) != witt_side:
-            raise IntegrityFailure(
-                "local symbol data of the two fiber components disagree"
-            )
+    # degree 2: the places where the Hilbert sign the Milnor coordinates
+    # record is -1 against those where the Hasse comparison of the form
+    # with the hyperbolic form of its rank is nontrivial
+    milnor_side = {
+        place: -1 for place, value in milnor.data if _local_sign(value) == -1
+    }
+    if milnor_side != _hasse_defects(field, rep):
+        raise IntegrityFailure(
+            "local symbol data of the two fiber components disagree"
+        )
 
 
 def _make(field, degree: int, monomials: Dict[Monomial, int]) -> MWElem:

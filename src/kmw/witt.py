@@ -18,6 +18,12 @@ field kind:
   discriminant, and the same Hasse comparison at the support together
   with the place at infinity.
 
+Each Hasse product is read off local data, one record per (form, place):
+how many entries of a diagonal representative fall in each local square
+class there (four at a tame place, eight at 2 over Q, two at the real
+place), summed over pairs of classes.  That is O(r) per place rather
+than r(r-1)/2 Hilbert symbols.
+
 An independent brute-force route (`CountingTable`) classifies diagonal
 forms over a finite field by their value-count fingerprints and is used
 to derive the group structure of the Witt group from scratch.
@@ -25,6 +31,7 @@ to derive the group structure of the Witt group from scratch.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .descriptor import GroupDescriptor, Provenance
@@ -37,11 +44,15 @@ from .errors import (
 from .fields import (
     FieldElem,
     FiniteField,
+    Place,
     RatFunField,
     RationalField,
     SquareClass,
+    _eps,
+    _frac_mod,
+    _omega,
     finite_field,
-    hilbert,
+    rational_valuation,
     square_class,
     support_places,
     valuation,
@@ -85,14 +96,6 @@ def _rep_elems(rep: Sequence[SquareClass]) -> List[FieldElem]:
     return [cls.rep() for cls in rep]
 
 
-def _hasse_product(elems: Sequence[FieldElem], place) -> int:
-    s = 1
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            s *= hilbert(elems[i], elems[j], place)
-    return s
-
-
 def _signed_disc(field, rep: Sequence[SquareClass]) -> SquareClass:
     r = len(rep)
     disc = square_class(field.elem(1))
@@ -113,8 +116,87 @@ def signature(form: GroupRingElem) -> int:
     return sig
 
 
+# -- local data ---------------------------------------------------------
+#
+# The Hilbert symbol at a place is bimultiplicative (Serre, *A Course in
+# Arithmetic*, ch. III, §1), so it factors through the local square
+# classes there: four at a tame place, eight at 2 over Q, two at the real
+# place.  The Hasse product prod_{i<j} (a_i, a_j) of a diagonal form is
+# then read off how many entries fall in each class, in O(r) per place.
+
+
+def _local_class(x: FieldElem, place: Place) -> tuple:
+    """The local square class of x at the place: (sign bit,) at the real
+    place of Q; (v mod 2, u mod 8) at 2, for x = 2^v u; and at every
+    other place, all tame, (v mod 2, whether the residue of the unit
+    part is a nonsquare)."""
+    if place.kind == "real":
+        return (int(x.val < 0),)
+    if place.kind == "prime":
+        p = place.data
+        v, u = rational_valuation(x.val, p)
+        if p == 2:
+            return (v % 2, _frac_mod(u, 8))
+        res, kappa = _frac_mod(u, p), place.residue_field()
+    else:
+        v, res = valuation(x, place)
+        res, kappa = res.val, res.field
+    return (v % 2, int(not kappa.is_square_raw(res)))
+
+
+def _symbol_bit(place: Place, x: tuple, y: tuple) -> int:
+    """The b with (x, y) = (-1)^b at the place, for local classes x, y."""
+    if place.kind == "real":
+        return x[0] & y[0]
+    (e, s), (f, t) = x, y
+    if place.kind == "prime" and place.data == 2:
+        return (_eps(s) * _eps(t) + e * _omega(t) + f * _omega(s)) % 2
+    # the quadratic character of the tame symbol (-1)^(ef) u^f w^(-e)
+    minus_one = e * f and place.residue_field().order % 4 == 3
+    return (s * f + t * e + minus_one) % 2
+
+
+def _local_hasse(elems: Sequence[FieldElem], place: Place) -> int:
+    """prod_{i<j} (a_i, a_j) at the place, from the local data of the
+    entries: the count of entries in each local square class."""
+    counts = Counter(_local_class(x, place) for x in elems)
+    classes = list(counts)
+    bit = 0
+    for i, x in enumerate(classes):
+        n = counts[x]
+        bit += n * (n - 1) // 2 * _symbol_bit(place, x, x)
+        for y in classes[i + 1:]:
+            bit += n * counts[y] * _symbol_bit(place, x, y)
+    return -1 if bit % 2 else 1
+
+
+def _support_of_rep(field, elems: Sequence[FieldElem]):
+    if not elems:
+        return []
+    return support_places(field, elems)
+
+
+def _hasse_defects(field, rep: Sequence[SquareClass]) -> Dict[Place, int]:
+    """The places where the Hasse product of an even-rank diagonal form
+    differs from that of the hyperbolic form of the same rank, each
+    mapped to -1.  Off the support of the entries both products are 1."""
+    elems = _rep_elems(rep)
+    m = len(elems) // 2
+    # the hyperbolic form of rank 2m has Hasse product (-1, -1)^(m(m-1)/2)
+    minus_ones = [field.elem(-1)] * 2 if (m * (m - 1) // 2) % 2 else []
+    return {
+        place: -1
+        for place in _support_of_rep(field, elems)
+        if _local_hasse(elems, place) != _local_hasse(minus_ones, place)
+    }
+
+
+# -- invariants ---------------------------------------------------------
+
+
 class WittInvariants:
-    """Computed invariant set of a virtual form."""
+    """Computed invariant set of a virtual form; ``rank`` is the rank
+    mod 2."""
 
     __slots__ = ("rank", "signed_disc", "signatures", "hasse")
 
@@ -144,36 +226,24 @@ class WittInvariants:
         )
 
 
-def _support_of_rep(field, elems: Sequence[FieldElem]):
-    if not elems:
-        return []
-    return support_places(field, elems)
-
-
 def witt_invariants(form: GroupRingElem) -> WittInvariants:
-    """Rank, signed discriminant, signatures, and Hasse products of a
-    diagonal representative over the support of the form."""
+    """Rank mod 2, signed discriminant, signatures, and the places where
+    the Hasse comparison with the hyperbolic form is nontrivial.  The
+    comparison is made on f - e<1> - <1, -d>, for f of rank parity e and
+    signed discriminant d: that form lies in I^2, where the comparison
+    is a Witt invariant, so Witt-equal forms get equal invariants."""
     field = form.field
     _check_decidable(field)
-    rep = form.diag_rep()
-    disc = _signed_disc(field, rep)
+    parity = form.rank() % 2
+    disc = _signed_disc(field, form.diag_rep())
     signatures: Dict[str, int] = {}
-    hasse: Dict[object, int] = {}
+    hasse: Dict[Place, int] = {}
     if isinstance(field, RationalField):
         signatures["real"] = signature(form)
     if isinstance(field, (RationalField, RatFunField)):
-        elems = _rep_elems(rep)
-        for place in _support_of_rep(field, elems):
-            hasse[place] = _hasse_product(elems, place)
-    return WittInvariants(form.rank(), disc, signatures, hasse)
-
-
-def _ehat_matches_hyperbolic(field, elems: Sequence[FieldElem], place) -> bool:
-    # rank is even here; compare the Hasse product with that of the
-    # hyperbolic form of the same rank.
-    m = len(elems) // 2
-    want = hilbert(field.elem(-1), field.elem(-1), place) if (m * (m - 1) // 2) % 2 else 1
-    return _hasse_product(elems, place) == want
+        in_i2 = form - parity - diagonal_form(field, [1, -disc.rep()])
+        hasse = _hasse_defects(field, in_i2.diag_rep())
+    return WittInvariants(parity, disc, signatures, hasse)
 
 
 def _has_witt_decisions(field) -> bool:
@@ -225,11 +295,7 @@ def in_i_power(form: GroupRingElem, n: int) -> bool:
         return True
     if isinstance(field, RationalField) and signature(form) % 8 != 0:
         return False
-    elems = _rep_elems(rep)
-    for place in _support_of_rep(field, elems):
-        if not _ehat_matches_hyperbolic(field, elems, place):
-            return False
-    return True
+    return not _hasse_defects(field, rep)
 
 
 # -- residues -----------------------------------------------------------

@@ -7,7 +7,9 @@ import subprocess
 import sys
 
 import pytest
+from witt_oracle import _hasse_product
 
+import kmw.witt
 from kmw.cli import _is_odd_prime_power, _thread_cap, main, parse_field_spec
 from kmw.errors import UnsupportedField
 from kmw.fields import FiniteField, RatFunField, RationalField
@@ -384,6 +386,32 @@ class TestSnf:
         code, _, err = run_cli(capsys, ["snf", "/no/such/file.json"])
         assert code == 2
         assert "FileNotFoundError" in err
+
+
+class TestHasseStepAgainstPairwiseOracle:
+    """The same stdout and exit code with the local-data Hasse step of
+    ``kmw.witt`` as with the pairwise Hilbert-symbol product."""
+
+    @pytest.mark.parametrize("argv, reaches_hasse", [
+        ("verify mw-relations --field F9t --samples 20 --seed 5 --json", True),
+        ("verify mw-relations --field Q --json", True),
+        ("verify witt --q-range 3:9 --json", True),
+        ("verify hilbert-product --json", False),
+    ])
+    def test_stdout_is_byte_identical(self, capsys, monkeypatch, argv, reaches_hasse):
+        argv = argv.split()
+        new = run_cli(capsys, argv)
+        calls = []
+
+        def oracle(elems, place):
+            calls.append(place)
+            return _hasse_product(elems, place)
+
+        monkeypatch.setattr(kmw.witt, "_local_hasse", oracle)
+        old = run_cli(capsys, argv)
+        assert new[:2] == old[:2]
+        assert new[0] == 0
+        assert bool(calls) == reaches_hasse
 
 
 class TestEntryPoint:

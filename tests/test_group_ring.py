@@ -44,6 +44,19 @@ class TestBasics:
         with pytest.raises(MixedFields):
             a * b
 
+    def test_hash_agrees_with_int_equality(self):
+        Q = fl.rationals()
+        three = gr.gr_int(Q, 3)
+        assert three == 3
+        assert 3 in {three}
+        assert three in {3}
+        assert gr.gr_zero(Q) in {0}
+        assert 0 in {gr.gr_int(Q, 0)}
+        # equal elements hash equally, whichever way they were built
+        x = gr.gr_unit(Q, 2) + gr.gr_unit(Q, 8)
+        assert x == 2 * gr.gr_unit(Q, 2)
+        assert hash(x) == hash(2 * gr.gr_unit(Q, 2))
+
 
 class TestIdentities:
     def test_augmentation_multiplicative(self):

@@ -106,7 +106,7 @@ class TestVirtualForms:
 class TestInvariants:
     def test_signed_disc_of_sum_of_two_squares(self):
         inv = witt_invariants(diagonal_form(Q, [1, 1]))
-        assert inv.rank == 2
+        assert inv.rank == 0  # the rank mod 2
         assert inv.signed_disc == square_class(Q.elem(-1))
         assert inv.signatures == {"real": 2}
         assert all(v == 1 for v in inv.hasse.values())
@@ -131,6 +131,8 @@ class TestInvariants:
         fi, gi = witt_invariants(f), witt_invariants(g + zero_form(Q))
         assert fi.signed_disc == gi.signed_disc
         assert fi.signatures == gi.signatures
+        assert fi == gi
+        assert witt_invariants(zero_form(Q)) == witt_invariants(hyperbolic_form(Q))
 
 
 class TestWittZeroRationals:
