@@ -16,6 +16,8 @@ Conventions that the rest of the library leans on:
   their base, deciding squares by quadratic reciprocity;
 * square-class keys carry squarefree representatives, so a place divides
   a key with multiplicity 0 or 1 and residue maps never see squares;
+  over F_q(t) the key is a base bit and the set of places of odd
+  valuation, and local data at a place is read off it;
 * finite places of a function field are monic irreducible polynomials,
   plus the degree place at infinity with uniformizer 1/t;
 * all constructors are cached, so field handles compare by identity.
@@ -1450,9 +1452,16 @@ class SquareClass:
     """Canonical key for an element of k^x / (k^x)^2.
 
     Keys: one bit over a finite field; (sign bit, positive squarefree
-    integer) over Q; (base-class key, monic squarefree polynomial
-    coefficients) over k(t).  Products of keys stay canonical, and a
-    finite place divides a key with multiplicity at most one."""
+    integer) over Q; over Q(t), (base-class key, monic squarefree
+    polynomial coefficients).  Over F_q(t) the class group is
+    F_q^x/(F_q^x)^2 + sum_P Z/2 over the monic irreducibles P (Milnor,
+    "Algebraic K-theory and quadratic forms", 1970), so the key is
+    (base bit, sorted tuple of the coefficient tuples of the places P
+    where the class has odd valuation): a product is a bit XOR and a
+    symmetric difference of tuples, and the parity at a place is
+    membership.  ``rep`` and ``sort_key`` are the same over every k(t):
+    the squarefree representative and its coefficients; over F_q(t)
+    each is built once per distinct key."""
 
     __slots__ = ("field", "key")
 
@@ -1475,18 +1484,29 @@ class SquareClass:
 
     @property
     def sort_key(self):
-        """The key with coefficients over an extension F_q written as
-        ``_flat_key`` digit tuples: the order in which forms list their
-        classes, and the key as forms print it."""
+        """The squarefree representative's key, with coefficients over an
+        extension F_q written as ``_flat_key`` digit tuples: the order in
+        which forms list their classes, and the key as forms print it."""
         field = self.field
-        if isinstance(field, RatFunField) and isinstance(field.base, _PolyExtension):
-            b, coeffs = self.key
-            return (b, tuple(_flat_key(field.base, c) for c in coeffs))
+        if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
+            return _fqt_rep_sort(field, self.key)[1]
         return self.key
 
     def rep(self) -> FieldElem:
         """Canonical representative element of the class."""
-        return _key_rep(self.field, self.key)
+        field, key = self.field, self.key
+        if isinstance(field, FiniteField):
+            return field.one if key == 0 else field.nonsquare()
+        if isinstance(field, RationalField):
+            s, n = key
+            return field.elem(-n if s else n)
+        if isinstance(field, RatFunField):
+            if isinstance(field.base, FiniteField):
+                return _fqt_rep_sort(field, key)[0]
+            b, c = key
+            base_rep = SquareClass(field.base, b).rep()
+            return field.elem(Poly(field.base, c) * Poly(field.base, [base_rep.val]))
+        raise UnsupportedField(f"no square classes over {field}")
 
     def __eq__(self, other):
         return (
@@ -1508,8 +1528,14 @@ def _trivial_key(field: Field):
     if isinstance(field, RationalField):
         return (0, 1)
     if isinstance(field, RatFunField):
+        if isinstance(field.base, FiniteField):
+            return (0, ())  # no base nonsquare, no places
         return (_trivial_key(field.base), (field.base._one_raw,))
     raise UnsupportedField(f"no square classes over {field}")
+
+
+def _trivial_class(field: Field) -> SquareClass:
+    return SquareClass(field, _trivial_key(field))
 
 
 def _key_mul(field: Field, k1, k2):
@@ -1521,6 +1547,8 @@ def _key_mul(field: Field, k1, k2):
         g = int_gcd(n1, n2)
         return (s1 ^ s2, (n1 // g) * (n2 // g))
     if isinstance(field, RatFunField):
+        if isinstance(field.base, FiniteField):
+            return _fqt_mul(k1, k2)
         b1, c1 = k1
         b2, c2 = k2
         base = field.base
@@ -1528,21 +1556,6 @@ def _key_mul(field: Field, k1, k2):
         g = f1.gcd(f2)
         prod = (f1 // g) * (f2 // g)
         return (_key_mul(base, b1, b2), prod.coeffs or (base._one_raw,))
-    raise UnsupportedField(f"no square classes over {field}")
-
-
-def _key_rep(field: Field, key) -> FieldElem:
-    if isinstance(field, FiniteField):
-        return field.one if key == 0 else field.nonsquare()
-    if isinstance(field, RationalField):
-        s, n = key
-        return field.elem(-n if s else n)
-    if isinstance(field, RatFunField):
-        b, c = key
-        base_rep = _key_rep(field.base, b)
-        poly = Poly(field.base, c)
-        scaled = poly * Poly(field.base, [base_rep.val])
-        return field.elem(scaled)
     raise UnsupportedField(f"no square classes over {field}")
 
 
@@ -1560,44 +1573,178 @@ def square_class(x: FieldElem) -> SquareClass:
         n = fr.numerator * fr.denominator
         return SquareClass(field, (1 if n < 0 else 0, squarefree_part(n)))
     if isinstance(field, RatFunField):
+        if isinstance(field.base, FiniteField):
+            return SquareClass(field, _fqt_key(x))
         num, den = x.val
         g = num * den  # same class as num/den
         base = field.base
-        lc = g.lc()
-        monic = g.monic()
-        if isinstance(base, FiniteField):
-            sf = Poly.constant(base, 1)
-            for irr, mult in factor_poly(monic):
-                if mult % 2:
-                    sf = sf * irr
-            base_key = 0 if base.is_square_raw(lc.val) else 1
-        else:
-            sf = Poly.constant(base, 1)
-            for fac, mult in squarefree_decomposition(monic):
-                if mult % 2:
-                    sf = sf * fac
-            fr = lc.val
-            n = fr.numerator * fr.denominator
-            base_key = (1 if n < 0 else 0, squarefree_part(n))
+        sf = Poly.constant(base, 1)
+        for fac, mult in squarefree_decomposition(g.monic()):
+            if mult % 2:
+                sf = sf * fac
+        fr = g.lc().val
+        n = fr.numerator * fr.denominator
+        base_key = (1 if n < 0 else 0, squarefree_part(n))
         return SquareClass(field, (base_key, sf.coeffs or (base._one_raw,)))
     raise UnsupportedField(f"no square classes over {field}")
+
+
+@lru_cache(maxsize=64)
+def _minus_one_class(field: Field) -> SquareClass:
+    """The class of -1, which diagonal representatives and signed
+    discriminants multiply by on every call."""
+    return square_class(field.elem(-1))
 
 
 def is_square(x: FieldElem) -> bool:
     return square_class(x).is_trivial()
 
 
-def class_place_parity(cls: SquareClass, place: Place) -> int:
-    """v_place of the canonical key, always 0 or 1."""
-    field = cls.field
+# -- F_q(t): a class is a base bit and a set of places
+
+
+def _ratfun_factors(x: FieldElem) -> tuple:
+    """The leading coefficient of num * den for x = num/den over F_q(t),
+    and the factorization of its monic part: x has the class of num * den,
+    and its places are those factors' (num and den are coprime)."""
+    num, den = x.val
+    g = num * den
+    if g.degree() < 1:
+        return g.coeffs[0], ()
+    return g.coeffs[-1], factor_poly(g.monic())
+
+
+def _fqt_key(x: FieldElem) -> tuple:
+    lc, factors = _ratfun_factors(x)
+    places = tuple(sorted(irr.coeffs for irr, mult in factors if mult % 2))
+    return (0 if x.field.base.is_square_raw(lc) else 1, places)
+
+
+def _fqt_mul(k1: tuple, k2: tuple) -> tuple:
+    (b1, p1), (b2, p2) = k1, k2
+    if not p1:
+        places = p2
+    elif not p2:
+        places = p1
+    else:
+        places = tuple(sorted(set(p1).symmetric_difference(p2)))
+    return (b1 ^ b2, places)
+
+
+@lru_cache(maxsize=1 << 14)
+def _fqt_rep_sort(field: RatFunField, key: tuple) -> tuple:
+    """(rep, sort_key) of an F_q(t) class: the base representative times
+    the product of the places, and the coefficients of that product."""
+    b, places = key
+    base = field.base
+    prod = [base._one_raw]
+    for c in places:
+        prod = _pl_mul(base, prod, list(c))
+    base_rep = base.one if b == 0 else base.nonsquare()
+    rep = field.elem(Poly(base, prod) * Poly(base, [base_rep.val]))
+    if isinstance(base, _PolyExtension):
+        return rep, (b, tuple(_flat_key(base, c) for c in prod))
+    return rep, (b, tuple(prod))
+
+
+def _fqt_local(field: RatFunField, key: tuple, place: Place) -> tuple:
+    """(v mod 2, residue nonsquare bit) of the representative b * prod Q
+    at a place: at infinity, (sum of deg Q mod 2, b); at P, membership of
+    P, and chi_P(b) plus the bits of Q mod P over the other places Q."""
+    b, places = key
+    if place.kind == "inf":
+        return (sum(len(c) - 1 for c in places) % 2, b)
+    p = place.data.coeffs
+    # a nonsquare of F_q stays one in the residue field iff deg P is odd
+    bit = b * ((len(p) - 1) % 2)
+    for c in places:
+        if c != p:
+            bit ^= _pair_bit(field, p, c)
+    return (int(p in places), bit)
+
+
+@lru_cache(maxsize=1 << 14)
+def _pair_bit(field: RatFunField, p: tuple, c: tuple) -> int:
+    """Whether Q mod P is a nonsquare in the residue field at P, for
+    distinct monic irreducibles P and Q given by their coefficients."""
+    base = field.base
+    res = _residue_of_poly(Poly(base, c), Place(field, "poly", Poly(base, p)))
+    return 0 if res.field.is_square_raw(res.val) else 1
+
+
+@lru_cache(maxsize=1 << 12)
+def _fqt_place(field: RatFunField, c: tuple) -> tuple:
+    """(support order, place) of the monic irreducible with coefficients c."""
+    pi = Poly(field.base, c)
+    return _poly_key(pi), Place(field, "poly", pi)
+
+
+# -- local data of classes
+
+
+def _local_class(cls: SquareClass, place: Place) -> tuple:
+    """The local square class of the representative of cls at a place:
+    (sign bit,) at the real place of Q; (v mod 2, u mod 8) at 2, for
+    2^v u; at every other place, all tame, (v mod 2, the square-class key
+    of the residue of the unit part), which over Q and F_q(t) is the
+    nonsquare bit.  Witt decisions, residue forms and specialization all
+    read classes here."""
+    field, key = cls.field, cls.key
+    if isinstance(field, RationalField):
+        s, n = key
+        if place.kind == "real":
+            return (s,)
+        p = place.data
+        v = int(n % p == 0)
+        u = (n // p if v else n) * (-1 if s else 1)
+        if p == 2:
+            return (v, u % 8)
+        return (v, int(not place.residue_field().is_square_raw(u % p)))
     if isinstance(field, RatFunField):
-        if place.kind == "poly":
-            _, c = cls.key
-            poly = Poly(field.base, c)
-            return 1 if (poly % place.data).is_zero() and poly.degree() >= 1 else 0
+        if isinstance(field.base, FiniteField):
+            return _fqt_local(field, key, place)
+        # Q(t) keeps polynomial keys: read the representative's valuation
+        v, res = valuation(cls.rep(), place)
+        return (v % 2, square_class(res).key)
+    raise UnsupportedPlace(f"no local class of {cls!r} at {place!r}")
+
+
+def _class_support(field: Field, classes: Iterable[SquareClass]) -> list[Place]:
+    """``support_places`` of the representatives, read off the keys: the
+    real place, 2 and the primes of each key over Q; infinity and the
+    places of each key over F_q(t)."""
+    if isinstance(field, RationalField):
+        primes = {2}
+        for cls in classes:
+            primes.update(p for p, _ in factor_int(cls.key[1]))
+        out = [rational_place("real")]
+        out.extend(rational_place(p) for p in sorted(primes))
+        return out
+    if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
+        union = set()
+        for cls in classes:
+            union.update(cls.key[1])
+        out = [Place(field, "inf", None)]
+        out.extend(place for _, place in sorted(_fqt_place(field, c) for c in union))
+        return out
+    raise UnsupportedField(f"no place enumeration over {field}")
+
+
+def class_place_parity(cls: SquareClass, place: Place) -> int:
+    """v_place of the canonical representative, always 0 or 1; over
+    F_q(t), membership of the place in the key."""
+    field = cls.field
+    if isinstance(field, RatFunField) and place.kind in ("poly", "inf"):
+        if isinstance(field.base, FiniteField):
+            places = cls.key[1]
+            if place.kind == "poly":
+                return int(place.data.coeffs in places)
+            return sum(len(c) - 1 for c in places) % 2
+        _, c = cls.key
         if place.kind == "inf":
-            _, c = cls.key
             return (len(c) - 1) % 2
+        poly = Poly(field.base, c)
+        return 1 if (poly % place.data).is_zero() and poly.degree() >= 1 else 0
     if isinstance(field, RationalField) and place.kind == "prime":
         _, n = cls.key
         return 1 if n % place.data == 0 else 0
@@ -1745,11 +1892,8 @@ def support_places(field: Field, elems: Iterable) -> list[Place]:
             x = field.elem(x) if not isinstance(x, FieldElem) else x
             if not x:
                 raise ZeroArgument("support of zero")
-            num, den = x.val
-            for part in (num, den):
-                if part.degree() >= 1:
-                    for irr, _ in factor_poly(part.monic()):
-                        polys[_poly_key(irr)] = irr
+            for irr, _ in _ratfun_factors(x)[1]:
+                polys[_poly_key(irr)] = irr
         # factor_poly returns monic irreducibles, so these places skip the
         # irreducibility test function_place makes of caller input
         out = [function_place(field, "inf")]

@@ -16,7 +16,14 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import MixedFields, ZeroEntry
-from .fields import Field, FiniteField, SquareClass, _trivial_key, square_class
+from .fields import (
+    Field,
+    FiniteField,
+    SquareClass,
+    _minus_one_class,
+    _trivial_class,
+    square_class,
+)
 
 
 class GroupRingElem:
@@ -151,7 +158,7 @@ class GroupRingElem:
     def diag_rep(self) -> list[SquareClass]:
         """Diagonal representative of the same Witt class: negative
         multiples of ``<a>`` are replaced by copies of ``<-a>``."""
-        minus_one = square_class(self.field.elem(-1))
+        minus_one = _minus_one_class(self.field)
         rep: list[SquareClass] = []
         for cls in sorted(self.coeffs, key=lambda s: s.sort_key):
             c = self.coeffs[cls]
@@ -175,10 +182,6 @@ class GroupRingElem:
             else:
                 parts.append(f"{c}*{tag}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _trivial_class(field: Field) -> SquareClass:
-    return SquareClass(field, _trivial_key(field))
 
 
 def gr_zero(field: Field) -> GroupRingElem:

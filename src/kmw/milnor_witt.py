@@ -57,8 +57,8 @@ from .group_ring import GroupRingElem
 from .witt import (
     _has_witt_decisions,
     _hasse_defects,
+    _in_i_power,
     _signed_disc,
-    in_i_power,
     pfister_form,
     second_residue,
     signature,
@@ -273,15 +273,15 @@ def _check_fiber(field, degree: int, milnor: MilnorCoords, witt: GroupRingElem):
         if (milnor.data - witt.rank()) % 2:
             raise IntegrityFailure("rank parity disagrees with the K_0 part")
         return
-    if not in_i_power(witt, degree):
-        raise IntegrityFailure("witt component escapes the expected ideal power")
     rep = witt.diag_rep()
+    if not _in_i_power(witt, rep, degree):
+        raise IntegrityFailure("witt component escapes the expected ideal power")
     if degree == 1:
         if square_class(milnor.data) != _signed_disc(field, rep):
             raise IntegrityFailure("K_1 square class disagrees with the discriminant")
         return
     # over a finite field the Witt class is decided by rank parity and
-    # signed discriminant, which in_i_power(witt, 2) has just found trivial
+    # signed discriminant, which _in_i_power has just found trivial
     if _field_kind(field) == "finite":
         return
     # degree 2: the places where the Hilbert sign the Milnor coordinates

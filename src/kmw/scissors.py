@@ -45,8 +45,8 @@ from .fields import (
     FiniteField,
     RatFunField,
     _as_place,
+    _local_class,
     finite_field,
-    square_class,
     valuation,
 )
 from .group_ring import GroupRingElem, gr_int, gr_mul, gr_unit, pfister_elem
@@ -706,9 +706,8 @@ def sv_apply(xi: RPElem, place) -> Tuple[RPTildeElem, RPTildeElem]:
         if v != 0:
             raise NonUnitArgument("every generator argument must be a unit at the place")
         for cls, n in coeff.coeffs.items():
-            w, unit_res = valuation(cls.rep(), place)
-            g = square_class(unit_res).key
-            comps[w % 2][ctx.flat_index(g, red)] += n
+            w, g = _local_class(cls, place)
+            comps[w][ctx.flat_index(g, red)] += n
     return RPTildeElem(q, comps[0]), RPTildeElem(q, comps[1])
 
 

@@ -22,7 +22,12 @@ Each Hasse product is read off local data, one record per (form, place):
 how many entries of a diagonal representative fall in each local square
 class there (four at a tame place, eight at 2 over Q, two at the real
 place), summed over pairs of classes.  That is O(r) per place rather
-than r(r-1)/2 Hilbert symbols.
+than r(r-1)/2 Hilbert symbols.  The local class of an entry is read off
+its square-class key, never off a representative element: over Q from
+(sign, squarefree n), and over F_q(t) from (base bit, places of odd
+valuation), where the class at a place P is (P in the places, chi_P(base)
+plus the bits of Q mod P over the other places Q), and at infinity (the
+degree parity, the base bit).  The support is read off the keys too.
 
 An independent brute-force route (`CountingTable`) classifies diagonal
 forms over a finite field by their value-count fingerprints and is used
@@ -48,14 +53,13 @@ from .fields import (
     RatFunField,
     RationalField,
     SquareClass,
+    _class_support,
     _eps,
-    _frac_mod,
+    _local_class,
+    _minus_one_class,
     _omega,
+    _trivial_class,
     finite_field,
-    rational_valuation,
-    square_class,
-    support_places,
-    valuation,
 )
 from .group_ring import GroupRingElem, _unit_class, gr_unit, gr_zero, pfister_elem
 
@@ -92,17 +96,13 @@ pfister_form = pfister_elem
 # -- invariants ---------------------------------------------------------
 
 
-def _rep_elems(rep: Sequence[SquareClass]) -> List[FieldElem]:
-    return [cls.rep() for cls in rep]
-
-
 def _signed_disc(field, rep: Sequence[SquareClass]) -> SquareClass:
     r = len(rep)
-    disc = square_class(field.elem(1))
+    disc = _trivial_class(field)
     for cls in rep:
         disc = disc * cls
     if (r * (r - 1) // 2) % 2:
-        disc = disc * square_class(field.elem(-1))
+        disc = disc * _minus_one_class(field)
     return disc
 
 
@@ -112,7 +112,7 @@ def signature(form: GroupRingElem) -> int:
         raise UnsupportedField("signatures require the rational field")
     sig = 0
     for cls, c in form.coeffs.items():
-        sig += c if cls.rep().val > 0 else -c
+        sig += -c if cls.key[0] else c  # the key's sign bit
     return sig
 
 
@@ -122,26 +122,8 @@ def signature(form: GroupRingElem) -> int:
 # Arithmetic*, ch. III, §1), so it factors through the local square
 # classes there: four at a tame place, eight at 2 over Q, two at the real
 # place.  The Hasse product prod_{i<j} (a_i, a_j) of a diagonal form is
-# then read off how many entries fall in each class, in O(r) per place.
-
-
-def _local_class(x: FieldElem, place: Place) -> tuple:
-    """The local square class of x at the place: (sign bit,) at the real
-    place of Q; (v mod 2, u mod 8) at 2, for x = 2^v u; and at every
-    other place, all tame, (v mod 2, whether the residue of the unit
-    part is a nonsquare)."""
-    if place.kind == "real":
-        return (int(x.val < 0),)
-    if place.kind == "prime":
-        p = place.data
-        v, u = rational_valuation(x.val, p)
-        if p == 2:
-            return (v % 2, _frac_mod(u, 8))
-        res, kappa = _frac_mod(u, p), place.residue_field()
-    else:
-        v, res = valuation(x, place)
-        res, kappa = res.val, res.field
-    return (v % 2, int(not kappa.is_square_raw(res)))
+# then read off how many entries fall in each class, in O(r) per place;
+# ``fields._local_class`` reads each entry's local class off its key.
 
 
 def _symbol_bit(place: Place, x: tuple, y: tuple) -> int:
@@ -156,10 +138,13 @@ def _symbol_bit(place: Place, x: tuple, y: tuple) -> int:
     return (s * f + t * e + minus_one) % 2
 
 
-def _local_hasse(elems: Sequence[FieldElem], place: Place) -> int:
-    """prod_{i<j} (a_i, a_j) at the place, from the local data of the
-    entries: the count of entries in each local square class."""
-    counts = Counter(_local_class(x, place) for x in elems)
+def _local_hasse(rep: Sequence[SquareClass], place: Place) -> int:
+    """prod_{i<j} (a_i, a_j) at the place for the diagonal form with the
+    given entry classes, from its local data: the count of entries in
+    each local square class."""
+    counts: Counter = Counter()
+    for cls, n in Counter(rep).items():
+        counts[_local_class(cls, place)] += n
     classes = list(counts)
     bit = 0
     for i, x in enumerate(classes):
@@ -170,24 +155,19 @@ def _local_hasse(elems: Sequence[FieldElem], place: Place) -> int:
     return -1 if bit % 2 else 1
 
 
-def _support_of_rep(field, elems: Sequence[FieldElem]):
-    if not elems:
-        return []
-    return support_places(field, elems)
-
-
 def _hasse_defects(field, rep: Sequence[SquareClass]) -> Dict[Place, int]:
     """The places where the Hasse product of an even-rank diagonal form
     differs from that of the hyperbolic form of the same rank, each
     mapped to -1.  Off the support of the entries both products are 1."""
-    elems = _rep_elems(rep)
-    m = len(elems) // 2
+    if not rep:
+        return {}
+    m = len(rep) // 2
     # the hyperbolic form of rank 2m has Hasse product (-1, -1)^(m(m-1)/2)
-    minus_ones = [field.elem(-1)] * 2 if (m * (m - 1) // 2) % 2 else []
+    minus_ones = [_minus_one_class(field)] * 2 if (m * (m - 1) // 2) % 2 else []
     return {
         place: -1
-        for place in _support_of_rep(field, elems)
-        if _local_hasse(elems, place) != _local_hasse(minus_ones, place)
+        for place in _class_support(field, rep)
+        if _local_hasse(rep, place) != _local_hasse(minus_ones, place)
     }
 
 
@@ -277,9 +257,13 @@ def in_i_power(form: GroupRingElem, n: int) -> bool:
     """Membership in the n-th power of the fundamental ideal, n in 1..3."""
     if n not in (1, 2, 3):
         raise UnsupportedDegree("fundamental-ideal filtration is decided for n in 1..3")
+    _check_decidable(form.field)
+    return _in_i_power(form, form.diag_rep(), n)
+
+
+def _in_i_power(form: GroupRingElem, rep: Sequence[SquareClass], n: int) -> bool:
+    """``in_i_power`` for a form with the diagonal representative rep."""
     field = form.field
-    _check_decidable(field)
-    rep = form.diag_rep()
     if len(rep) % 2:
         return False
     if n == 1:
@@ -305,14 +289,15 @@ def _residue_form(form: GroupRingElem, place, parity: int) -> GroupRingElem:
     # classes <pi^v u> with v of the given parity map to <u-bar>
     if place.field is not form.field:
         raise MixedFields("place does not belong to the form's field")
+    kappa = place.residue_field()
     out: Dict[SquareClass, int] = {}
     for cls, c in form.coeffs.items():
-        v, res = valuation(cls.rep(), place)
-        if v % 2 != parity:
+        v, res = _local_class(cls, place)
+        if v != parity:
             continue
-        rcls = square_class(res)
+        rcls = SquareClass(kappa, res)
         out[rcls] = out.get(rcls, 0) + c
-    return GroupRingElem(place.residue_field(), out)
+    return GroupRingElem(kappa, out)
 
 
 def second_residue(form: GroupRingElem, place) -> GroupRingElem:
@@ -409,7 +394,7 @@ class CountingTable:
     def form_is_witt_zero(self, form: GroupRingElem) -> bool:
         if form.field is not self.field:
             raise MixedFields("form lives over a different field")
-        return self.rep_is_witt_zero(_rep_elems(form.diag_rep()))
+        return self.rep_is_witt_zero([cls.rep() for cls in form.diag_rep()])
 
 
 def _witt_class_reps(table: CountingTable) -> List[List[FieldElem]]:

@@ -7,8 +7,10 @@ import subprocess
 import sys
 
 import pytest
+import square_class_oracle
 from witt_oracle import _hasse_product
 
+import kmw.fields
 import kmw.witt
 from kmw.cli import _is_odd_prime_power, _thread_cap, main, parse_field_spec
 from kmw.errors import UnsupportedField
@@ -403,15 +405,42 @@ class TestHasseStepAgainstPairwiseOracle:
         new = run_cli(capsys, argv)
         calls = []
 
-        def oracle(elems, place):
+        def oracle(rep, place):
             calls.append(place)
-            return _hasse_product(elems, place)
+            return _hasse_product([cls.rep() for cls in rep], place)
 
         monkeypatch.setattr(kmw.witt, "_local_hasse", oracle)
         old = run_cli(capsys, argv)
         assert new[:2] == old[:2]
         assert new[0] == 0
         assert bool(calls) == reaches_hasse
+
+
+class TestPlaceSetKeyAgainstPolynomialKey:
+    """The same stdout and exit code with F_q(t) square classes keyed by
+    place sets as with the polynomial key of ``square_class_oracle``."""
+
+    @pytest.fixture
+    def polynomial_key(self, monkeypatch):
+        yield lambda calls: square_class_oracle.install(monkeypatch, calls)
+        # the class of -1 cached under the oracle key must not outlive it
+        kmw.fields._minus_one_class.cache_clear()
+
+    @pytest.mark.parametrize("argv, reaches_fqt", [
+        ("verify mw-relations --field F9t --samples 20 --seed 5 --json", True),
+        ("verify mw-relations --field F3t --samples 60 --seed 2 --json", True),
+        ("verify witt --q-range 3:9 --json", True),
+        ("verify delta-t --field F9 --samples 3 --json", True),
+    ])
+    def test_stdout_is_byte_identical(self, capsys, polynomial_key, argv, reaches_fqt):
+        argv = argv.split()
+        new = run_cli(capsys, argv)
+        calls = []
+        polynomial_key(calls)
+        old = run_cli(capsys, argv)
+        assert new[:2] == old[:2]
+        assert new[0] == 0
+        assert bool(calls) == reaches_fqt
 
 
 class TestEntryPoint:

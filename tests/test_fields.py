@@ -360,8 +360,9 @@ class TestSquareClasses:
         t = F5t.t
         assert fl.square_class(t * t).is_trivial()
         c = fl.square_class(t**3)
-        bit, poly = c.key
-        assert bit == 0 and poly == (0, 1)  # class of t
+        bit, places = c.key
+        assert bit == 0 and places == ((0, 1),)  # class of t: the one place t
+        assert c.sort_key == (0, (0, 1)) and c.rep() == t
         c2 = fl.square_class(F5t.from_base(2) * t)
         assert c2.key[0] == 1  # 2 is a nonsquare mod 5
         assert (c * c).is_trivial()

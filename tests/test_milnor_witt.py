@@ -61,7 +61,6 @@ from kmw.milnor_witt import (
 )
 from kmw.group_ring import pfister_elem
 from kmw.witt import (
-    _rep_elems,
     _signed_disc,
     in_i_power,
     pfister_form,
@@ -70,7 +69,7 @@ from kmw.witt import (
     witt_is_zero,
     zero_form,
 )
-from witt_oracle import _ehat_matches_hyperbolic
+from witt_oracle import _ehat_matches_hyperbolic, _rep_elems
 
 Q = rationals()
 F5 = finite_field(5)

@@ -5,14 +5,19 @@ it."""
 
 from typing import Sequence
 
-from kmw.fields import FieldElem, FiniteField, RationalField, hilbert
-from kmw.witt import (
-    _check_decidable,
-    _rep_elems,
-    _signed_disc,
-    _support_of_rep,
-    signature,
-)
+from kmw.fields import FieldElem, FiniteField, RationalField, hilbert, support_places
+from kmw.witt import _check_decidable, _signed_disc, signature
+
+
+def _rep_elems(rep) -> list:
+    """The representative elements of a diagonal representative."""
+    return [cls.rep() for cls in rep]
+
+
+def _support_of_rep(field, elems: Sequence[FieldElem]):
+    if not elems:
+        return []
+    return support_places(field, elems)
 
 
 def _hasse_product(elems: Sequence[FieldElem], place) -> int:
