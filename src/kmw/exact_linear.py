@@ -7,11 +7,13 @@ images, cokernels of maps between finitely presented abelian groups).
 A presentation is reduced once.  ``AbGroupInfo`` runs a Hermite normal
 form (no transform) over the distinct rows, up to sign, of its relation
 matrix and keeps the nonzero rows as ``relation_basis``, a rank x n
-matrix spanning the same lattice; the Smith form that yields invariant
-factors and coordinates is then taken of that small basis (Cohen,
-GTM 138, section 2.4).  The kernel calculus stacks against
-``relation_basis`` rather than the tall, sparse relation matrix, so its
-``left_kernel`` transforms stay small.
+matrix spanning the same lattice.  That basis is unique and generates
+the lattice (Cohen, GTM 138, section 2.4), so everything reads the
+presentation through it: membership and element orders by reduction
+against its pivots, the relation check of ``AbMap`` on its rows, and
+the invariant factors from a transform-free Smith form of it.  The
+kernel calculus stacks against ``relation_basis`` rather than the tall,
+sparse relation matrix, so its ``left_kernel`` transforms stay small.
 
 The kernels themselves live in ``_snf_py`` and work in arbitrary
 precision, so no entry size needs a special path.
@@ -19,7 +21,8 @@ precision, so no entry size needs a special path.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import _snf_py
@@ -165,33 +168,6 @@ def hnf(m: IntMatrix, want_u: bool = True):
     )
 
 
-def det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(m.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _pivot_data(h_rows: list[tuple[int, ...]], rank: int):
     # (row, pivot column, pivot value) for each nonzero HNF row
     out = []
@@ -248,16 +224,10 @@ def left_kernel(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=m.rows)
 
 
-def solve_left(m: IntMatrix, target: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Some x with x*m = target, or None if target is outside the row
-    lattice of m."""
-    return _left_solver(m)(target)
-
-
 def _left_solver(m: IntMatrix) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
-    """``solve_left`` against ``m`` for many targets: one Hermite
-    reduction with transform, shared by every call of the returned
-    function."""
+    """A solver for x*m = target against ``m``: the returned function
+    gives some such x, or None if target is outside the row lattice of
+    m.  One Hermite reduction with transform is shared by every call."""
     h, u, r = hnf(m, want_u=True)
     pivots = _pivot_data(h.row_list(), r)
 
@@ -305,15 +275,13 @@ class AbGroupInfo:
 
     The relations are reduced once, to their Hermite basis
     ``relation_basis`` (rank x n, same row lattice as
-    ``relation_matrix``); the Smith form of that basis gives the
-    invariant factors.  Only the distinct nonzero relation rows, a row
+    ``relation_matrix``).  Only the distinct nonzero relation rows, a row
     and its negation counting as one, enter that reduction: they span
     the same lattice, and the Hermite basis of a lattice is unique.
-    ``relation_matrix`` is kept as given.  Both readings come from the
-    basis: ``coordinate_map`` sends a generator-exponent vector to its
-    image in Z^free ⊕ ⊕_i Z/d_i through the Smith column transform, and
-    ``is_zero`` decides lattice membership by reduction against the
-    Hermite pivots (the two agree; the tests cross-check them)."""
+    ``relation_matrix`` is kept as given.  Every reading comes from the
+    basis: the invariant factors from its Smith form, taken without
+    transforms, and ``is_zero`` and ``element_order`` from reduction
+    against its pivots."""
 
     def __init__(self, labels: Sequence[str], relations: IntMatrix):
         labels = tuple(str(s) for s in labels)
@@ -328,18 +296,10 @@ class AbGroupInfo:
         self.relation_basis = IntMatrix(rank, n, h_flat[: rank * n])
         self._pivots = _pivot_data(self.relation_basis.row_list(), rank)
 
-        d_flat, _, v = _snf_py.snf_kernel(self.relation_basis.entries, rank, n, False, True)
-        diag = [0] * n
-        for j in range(min(rank, n)):
-            diag[j] = d_flat[j * n + j]
-        self._diag = tuple(diag)
-        self._v_rows = tuple(
-            tuple(v[i * n + j] for j in range(n)) for i in range(n)
-        )
-        self._free_cols = tuple(j for j in range(n) if diag[j] == 0)
-        self._tor_cols = tuple(j for j in range(n) if diag[j] >= 2)
-        self.invariant_factors = tuple(diag[j] for j in self._tor_cols)
-        self.free_rank = len(self._free_cols)
+        d_flat, _, _ = _snf_py.snf_kernel(self.relation_basis.entries, rank, n, False, False)
+        diag = [d_flat[j * n + j] for j in range(min(rank, n))]
+        self.invariant_factors = tuple(d for d in diag if d >= 2)
+        self.free_rank = n - sum(1 for d in diag if d)
         if rank != n - self.free_rank:
             raise IntegrityFailure("normal forms disagree on rank")
 
@@ -350,23 +310,6 @@ class AbGroupInfo:
     def label_index(self, label: str) -> int:
         return self.generator_labels.index(label)
 
-    def coordinate_map(self, vec: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Canonical coordinates (free part, torsion part) of a vector of
-        generator exponents."""
-        vec = list(vec)
-        if len(vec) != self.ngens:
-            raise ValueError("vector length does not match generator count")
-        n = self.ngens
-        y = [0] * n
-        for i, x in enumerate(vec):
-            if x:
-                vrow = self._v_rows[i]
-                for j in range(n):
-                    y[j] += x * vrow[j]
-        free = tuple(y[j] for j in self._free_cols)
-        tors = tuple(y[j] % self._diag[j] for j in self._tor_cols)
-        return free, tors
-
     def is_zero(self, vec: Sequence[int]) -> bool:
         vec = list(vec)
         if len(vec) != self.ngens:
@@ -374,15 +317,22 @@ class AbGroupInfo:
         return _member(self._pivots, vec) is not None
 
     def element_order(self, vec: Sequence[int]) -> Optional[int]:
-        """Order of the class of ``vec``; None when infinite."""
-        free, tors = self.coordinate_map(vec)
-        if any(free):
-            return None
+        """Order of the class of ``vec``; None when infinite.  The basis
+        rows are independent, so ``vec`` has unique rational coefficients
+        over them when it lies in their span, and its order is the lcm of
+        their denominators."""
+        rem = [Fraction(x) for x in vec]
+        if len(rem) != self.ngens:
+            raise ValueError("vector length does not match generator count")
         out = 1
-        for j, y in zip(self._tor_cols, tors):
-            if y:
-                d = self._diag[j]
-                out = lcm(out, d // gcd(d, y))
+        for row, c, p in self._pivots:
+            a = rem[c] / p
+            if a:
+                for k in range(c, len(rem)):
+                    rem[k] -= a * row[k]
+                out = lcm(out, a.denominator)
+        if any(rem):
+            return None
         return out
 
     def order(self) -> Optional[int]:
@@ -425,8 +375,8 @@ def fp_group(labels: Sequence[str], relations) -> AbGroupInfo:
 
 class AbMap:
     """Homomorphism between finitely presented abelian groups, given on
-    generators; construction verifies every source relation dies in the
-    target."""
+    generators; construction verifies that every source relation dies in
+    the target, by checking the rows of the source's ``relation_basis``."""
 
     def __init__(self, source: AbGroupInfo, target: AbGroupInfo, images):
         if not isinstance(images, IntMatrix):
@@ -436,10 +386,14 @@ class AbMap:
         self.source = source
         self.target = target
         self.images = images
-        # a row and its negation die together, so check each distinct
-        # relation once and name it by its first row
-        for i, row in _distinct_rows(source.relation_matrix):
+        # a map kills a lattice iff it kills a basis of it; the first
+        # distinct relation row that survives names the failure
+        for row in source.relation_basis.row_list():
             if not target.is_zero(self.apply(row)):
+                i = next(
+                    i for i, rel in _distinct_rows(source.relation_matrix)
+                    if not target.is_zero(self.apply(rel))
+                )
                 raise RelationNotKilled(
                     f"source relation {i} maps to a nonzero target element"
                 )
@@ -489,20 +443,6 @@ def fp_kernel(f: AbMap) -> tuple[AbGroupInfo, AbMap]:
     kern = AbGroupInfo(labels, IntMatrix.from_rows(rel_rows, cols=k))
     incl = AbMap(kern, f.source, gens)
     return kern, incl
-
-
-def fp_image(f: AbMap) -> AbGroupInfo:
-    """Image of ``f`` presented on the source generators (isomorphic to
-    source modulo the kernel lattice)."""
-    n = f.source.ngens
-    stacked = f.images.stack(f.target.relation_basis)
-    kb = left_kernel(stacked)
-    rel_rows = []
-    for i in range(kb.rows):
-        row = kb.row(i)[:n]
-        if any(row):
-            rel_rows.append(row)
-    return AbGroupInfo(f.source.generator_labels, IntMatrix.from_rows(rel_rows, cols=n))
 
 
 def fp_cokernel(f: AbMap) -> AbGroupInfo:

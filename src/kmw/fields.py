@@ -103,6 +103,17 @@ def _prime_power(q: int) -> tuple[int, int]:
 # fields and elements
 
 
+def _power(x, e: int, times):
+    """x^e for e >= 1 by left-to-right square and multiply: one squaring
+    per bit of e below the top and one product per set bit below it."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = times(out, out)
+        if bit == "1":
+            out = times(out, x)
+    return out
+
+
 class Field:
     """Common surface of all field handles.  ``_zero_raw`` and
     ``_one_raw`` are the raw values of zero and one."""
@@ -179,14 +190,9 @@ class FieldElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        out = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        if e == 0:
+            return self.field.one
+        return _power(self, e, mul)
 
     def __bool__(self):
         return self.val != self.field._zero_raw
@@ -400,13 +406,7 @@ class _PolyExtension(FiniteField):
         return self._encode(_pl_rem(self.base, prod, self._mod))
 
     def _poly_pow(self, a, e: int):
-        out = 1
-        while e:
-            if e & 1:
-                out = self._poly_mul(out, a)
-            a = self._poly_mul(a, a)
-            e >>= 1
-        return out
+        return _power(a, e, self._poly_mul) if e else 1
 
     _mul = _poly_mul
     _pow_raw = _poly_pow
@@ -885,14 +885,9 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.constant(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        if e == 0:
+            return Poly.constant(self.field, 1)
+        return _power(self, e, mul)
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -920,15 +915,11 @@ class Poly:
     def pow_mod(self, e: int, m: "Poly") -> "Poly":
         if e < 0:
             raise ValueError("negative exponent")
-        mm = list(self._same(m).coeffs)
-        acc = [self.field._one_raw]
-        base = _pl_rem(self.field, list(self.coeffs), mm)
-        while e:
-            if e & 1:
-                acc = _pl_rem(self.field, _pl_mul(self.field, acc, base), mm)
-            base = _pl_rem(self.field, _pl_mul(self.field, base, base), mm)
-            e >>= 1
-        return Poly(self.field, acc)
+        if e == 0:
+            return Poly(self.field, [self.field._one_raw])
+        field, mm = self.field, list(self._same(m).coeffs)
+        base = _pl_rem(field, list(self.coeffs), mm)
+        return Poly(field, _power(base, e, lambda a, b: _pl_rem(field, _pl_mul(field, a, b), mm)))
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, self._same(other)

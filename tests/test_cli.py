@@ -7,10 +7,12 @@ import subprocess
 import sys
 
 import pytest
+import smith_oracle
 import square_class_oracle
 from witt_oracle import _hasse_product
 
 import kmw.fields
+import kmw.scissors
 import kmw.witt
 from kmw.cli import _is_odd_prime_power, _thread_cap, main, parse_field_spec
 from kmw.errors import UnsupportedField
@@ -441,6 +443,43 @@ class TestPlaceSetKeyAgainstPolynomialKey:
         assert new[:2] == old[:2]
         assert new[0] == 0
         assert bool(calls) == reaches_fqt
+
+
+class TestHermiteReadingAgainstSmithReading:
+    """The same stdout and exit code with element orders and map checks
+    read off the Hermite basis as with the Smith-coordinate reading and
+    the all-rows map check of ``smith_oracle``."""
+
+    @pytest.fixture
+    def smith_reading(self, monkeypatch):
+        monkeypatch.delenv("KMW_THREADS", raising=False)
+        # cached contexts keep their maps and derived groups; rebuild them
+        # under the oracle, and drop what the oracle built afterwards
+        kmw.scissors.scissors_context.cache_clear()
+
+        def install(calls):
+            kmw.scissors.scissors_context.cache_clear()
+            smith_oracle.install(monkeypatch, calls)
+
+        yield install
+        kmw.scissors.scissors_context.cache_clear()
+
+    @pytest.mark.parametrize("argv, reaches_oracle", [
+        ("derived --q-range 5:25 --json", True),
+        ("pb --q-range 5:49 --json", False),
+        ("rp --q-range 5:19 --json", False),
+    ])
+    def test_stdout_is_byte_identical(self, capsys, smith_reading, argv, reaches_oracle):
+        argv = argv.split()
+        new = run_cli(capsys, argv)
+        calls = []
+        smith_reading(calls)
+        old = run_cli(capsys, argv)
+        assert new[:2] == old[:2]
+        assert new[0] == 0
+        assert bool(calls) == reaches_oracle
+        if reaches_oracle:
+            assert set(calls) == {"AbMap", "element_order"}
 
 
 class TestEntryPoint:

@@ -906,3 +906,87 @@ class TestTableChoice:
             assert zech[n] == (log[b] if b else -1)
             acc = kappa._poly_mul(acc, g)
         assert acc == 1
+
+
+# -- square and multiply ---------------------------------------------------
+#
+# A power x^e, e >= 1, costs one squaring per bit of e below the top and
+# one product per set bit below it: no product by one and no squaring
+# after the top bit.  The values are checked against repeated products.
+
+POW_EXPONENTS = (1, 2, 8, 13)
+
+
+def pow_products(e):
+    return (e.bit_length() - 1) + (bin(e).count("1") - 1)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def repeated(mul, x, e):
+    out = x
+    for _ in range(e - 1):
+        out = mul(out, x)
+    return out
+
+
+class TestSquareAndMultiply:
+    @pytest.mark.parametrize("e", POW_EXPONENTS)
+    @pytest.mark.parametrize("spec, text", [("F7", "3"), ("F3t", "(t^2+1)/(t+2)")])
+    def test_field_element_power(self, monkeypatch, spec, text, e):
+        x = fl.field_make(spec).parse(text)
+        want = repeated(lambda a, b: a * b, x, e)
+        calls = count_calls(monkeypatch, fl.FieldElem, "__mul__")
+        assert x**e == want
+        assert len(calls) == pow_products(e)
+
+    @pytest.mark.parametrize("e", POW_EXPONENTS)
+    def test_polynomial_power(self, monkeypatch, e):
+        F5 = fl.finite_field(5)
+        f = fl.Poly.from_elems(F5, [2, 1, 3])
+        want = repeated(lambda a, b: a * b, f, e)
+        calls = count_calls(monkeypatch, fl.Poly, "__mul__")
+        assert f**e == want
+        assert len(calls) == pow_products(e)
+
+    @pytest.mark.parametrize("e", POW_EXPONENTS)
+    def test_pow_mod(self, monkeypatch, e):
+        F3 = fl.finite_field(3)
+        f = fl.Poly.from_elems(F3, [1, 2, 0, 1])
+        m = fl.Poly.from_elems(F3, [2, 0, 1, 1, 1])
+        want = repeated(lambda a, b: a * b, f, e) % m
+        calls = count_calls(monkeypatch, fl, "_pl_mul")
+        assert f.pow_mod(e, m) == want
+        assert len(calls) == pow_products(e)
+
+    @pytest.mark.parametrize("e", POW_EXPONENTS)
+    def test_extension_polynomial_power(self, monkeypatch, e):
+        # x^2 + x + 2 is irreducible over F3 but not the canonical modulus
+        # of F9, so this field computes by polynomials
+        F3 = fl.finite_field(3)
+        K = fl.extension_field(F3, fl.Poly.from_elems(F3, [2, 1, 1]))
+        assert type(K) is fl._PolyExtension
+        a = 5
+        want = repeated(K._poly_mul, a, e)
+        calls = count_calls(monkeypatch, fl._PolyExtension, "_poly_mul")
+        assert K._poly_pow(a, e) == want
+        assert len(calls) == pow_products(e)
+
+    def test_zeroth_and_negative_powers(self):
+        F3t = fl.field_make("F3t")
+        x = F3t.parse("(t^2+1)/(t+2)")
+        assert x**0 == F3t.one
+        assert x**-3 == (x**3).inv()
+        f = fl.Poly.from_elems(fl.finite_field(5), [2, 1, 3])
+        assert f**0 == fl.Poly.constant(f.field, 1)
+        assert f.pow_mod(0, f) == fl.Poly.constant(f.field, 1)
