@@ -474,9 +474,14 @@ def _matrix_entry(value) -> int:
 def _matrix_from_json(data) -> Optional[IntMatrix]:
     if isinstance(data, dict):
         try:
-            return IntMatrix.from_json(data)
-        except (KeyError, TypeError) as exc:
+            rows, cols, entries = data["rows"], data["cols"], data["entries"]
+        except KeyError as exc:
             raise ValueError(f"bad matrix object: {exc}") from None
+        if not isinstance(entries, list):
+            raise ValueError("bad matrix object: entries must be a JSON array")
+        return IntMatrix(
+            _matrix_entry(rows), _matrix_entry(cols), [_matrix_entry(e) for e in entries]
+        )
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError(
             "expected a JSON array of rows or a {rows, cols, entries} object"

@@ -30,10 +30,6 @@ class ZeroPolynomial(KmwError):
     """Polynomial factorization of the zero polynomial is undefined."""
 
 
-class EvenPrimeForLegendre(KmwError):
-    """The Legendre symbol is only defined for odd prime moduli."""
-
-
 class InfinitePlace(KmwError):
     """A tame symbol was requested at a place with no residue reduction."""
 

@@ -74,13 +74,6 @@ class IntMatrix:
     def row_list(self) -> list[tuple[int, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        out = [0] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.entries[i * self.cols + j]
-        return IntMatrix(self.cols, self.rows, out)
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
@@ -130,18 +123,6 @@ class IntMatrix:
             body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
             return f"IntMatrix({self.rows}x{self.cols}: {body})"
         return f"IntMatrix({self.rows}x{self.cols})"
-
-    def to_json(self) -> dict:
-        # entries as decimal strings: JSON consumers must not lose precision
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [str(x) for x in self.entries],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "IntMatrix":
-        return cls(int(obj["rows"]), int(obj["cols"]), [int(x) for x in obj["entries"]])
 
 
 def snf(
@@ -306,9 +287,6 @@ class AbGroupInfo:
     @property
     def ngens(self) -> int:
         return len(self.generator_labels)
-
-    def label_index(self, label: str) -> int:
-        return self.generator_labels.index(label)
 
     def is_zero(self, vec: Sequence[int]) -> bool:
         vec = list(vec)

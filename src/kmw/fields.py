@@ -4,8 +4,8 @@ Supported bases: odd-order finite fields F_q (polynomial quotients
 over a base field, down to the prime field), the rationals, and
 rational function fields over either.  On top of the arithmetic sit
 square classes with canonical keys, places with residue fields,
-valuations, polynomial factorization over F_q, and the Legendre /
-Hilbert / tame symbols.
+valuations, polynomial factorization over F_q, and the Hilbert and
+tame symbols.
 
 Conventions that the rest of the library leans on:
 
@@ -33,7 +33,6 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    EvenPrimeForLegendre,
     InfinitePlace,
     MixedFields,
     NonIrreducibleModulus,
@@ -1269,9 +1268,6 @@ class Place:
     def __setattr__(self, name, value):
         raise AttributeError("Place is immutable")
 
-    def is_finite(self) -> bool:
-        return self.kind in ("prime", "poly")
-
     def residue_field(self) -> Field:
         if self.kind == "prime":
             return _residue_prime_field(self.data)
@@ -1721,52 +1717,8 @@ def _class_support(field: Field, classes: Iterable[SquareClass]) -> list[Place]:
     raise UnsupportedField(f"no place enumeration over {field}")
 
 
-def class_place_parity(cls: SquareClass, place: Place) -> int:
-    """v_place of the canonical representative, always 0 or 1; over
-    F_q(t), membership of the place in the key."""
-    field = cls.field
-    if isinstance(field, RatFunField) and place.kind in ("poly", "inf"):
-        if isinstance(field.base, FiniteField):
-            places = cls.key[1]
-            if place.kind == "poly":
-                return int(place.data.coeffs in places)
-            return sum(len(c) - 1 for c in places) % 2
-        _, c = cls.key
-        if place.kind == "inf":
-            return (len(c) - 1) % 2
-        poly = Poly(field.base, c)
-        return 1 if (poly % place.data).is_zero() and poly.degree() >= 1 else 0
-    if isinstance(field, RationalField) and place.kind == "prime":
-        _, n = cls.key
-        return 1 if n % place.data == 0 else 0
-    raise UnsupportedPlace(f"no parity of {cls!r} at {place!r}")
-
-
 # ---------------------------------------------------------------------------
 # symbols
-
-
-def legendre(a, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p: 0 on p-divisible a, else
-    +-1 by Euler's criterion."""
-    if not isinstance(p, int) or not _is_prime(p):
-        raise ValueError(f"{p!r} is not prime")
-    if p == 2:
-        raise EvenPrimeForLegendre("Legendre symbols need an odd prime")
-    if isinstance(a, FieldElem):
-        if not isinstance(a.field, RationalField):
-            raise TypeError("legendre expects a rational number")
-        a = a.val
-    a = Fraction(a)
-    if not a:
-        raise ZeroArgument("Legendre symbol of zero")
-    v, unit = rational_valuation(a, p)
-    if v < 0:
-        raise ZeroArgument(f"{a} is not a {p}-adic integer")
-    if v > 0:
-        return 0
-    r = pow(_frac_mod(unit, p), (p - 1) // 2, p)
-    return -1 if r == p - 1 else 1
 
 
 def _eps(u: int) -> int:

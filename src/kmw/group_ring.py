@@ -127,21 +127,6 @@ class GroupRingElem:
 
     rank = augmentation  # the virtual rank of the form
 
-    def in_augmentation_ideal(self) -> bool:
-        return self.augmentation() == 0
-
-    def in_augmentation_square(self) -> bool:
-        """Membership in Aug^2: zero augmentation and trivial class
-        product (for the order-two class group this is the classical
-        even-coefficient test)."""
-        if self.augmentation() != 0:
-            return False
-        prod = _trivial_class(self.field)
-        for cls, c in self.coeffs.items():
-            if c % 2:
-                prod = prod * cls
-        return prod.is_trivial()
-
     def to_pair(self) -> tuple[int, int]:
         """Coefficients (on 1, on the nonsquare class) over a finite
         field, where the class group is {1, s}."""
@@ -210,10 +195,6 @@ def gr_class(cls: SquareClass) -> GroupRingElem:
 
 def gr_mul(x: GroupRingElem, y: GroupRingElem) -> GroupRingElem:
     return x * y
-
-
-def augmentation(x: GroupRingElem) -> int:
-    return x.augmentation()
 
 
 def pfister_elem(field: Field, slots: Iterable) -> GroupRingElem:

@@ -61,7 +61,6 @@ from .witt import (
     _signed_disc,
     pfister_form,
     second_residue,
-    signature,
     unit_form,
     witt_equal,
     zero_form,
@@ -215,9 +214,6 @@ class MWElem:
 
     def __setattr__(self, name, value):
         raise AttributeError("MWElem is immutable")
-
-    def has_pair(self) -> bool:
-        return self.milnor is not None
 
     def pair(self) -> Tuple[MilnorCoords, GroupRingElem]:
         if self.milnor is None:
@@ -507,16 +503,6 @@ def mw_delta(x: MWElem, place) -> MWElem:
             acc = acc * tame_symbol(a, b, place) ** c
     witt_part = second_residue(mw_witt_part(x), place)
     return _pair_elem(kappa, 1, MilnorCoords(kappa, 1, acc), witt_part)
-
-
-def t_sigma(x: MWElem) -> int:
-    """Signature homomorphism on degree 2 over the rationals,
-    normalized so the square of the class of -1 maps to 1."""
-    if not isinstance(x.field, RationalField):
-        raise UnsupportedField("the signature map is defined over the rationals")
-    if x.degree != 2:
-        raise UnsupportedDegree("the signature map consumes degree-2 elements")
-    return signature(mw_witt_part(x)) // 4
 
 
 # -- structure descriptors ---------------------------------------------

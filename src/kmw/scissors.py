@@ -12,8 +12,8 @@ The rows of the presentations, the K1 rows and the images of the lambda
 maps are index arithmetic on discrete logs: a unit is g^a, its square
 class is a mod 2, and 1 - g^a is a Zech-table lookup in the field's
 exp/log/Zech tables.  The element path (``refined_five_term``,
-``rp_vector``, ``psi1_vector``, ``pfister_elem``) is their row-for-row
-oracle and serves ``r_element`` and the specialization maps.
+``rp_vector``, ``psi1_vector``) is their row-for-row oracle and serves
+the specialization maps.
 
 Derived objects are kernels and quotients computed with the integer
 linear algebra layer: the Bloch-type kernels B, RB, RP_1, the
@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
+    BadBound,
     DegenerateArguments,
     EvenQ,
     IntegrityFailure,
@@ -49,116 +50,7 @@ from .fields import (
     finite_field,
     valuation,
 )
-from .group_ring import GroupRingElem, gr_int, gr_mul, gr_unit, pfister_elem
-
-
-# -- symmetric squares --------------------------------------------------
-
-
-class Sym2Elem:
-    """Element of the graded symmetric square of the unit group.
-
-    Over a finite field the group is cyclic of even order and the
-    symmetric square collapses to one Z/2 coordinate.  Over the
-    rationals the basis is -1 followed by the primes; off-diagonal
-    coordinates are integers (with a o b = -(b o a)) and diagonal
-    coordinates live in Z/2 (since 2(a o a) = 0).
-    """
-
-    __slots__ = ("field", "data")
-
-    def __init__(self, field, data):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sym2Elem is immutable")
-
-    def is_zero(self) -> bool:
-        if isinstance(self.field, FiniteField):
-            return self.data == 0
-        off, diag = self.data
-        return not off and not diag
-
-    def __eq__(self, other):
-        if not isinstance(other, Sym2Elem):
-            return NotImplemented
-        return self.field is other.field and self.data == other.data
-
-    def __add__(self, other):
-        if not isinstance(other, Sym2Elem):
-            return NotImplemented
-        if self.field is not other.field:
-            raise MixedFields("cannot combine over different fields")
-        if isinstance(self.field, FiniteField):
-            return Sym2Elem(self.field, (self.data + other.data) % 2)
-        off1, diag1 = self.data
-        off2, diag2 = other.data
-        off = dict(off1)
-        for k, v in off2.items():
-            off[k] = off.get(k, 0) + v
-            if not off[k]:
-                del off[k]
-        diag = dict(diag1)
-        for k, v in diag2.items():
-            diag[k] = (diag.get(k, 0) + v) % 2
-            if not diag[k]:
-                del diag[k]
-        return Sym2Elem(self.field, (off, diag))
-
-    def __neg__(self):
-        if isinstance(self.field, FiniteField):
-            return self
-        off, diag = self.data
-        return Sym2Elem(self.field, ({k: -v for k, v in off.items()}, dict(diag)))
-
-    def __repr__(self):
-        return f"Sym2Elem({self.data!r})"
-
-
-def _q_basis_vector(x) -> Dict[int, int]:
-    """Exponents of a nonzero rational over the basis -1, 2, 3, 5, ...
-    keyed by -1 -> key 1, prime p -> key p."""
-    from fractions import Fraction
-
-    from .fields import factor_int
-
-    x = Fraction(x)
-    if not x:
-        raise ZeroArgument("symmetric squares take nonzero arguments")
-    out: Dict[int, int] = {}
-    if x < 0:
-        out[1] = 1
-        x = -x
-    for p, e in factor_int(x.numerator):
-        out[p] = out.get(p, 0) + e
-    for p, e in factor_int(x.denominator):
-        out[p] = out.get(p, 0) - e
-    return {k: v for k, v in out.items() if v}
-
-
-def sym2(field, a, b) -> Sym2Elem:
-    """The product a o b in the graded symmetric square of k^x."""
-    if isinstance(field, FiniteField):
-        ea = field.elem(a)
-        eb = field.elem(b)
-        if not ea or not eb:
-            raise ZeroArgument("symmetric squares take nonzero arguments")
-        return Sym2Elem(field, (field.dlog(ea) * field.dlog(eb)) % 2)
-    va = _q_basis_vector(field.elem(a).val)
-    vb = _q_basis_vector(field.elem(b).val)
-    off: Dict[Tuple[int, int], int] = {}
-    diag: Dict[int, int] = {}
-    for i, e in va.items():
-        for j, f in vb.items():
-            if i == j:
-                diag[i] = (diag.get(i, 0) + e * f) % 2
-            else:
-                key, sign = ((i, j), 1) if i < j else ((j, i), -1)
-                off[key] = off.get(key, 0) + sign * e * f
-    off = {k: v for k, v in off.items() if v}
-    diag = {k: v for k, v in diag.items() if v}
-    return Sym2Elem(field, (off, diag))
+from .group_ring import GroupRingElem, gr_int, gr_mul, gr_unit
 
 
 # -- formal refined elements --------------------------------------------
@@ -572,6 +464,9 @@ def pb_half(q: int) -> AbGroupInfo:
 
 
 def odd_part_int(n: int) -> int:
+    """n with every factor 2 removed, for n >= 1."""
+    if n < 1:
+        raise BadBound("the odd part is taken of a positive integer")
     while n % 2 == 0:
         n //= 2
     return n
@@ -583,37 +478,8 @@ def rp_presentation(q: int):
     return ctx.rp_labels(), ctx.rp_rows(), ctx.rp_group()
 
 
-def lambda_maps(q: int):
-    """(lambda_1, lambda_2, lambda on P) as validated maps."""
-    ctx = scissors_context(q)
-    lambda1, lambda2, _, lambda_p, _ = ctx.maps()
-    return lambda1, lambda2, lambda_p
-
-
 def derived_groups(q: int, strict: bool = True):
     return scissors_context(q).derived(strict=strict)
-
-
-def r_element(field, x) -> RPElem:
-    """(<-1> + 1)[x] + <<1-x>> psi_1(x): a kernel element of lambda_1."""
-    one = field.one
-    x = field.elem(x)
-    if not x or x == one:
-        raise DegenerateArguments("the construction needs x outside {0, 1}")
-    head = RPElem(
-        field,
-        [
-            (gr_int(field, 1) + gr_unit(field, field.elem(-1)), x),
-        ],
-    )
-    psi = RPElem(
-        field,
-        [
-            (gr_int(field, 1), x),
-            (gr_unit(field, field.elem(-1)), one / x),
-        ],
-    )
-    return head + psi.scale(pfister_elem(field, [one - x]))
 
 
 # -- specialization at a degree-one place ------------------------------
@@ -664,21 +530,6 @@ class RPTildeElem:
 
     def __repr__(self):
         return f"RPTildeElem(q={self.q}, vector={self.vector})"
-
-
-def rp_tilde_gen(q: int, a, twist: int = 0) -> RPTildeElem:
-    ctx = scissors_context(q)
-    arg = ctx.field.elem(a)
-    if not arg:
-        raise ZeroArgument("generator arguments must be nonzero")
-    vec = [0] * (2 * ctx.n_units)
-    vec[ctx.flat_index(twist % 2, arg)] = 1
-    return RPTildeElem(q, vec)
-
-
-def rp_tilde_zero(q: int) -> RPTildeElem:
-    ctx = scissors_context(q)
-    return RPTildeElem(q, [0] * (2 * ctx.n_units))
 
 
 def _place_for_sv(field, place):

@@ -42,7 +42,6 @@ from .scissors import (
     derived_groups,
     five_term_admissible,
     refined_five_term,
-    rp_gen,
     scissors_context,
     sv_apply,
     RPElem,

@@ -6,9 +6,9 @@ Grothendieck-Witt presentation with only the square-class relation
 applied.  That is the group ring Z[k^x / (k^x)^2], so forms are
 ``kmw.group_ring.GroupRingElem`` values (``VirtualForm`` is the same
 class) and ``pfister_form`` is ``pfister_elem``.  Witt-group questions
-(is this class zero, are two classes equal, does this lie in a power of
-the fundamental ideal) are answered by complete invariant sets per
-field kind:
+(``witt_is_zero``, ``witt_equal``, and ``in_i_power`` for the powers of
+the fundamental ideal) are decided by complete invariant sets per field
+kind, computed inside each decision rather than returned:
 
 * finite fields: parity of the virtual rank and the signed discriminant;
 * the rationals: parity, signed discriminant, real signature, and
@@ -28,10 +28,14 @@ its square-class key, never off a representative element: over Q from
 valuation), where the class at a place P is (P in the places, chi_P(base)
 plus the bits of Q mod P over the other places Q), and at infinity (the
 degree parity, the base bit).  The support is read off the keys too.
+``second_residue`` reads the same local classes: at a place of F_q(t)
+each class of odd valuation contributes its residue class.
 
 An independent brute-force route (`CountingTable`) classifies diagonal
-forms over a finite field by their value-count fingerprints and is used
-to derive the group structure of the Witt group from scratch.
+forms over a finite field by their value-count fingerprints;
+``witt_group_structure`` derives the Witt group of F_q from it alone,
+and ``kmw.reports.verify_descriptor`` re-executes ``witt_structure``
+provenance handles through it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .descriptor import GroupDescriptor, Provenance
 from .errors import (
     MixedFields,
     UnsupportedDegree,
@@ -171,61 +174,6 @@ def _hasse_defects(field, rep: Sequence[SquareClass]) -> Dict[Place, int]:
     }
 
 
-# -- invariants ---------------------------------------------------------
-
-
-class WittInvariants:
-    """Computed invariant set of a virtual form; ``rank`` is the rank
-    mod 2."""
-
-    __slots__ = ("rank", "signed_disc", "signatures", "hasse")
-
-    def __init__(self, rank, signed_disc, signatures, hasse):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "signed_disc", signed_disc)
-        object.__setattr__(self, "signatures", dict(signatures))
-        object.__setattr__(self, "hasse", dict(hasse))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WittInvariants is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, WittInvariants):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.signed_disc == other.signed_disc
-            and self.signatures == other.signatures
-            and self.hasse == other.hasse
-        )
-
-    def __repr__(self):
-        return (
-            f"WittInvariants(rank={self.rank}, disc={self.signed_disc.sort_key}, "
-            f"signatures={self.signatures}, hasse={self.hasse})"
-        )
-
-
-def witt_invariants(form: GroupRingElem) -> WittInvariants:
-    """Rank mod 2, signed discriminant, signatures, and the places where
-    the Hasse comparison with the hyperbolic form is nontrivial.  The
-    comparison is made on f - e<1> - <1, -d>, for f of rank parity e and
-    signed discriminant d: that form lies in I^2, where the comparison
-    is a Witt invariant, so Witt-equal forms get equal invariants."""
-    field = form.field
-    _check_decidable(field)
-    parity = form.rank() % 2
-    disc = _signed_disc(field, form.diag_rep())
-    signatures: Dict[str, int] = {}
-    hasse: Dict[Place, int] = {}
-    if isinstance(field, RationalField):
-        signatures["real"] = signature(form)
-    if isinstance(field, (RationalField, RatFunField)):
-        in_i2 = form - parity - diagonal_form(field, [1, -disc.rep()])
-        hasse = _hasse_defects(field, in_i2.diag_rep())
-    return WittInvariants(parity, disc, signatures, hasse)
-
-
 def _has_witt_decisions(field) -> bool:
     """Whether the invariants here decide Witt classes over the field:
     F_q, Q and F_q(t)."""
@@ -285,21 +233,6 @@ def _in_i_power(form: GroupRingElem, rep: Sequence[SquareClass], n: int) -> bool
 # -- residues -----------------------------------------------------------
 
 
-def _residue_form(form: GroupRingElem, place, parity: int) -> GroupRingElem:
-    # classes <pi^v u> with v of the given parity map to <u-bar>
-    if place.field is not form.field:
-        raise MixedFields("place does not belong to the form's field")
-    kappa = place.residue_field()
-    out: Dict[SquareClass, int] = {}
-    for cls, c in form.coeffs.items():
-        v, res = _local_class(cls, place)
-        if v != parity:
-            continue
-        rcls = SquareClass(kappa, res)
-        out[rcls] = out.get(rcls, 0) + c
-    return GroupRingElem(kappa, out)
-
-
 def second_residue(form: GroupRingElem, place) -> GroupRingElem:
     """Second residue form at a place of a rational function field.
 
@@ -309,15 +242,16 @@ def second_residue(form: GroupRingElem, place) -> GroupRingElem:
     """
     if not isinstance(form.field, RatFunField):
         raise UnsupportedField("second residues live over function fields")
-    return _residue_form(form, place, 1)
-
-
-def first_residue(form: GroupRingElem, place) -> GroupRingElem:
-    """First residue form: even-valuation classes ``<pi^(2m) u>`` map to
-    ``<u-bar>``; odd-valuation classes contribute nothing."""
-    if not isinstance(form.field, RatFunField):
-        raise UnsupportedField("residues live over function fields")
-    return _residue_form(form, place, 0)
+    if place.field is not form.field:
+        raise MixedFields("place does not belong to the form's field")
+    kappa = place.residue_field()
+    out: Dict[SquareClass, int] = {}
+    for cls, c in form.coeffs.items():
+        v, res = _local_class(cls, place)
+        if v:
+            rcls = SquareClass(kappa, res)
+            out[rcls] = out.get(rcls, 0) + c
+    return GroupRingElem(kappa, out)
 
 
 # -- brute-force route over finite fields -------------------------------
@@ -460,21 +394,6 @@ def witt_group_structure(q: int) -> dict:
         "element_orders": orders,
         "invariant_factors": factors,
     }
-
-
-def witt_descriptor(q: int) -> GroupDescriptor:
-    """Witt group of F_q as a group descriptor with recomputable
-    provenance."""
-    structure = witt_group_structure(q)
-    factors = structure["invariant_factors"]
-    return GroupDescriptor(
-        label=f"W(F_{q})",
-        free_rank=0,
-        cyclic_factors=factors,
-        provenance=[
-            Provenance("witt_structure", {"q": q}, {"free": 0, "cyclic": factors})
-        ],
-    )
 
 
 def i_square_is_zero(q: int) -> bool:

@@ -375,6 +375,18 @@ class TestSnf:
         assert code == 2
         assert "must be integers" in err
 
+    @pytest.mark.parametrize("obj", [
+        {"rows": 1, "cols": 1, "entries": [1.5]},
+        {"rows": 1, "cols": 1, "entries": [True]},
+        {"rows": 1.0, "cols": 1, "entries": [1]},
+    ], ids=["float-entry", "bool-entry", "float-rows"])
+    def test_object_form_rejects_non_integers(self, capsys, monkeypatch, obj):
+        self.feed(monkeypatch, json.dumps(obj))
+        code, out, err = run_cli(capsys, ["snf"])
+        assert code == 2
+        assert out == ""
+        assert "must be integers" in err
+
     def test_rejects_ragged_rows(self, capsys, monkeypatch):
         self.feed(monkeypatch, "[[1,2],[3]]")
         code, _, err = run_cli(capsys, ["snf"])

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import kmw.fields as fl
 from kmw.errors import (
-    EvenPrimeForLegendre,
     InfinitePlace,
     MixedFields,
     NonIrreducibleModulus,
@@ -394,33 +393,28 @@ class TestSquareClasses:
         d = fl.square_class(Qt.parse("0-2*t"))
         assert d.key[0] == (1, 2)
 
+
     def test_place_parity(self):
+        # the parity of a class at a place is the first coordinate of its
+        # local class
         F5 = fl.finite_field(5)
         F5t = fl.function_field(F5)
         t_place = fl.function_place(F5t, fl.Poly.x(F5))
         inf = fl.function_place(F5t, "inf")
         c = fl.square_class(F5t.parse("2*t"))
-        assert fl.class_place_parity(c, t_place) == 1
-        assert fl.class_place_parity(c, inf) == 1
-        assert fl.class_place_parity(fl.square_class(F5t.parse("t^2")), t_place) == 0
+        assert fl._local_class(c, t_place)[0] == 1
+        assert fl._local_class(c, inf)[0] == 1
+        assert fl._local_class(fl.square_class(F5t.parse("t^2")), t_place)[0] == 0
 
 
 class TestLegendreHilbert:
     def test_legendre_matches_square_table(self):
+        # for a unit a at an odd prime p, (a, p)_p is the Legendre symbol
         for p in (3, 5, 7, 11, 13):
             squares = {(x * x) % p for x in range(1, p)}
             for a in range(1, p):
-                assert fl.legendre(a, p) == (1 if a in squares else -1)
-            assert fl.legendre(p, p) == 0
-            assert fl.legendre(a + p, p) == fl.legendre(a, p)
-
-    def test_legendre_errors(self):
-        with pytest.raises(EvenPrimeForLegendre):
-            fl.legendre(3, 2)
-        with pytest.raises(ZeroArgument):
-            fl.legendre(0, 5)
-        with pytest.raises(ValueError):
-            fl.legendre(1, 9)
+                assert fl.hilbert(a, p, p) == (1 if a in squares else -1)
+                assert fl.hilbert(a + p, p, p) == fl.hilbert(a, p, p)
 
     def test_hilbert_real(self):
         assert fl.hilbert(-1, -1, "real") == -1
@@ -454,7 +448,7 @@ class TestLegendreHilbert:
     def test_hilbert_known_values(self):
         assert fl.hilbert(-1, -1, 2) == -1
         assert fl.hilbert(2, 3, 3) == -1
-        assert fl.hilbert(5, 7, 5) == fl.legendre(7, 5)
+        assert fl.hilbert(5, 7, 5) == -1
         assert fl.hilbert(Fraction(1, 2), 3, 2) == fl.hilbert(2, 3, 2)
 
     def test_hilbert_bimultiplicative(self):

@@ -1,0 +1,50 @@
+"""Static hygiene of the library sources: no module imports a name it
+never uses.  The package root is exempt, since it imports names only to
+re-export them."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kmw"
+
+# kmw.suites never calls derived_groups, but the benchmark's tracer test
+# (perfbench/tests, test_install_rebinds_reexported_bindings) asserts that
+# the binding exists there and is rebound along with the others.
+ALLOWED_UNUSED = {("suites", "derived_groups")}
+
+
+def _modules():
+    return sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name bound by an import statement, with its line."""
+    out: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", _modules(), ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in _imported_names(tree).items()
+        if name not in used and (path.stem, name) not in ALLOWED_UNUSED
+    )
+    assert not unused, f"kmw.{path.stem} imports unused names: {', '.join(unused)}"

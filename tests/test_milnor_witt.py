@@ -57,13 +57,13 @@ from kmw.milnor_witt import (
     mw_witt_part,
     mw_zero,
     parse_mw,
-    t_sigma,
 )
 from kmw.group_ring import pfister_elem
 from kmw.witt import (
     _signed_disc,
     in_i_power,
     pfister_form,
+    signature,
     unit_form,
     witt_equal,
     witt_is_zero,
@@ -304,10 +304,13 @@ class TestResidues:
 
 
 class TestSigma:
+    """The real signature of the Witt part of a degree-2 element over Q,
+    four times the signature homomorphism on K^MW_2(Q)."""
+
     def test_pinned_values(self):
-        assert t_sigma(sym(Q, -1, -1)) == 1
-        assert t_sigma(sym(Q, 2, 3)) == 0
-        assert t_sigma(sym(Q, -2, 3)) == 0
+        assert signature(mw_witt_part(sym(Q, -1, -1))) == 4
+        assert signature(mw_witt_part(sym(Q, 2, 3))) == 0
+        assert signature(mw_witt_part(sym(Q, -2, 3))) == 0
 
     def test_additive(self):
         rng = random.Random(41)
@@ -315,13 +318,9 @@ class TestSigma:
         for _ in range(20):
             x = sym(Q, rng.choice(pool), rng.choice(pool))
             y = sym(Q, rng.choice(pool), rng.choice(pool))
-            assert t_sigma(x + y) == t_sigma(x) + t_sigma(y)
-
-    def test_errors(self):
-        with pytest.raises(UnsupportedField):
-            t_sigma(sym(F5, 2, 3))
-        with pytest.raises(UnsupportedDegree):
-            t_sigma(sym(Q, 2))
+            assert signature(mw_witt_part(x + y)) == (
+                signature(mw_witt_part(x)) + signature(mw_witt_part(y))
+            )
 
 
 class TestDescriptors:

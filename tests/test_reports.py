@@ -1,8 +1,14 @@
 """Descriptor assembly and provenance re-execution."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import kmw
 
 from kmw.descriptor import GroupDescriptor, Provenance, SymbolicFactor
 from kmw.errors import MissingBound, UnsupportedDegree, UnsupportedField
@@ -153,6 +159,30 @@ class TestVerification:
             ],
         )
         assert verify_descriptor(good)
+
+    def test_odd_part_of_zero_raises_instead_of_hanging(self):
+        # run apart, so that an odd-part loop that never ends fails this
+        # test by its timeout instead of stalling the suite
+        script = (
+            "from kmw.descriptor import GroupDescriptor, Provenance\n"
+            "from kmw.errors import BadBound\n"
+            "from kmw.reports import verify_descriptor\n"
+            "d = GroupDescriptor(label='x', provenance=[Provenance(\n"
+            "    'odd_part_of_integer', {'n': 0}, {'free': 0, 'cyclic': [1]})])\n"
+            "try:\n"
+            "    verify_descriptor(d)\n"
+            "except BadBound:\n"
+            "    print('BadBound')\n"
+        )
+        src = str(Path(kmw.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "BadBound\n"
 
 
 class TestDescriptorShape:

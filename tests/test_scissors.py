@@ -6,6 +6,7 @@ import time
 import pytest
 
 from kmw.errors import (
+    BadBound,
     DegenerateArguments,
     EvenQ,
     IntegrityFailure,
@@ -22,67 +23,24 @@ from kmw.scissors import (
     RPElem,
     RPTildeElem,
     ScissorsContext,
-    Sym2Elem,
     delta_t_rp,
     derived_groups,
     five_term_admissible,
-    lambda_maps,
     odd_part_int,
     pb_group,
     pb_half,
     plain_five_term,
-    r_element,
     refined_five_term,
     rp_gen,
     rp_presentation,
-    rp_tilde_gen,
-    rp_tilde_zero,
     scissors_context,
     sv_apply,
-    sym2,
 )
 
 F5 = finite_field(5)
 F7 = finite_field(7)
 F9 = finite_field(9)
 QQ = rationals()
-
-
-class TestSym2:
-    def test_finite_collapse(self):
-        # indices of 2 and 4 in F_5^x are 1 and 2
-        assert sym2(F5, 2, 2).data == 1
-        assert sym2(F5, 2, 4).data == 0
-        assert sym2(F5, 4, 4).data == 0
-
-    def test_finite_antisymmetry_and_two_torsion(self):
-        for a in (2, 3, 4):
-            for b in (2, 3, 4):
-                assert (sym2(F5, a, b) + sym2(F5, b, a)).is_zero()
-            assert (sym2(F5, a, a) + sym2(F5, a, a)).is_zero()
-
-    def test_rational_coordinates(self):
-        off, diag = sym2(QQ, 6, 10).data
-        assert off == {(2, 5): 1, (2, 3): -1, (3, 5): 1}
-        assert diag == {2: 1}
-
-    def test_rational_antisymmetry(self):
-        rng = random.Random(11)
-        pool = [-15, -6, -2, 2, 3, 5, 6, 10, 21, 35]
-        for _ in range(25):
-            a, b = rng.choice(pool), rng.choice(pool)
-            assert (sym2(QQ, a, b) + sym2(QQ, b, a)).is_zero()
-            assert (sym2(QQ, a, a) + sym2(QQ, a, a)).is_zero()
-
-    def test_sign_goes_to_diagonal(self):
-        off, diag = sym2(QQ, -1, -1).data
-        assert not off and diag == {1: 1}
-
-    def test_zero_argument(self):
-        with pytest.raises(ZeroArgument):
-            sym2(F5, 0, 2)
-        with pytest.raises(ZeroArgument):
-            sym2(QQ, 3, 0)
 
 
 class TestPlainPresentation:
@@ -103,6 +61,11 @@ class TestPlainPresentation:
             n = odd_part_int(q + 1)
             want = () if n == 1 else (n,)
             assert pb_half(q).invariant_factors == want
+
+    def test_odd_part_int_needs_a_positive_integer(self):
+        assert [odd_part_int(n) for n in (1, 6, 12, 7)] == [1, 3, 3, 7]
+        with pytest.raises(BadBound):
+            odd_part_int(-6)
 
     def test_even_and_tiny_q_rejected(self):
         with pytest.raises(EvenQ):
@@ -169,27 +132,27 @@ class TestRefinedPresentation:
 
 class TestLambdaMaps:
     def test_lambda1_of_two_vanishes(self):
-        l1, _, _ = lambda_maps(5)
         ctx = scissors_context(5)
+        l1 = ctx.maps()[0]
         v = ctx.rp_vector(rp_gen(F5, 2))
         assert l1.target.is_zero(l1.apply(v))
 
     def test_lambda2_of_two_vanishes(self):
-        _, l2, _ = lambda_maps(5)
         ctx = scissors_context(5)
+        l2 = ctx.maps()[1]
         v = ctx.rp_vector(rp_gen(F5, 2))
         assert l2.target.is_zero(l2.apply(v))
 
     def test_lambda2_hits_odd_index_pairs(self):
-        _, l2, _ = lambda_maps(5)
         ctx = scissors_context(5)
+        l2 = ctx.maps()[1]
         hits = [x for x in ctx.units
                 if x != F5.one and not l2.target.is_zero(l2.apply(ctx.rp_vector(rp_gen(F5, x))))]
         assert hits  # the map is onto Z/2
 
     def test_lambda1_matches_pfister_product(self):
-        l1, _, _ = lambda_maps(7)
         ctx = scissors_context(7)
+        l1 = ctx.maps()[0]
         for x in ctx.units:
             if x == F7.one:
                 continue
@@ -371,11 +334,23 @@ class TestOneRowPerFact:
             ctx.derived(strict=True)
 
 
+def r_element(field, x) -> RPElem:
+    """(<-1> + 1)[x] + <<1-x>> psi_1(x): a kernel element of lambda_1."""
+    one = field.one
+    x = field.elem(x)
+    if not x or x == one:
+        raise DegenerateArguments("the construction needs x outside {0, 1}")
+    minus_one = gr_unit(field, field.elem(-1))
+    head = RPElem(field, [(gr_int(field, 1) + minus_one, x)])
+    psi = RPElem(field, [(gr_int(field, 1), x), (minus_one, one / x)])
+    return head + psi.scale(pfister_elem(field, [one - x]))
+
+
 class TestRElement:
     def test_kernel_membership_exhaustive(self):
         for q in (5, 7, 9):
             ctx = scissors_context(q)
-            l1, l2, _ = lambda_maps(q)
+            l1, l2 = ctx.maps()[:2]
             for x in ctx.units:
                 if x == ctx.field.one:
                     continue
@@ -388,6 +363,14 @@ class TestRElement:
             r_element(F5, 1)
         with pytest.raises(DegenerateArguments):
             r_element(F5, 0)
+
+
+def rp_tilde_gen(q: int, a, twist: int = 0) -> RPTildeElem:
+    """The generator [a], or its s-translate, of RP-tilde(F_q)."""
+    ctx = scissors_context(q)
+    vec = [0] * (2 * ctx.n_units)
+    vec[ctx.flat_index(twist % 2, ctx.field.elem(a))] = 1
+    return RPTildeElem(q, vec)
 
 
 class TestSpecialization:
@@ -507,7 +490,7 @@ class TestSpecialization:
 
     def test_tilde_elem_algebra(self):
         a = rp_tilde_gen(5, 2)
-        z = rp_tilde_zero(5)
+        z = RPTildeElem(5, [0] * len(a.vector))
         assert (a - a).is_zero()
         assert a + z == a
         assert a.twist().twist() == a

@@ -25,9 +25,9 @@ from kmw.group_ring import GroupRingElem, gr_unit, pfister_elem
 from kmw.milnor_witt import mw_equal, mw_symbol
 from kmw.witt import (
     CountingTable,
+    _signed_disc,
     VirtualForm,
     diagonal_form,
-    first_residue,
     hyperbolic_form,
     i_square_is_zero,
     in_i_power,
@@ -35,10 +35,8 @@ from kmw.witt import (
     second_residue,
     signature,
     unit_form,
-    witt_descriptor,
     witt_equal,
     witt_group_structure,
-    witt_invariants,
     witt_is_zero,
     zero_form,
 )
@@ -105,11 +103,11 @@ class TestVirtualForms:
 
 class TestInvariants:
     def test_signed_disc_of_sum_of_two_squares(self):
-        inv = witt_invariants(diagonal_form(Q, [1, 1]))
-        assert inv.rank == 0  # the rank mod 2
-        assert inv.signed_disc == square_class(Q.elem(-1))
-        assert inv.signatures == {"real": 2}
-        assert all(v == 1 for v in inv.hasse.values())
+        f = diagonal_form(Q, [1, 1])
+        assert _signed_disc(Q, f.diag_rep()) == square_class(Q.elem(-1))
+        assert signature(f) == 2
+        # even rank, but the signed discriminant keeps it out of I^2
+        assert in_i_power(f, 1) and not in_i_power(f, 2)
 
     def test_signature_ring_hom(self):
         rng = random.Random(11)
@@ -125,14 +123,15 @@ class TestInvariants:
             signature(unit_form(finite_field(5), 1))
 
     def test_invariants_are_witt_invariants(self):
-        # adding a hyperbolic plane changes nothing
+        # adding a hyperbolic plane changes no invariant the decisions read
         f = diagonal_form(Q, [2, 3, 5])
-        g = f + hyperbolic_form(Q)
-        fi, gi = witt_invariants(f), witt_invariants(g + zero_form(Q))
-        assert fi.signed_disc == gi.signed_disc
-        assert fi.signatures == gi.signatures
-        assert fi == gi
-        assert witt_invariants(zero_form(Q)) == witt_invariants(hyperbolic_form(Q))
+        g = f + hyperbolic_form(Q) + zero_form(Q)
+        assert _signed_disc(Q, f.diag_rep()) == _signed_disc(Q, g.diag_rep())
+        assert signature(f) == signature(g)
+        assert witt_equal(f, g)
+        for n in (1, 2, 3):
+            assert in_i_power(f - unit_form(Q, 1), n) == in_i_power(g - unit_form(Q, 1), n)
+        assert witt_is_zero(zero_form(Q)) and witt_is_zero(hyperbolic_form(Q))
 
 
 class TestWittZeroRationals:
@@ -229,14 +228,6 @@ class TestFiniteFieldCounting:
             assert structure["invariant_factors"] == [2, 2]
             assert max(structure["element_orders"]) == 2
 
-    def test_descriptor_shapes(self):
-        d3 = witt_descriptor(7)
-        assert d3.cyclic_factors == (4,)
-        assert d3.provenance[0].op == "witt_structure"
-        d1 = witt_descriptor(13)
-        assert d1.cyclic_factors == (2, 2)
-        assert "W(F_13)" in d1.describe()
-
     @pytest.mark.parametrize("q", [5, 7, 9])
     def test_invariant_route_matches_counting_route(self, q):
         field = finite_field(q)
@@ -281,9 +272,6 @@ class TestFunctionFieldWitt:
     def test_second_residue_kills_units(self):
         out = second_residue(unit_form(self.F5t, self.t + 1), self.at_t)
         assert out.is_formally_zero()
-        assert first_residue(unit_form(self.F5t, self.t + 1), self.at_t) == unit_form(
-            finite_field(5), 1
-        )
 
     def test_second_residue_of_twisted_pfister(self):
         phi = pfister_form(self.F5t, [self.t, 2])
@@ -316,7 +304,5 @@ class TestFunctionFieldWitt:
         Qt = function_field(Q)
         with pytest.raises(UnsupportedField):
             witt_is_zero(unit_form(Qt, Qt.t))
-        with pytest.raises(UnsupportedField):
-            witt_invariants(unit_form(Qt, Qt.t))
         with pytest.raises(UnsupportedField):
             mw_equal(mw_symbol(Qt, [Qt.t]), mw_symbol(Qt, [Qt.t]))

@@ -26,8 +26,6 @@ from kmw.witt import (
     hyperbolic_form,
     in_i_power,
     pfister_form,
-    witt_equal,
-    witt_invariants,
     witt_is_zero,
 )
 from witt_oracle import _hasse_product, oracle_in_i_cube, oracle_witt_is_zero
@@ -159,28 +157,6 @@ class TestDecisionsAgainstPairwise:
         form = _corpus_form(field, random.Random(seed))
         assert in_i_power(form, 3) == oracle_in_i_cube(form)
         assert witt_is_zero(form) == oracle_witt_is_zero(form)
-
-
-class TestInvariantsFromLocalData:
-    @pytest.mark.parametrize("name", ["Q", "F3t", "F9t"])
-    def test_invariants_agree_exactly_on_witt_equal_forms(self, name):
-        field = FIELDS[name]
-        rng = random.Random(41)
-        agree = set()
-        for _ in range(30):
-            f = _corpus_form(field, rng) + diagonal_form(
-                field, [_random_elem(field, rng) for _ in range(rng.randint(0, 3))]
-            )
-            g = _corpus_form(field, rng) if rng.random() < 0.5 else f
-            # the same Witt class, written differently
-            a = _random_elem(field, rng)
-            g = g + hyperbolic_form(field, rng.randint(0, 2))
-            if a != 1:
-                g = g + pfister_form(field, [a, 1 - a])
-            same = witt_equal(f, g)
-            assert (witt_invariants(f) == witt_invariants(g)) == same
-            agree.add(same)
-        assert agree == {True, False}
 
 
 # -- square decisions in polynomial extensions ---------------------------
