@@ -19,7 +19,13 @@ Conventions that the rest of the library leans on:
   over F_q(t) the key is a base bit and the set of places of odd
   valuation, and local data at a place is read off it;
 * finite places of a function field are monic irreducible polynomials,
-  plus the degree place at infinity with uniformizer 1/t;
+  plus the degree place at infinity with uniformizer 1/t; place lists
+  run in ``_place_order``;
+* each symbol has one path: the tame symbol reads ``valuation``, at the
+  primes of Q as at the places of k(t), and the Hilbert symbol reads the
+  local square classes of its arguments (``_local_class``) through
+  ``_symbol_bit``, which ``kmw.witt`` reads as well; both take the field
+  of their first element argument, or Q for plain numbers;
 * all constructors are cached, so field handles compare by identity.
 """
 
@@ -636,12 +642,6 @@ def finite_field(q: int) -> FiniteField:
 @lru_cache(maxsize=None)
 def _prime_field(p: int) -> FiniteField:
     return FiniteField(p, _token=_FF_TOKEN)
-
-
-def _residue_prime_field(p: int) -> FiniteField:
-    # residue fields at rational places share the standard handles; the
-    # place at 2 gets a characteristic-2 carrier that exists only here
-    return _prime_field(p)
 
 
 def extension_field(base: FiniteField, modulus: "Poly") -> FiniteField:
@@ -1270,7 +1270,10 @@ class Place:
 
     def residue_field(self) -> Field:
         if self.kind == "prime":
-            return _residue_prime_field(self.data)
+            # residue fields at rational places share the standard handles;
+            # the place at 2 gets a characteristic-2 carrier that exists
+            # only here
+            return _prime_field(self.data)
         if self.kind == "poly":
             pi: Poly = self.data
             if pi.degree() == 1:
@@ -1352,12 +1355,14 @@ def function_place(field: RatFunField, x) -> Place:
 
 def _as_place(field: Field, place) -> Place:
     if isinstance(place, Place):
+        if place.field is not field:
+            raise MixedFields(f"{place!r} is not a place of {field}")
         return place
     if isinstance(field, RationalField):
         return rational_place(place)
     if isinstance(field, RatFunField):
         return function_place(field, place)
-    raise TypeError(f"{field} has no places")
+    raise UnsupportedField(f"{field} has no places")
 
 
 def _poly_valuation(f: Poly, pi: Poly) -> tuple[int, Poly]:
@@ -1380,11 +1385,11 @@ def _residue_of_poly(g: Poly, place: Place) -> FieldElem:
 
 
 def valuation(f: FieldElem, place) -> tuple[int, FieldElem]:
-    """Order of vanishing of a nonzero rational function at a place,
-    together with the residue of its unit part."""
-    if not isinstance(f.field, RatFunField):
-        raise UnsupportedField("valuations are defined on rational function fields")
-    field: RatFunField = f.field
+    """Order of vanishing of a nonzero element of Q or k(t) at a finite
+    place, together with the residue of its unit part."""
+    field = f.field
+    if not isinstance(field, (RationalField, RatFunField)):
+        raise UnsupportedField("valuations are defined on Q and rational function fields")
     if not f:
         raise ZeroArgument("valuation of zero")
     place = _as_place(field, place)
@@ -1393,42 +1398,29 @@ def valuation(f: FieldElem, place) -> tuple[int, FieldElem]:
 
 @lru_cache(maxsize=1 << 16)
 def _valuation_cached(f: FieldElem, place: "Place") -> tuple[int, FieldElem]:
-    field: RatFunField = f.field
+    if place.kind == "prime":
+        p = place.data
+        num, den = f.val.numerator, f.val.denominator
+        v = 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        return v, place.residue_field().elem(num * pow(den, -1, p))
+    if place.kind == "real":
+        raise InfinitePlace("no valuation at the real place")
     num, den = f.val
     if place.kind == "inf":
         v = den.degree() - num.degree()
         res = num.lc() / den.lc()
         return v, res
-    if place.kind != "poly":
-        raise UnsupportedPlace(f"{place!r} is not a place of {field}")
     pi = place.data
     vn, num_u = _poly_valuation(num, pi)
     vd, den_u = _poly_valuation(den, pi)
     res = _residue_of_poly(num_u, place) / _residue_of_poly(den_u, place)
     return vn - vd, res
-
-
-def rational_valuation(x, p: int) -> tuple[int, Fraction]:
-    """p-adic valuation of a nonzero rational and its unit part."""
-    x = Fraction(x)
-    if not x:
-        raise ZeroArgument("valuation of zero")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
-
-
-def _frac_mod(x: Fraction, p: int) -> int:
-    den = x.denominator % p
-    if den == 0:
-        raise ZeroInversion(f"denominator divisible by {p}")
-    return (x.numerator % p) * pow(den, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -1660,10 +1652,9 @@ def _pair_bit(field: RatFunField, p: tuple, c: tuple) -> int:
 
 
 @lru_cache(maxsize=1 << 12)
-def _fqt_place(field: RatFunField, c: tuple) -> tuple:
-    """(support order, place) of the monic irreducible with coefficients c."""
-    pi = Poly(field.base, c)
-    return _poly_key(pi), Place(field, "poly", pi)
+def _fqt_place(field: RatFunField, c: tuple) -> Place:
+    """The place of the monic irreducible with coefficients c."""
+    return Place(field, "poly", Poly(field.base, c))
 
 
 # -- local data of classes
@@ -1696,31 +1687,6 @@ def _local_class(cls: SquareClass, place: Place) -> tuple:
     raise UnsupportedPlace(f"no local class of {cls!r} at {place!r}")
 
 
-def _class_support(field: Field, classes: Iterable[SquareClass]) -> list[Place]:
-    """``support_places`` of the representatives, read off the keys: the
-    real place, 2 and the primes of each key over Q; infinity and the
-    places of each key over F_q(t)."""
-    if isinstance(field, RationalField):
-        primes = {2}
-        for cls in classes:
-            primes.update(p for p, _ in factor_int(cls.key[1]))
-        out = [rational_place("real")]
-        out.extend(rational_place(p) for p in sorted(primes))
-        return out
-    if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
-        union = set()
-        for cls in classes:
-            union.update(cls.key[1])
-        out = [Place(field, "inf", None)]
-        out.extend(place for _, place in sorted(_fqt_place(field, c) for c in union))
-        return out
-    raise UnsupportedField(f"no place enumeration over {field}")
-
-
-# ---------------------------------------------------------------------------
-# symbols
-
-
 def _eps(u: int) -> int:
     # (u - 1)/2 mod 2 for odd u
     return ((u % 8) - 1) // 2 % 2
@@ -1731,85 +1697,62 @@ def _omega(u: int) -> int:
     return 0 if u % 8 in (1, 7) else 1
 
 
-@lru_cache(maxsize=1 << 16)
-def tame_symbol(a, b, place) -> FieldElem:
-    """Tame symbol (-1)^{v(a)v(b)} a^{v(b)} b^{-v(a)} reduced at a finite
-    place; the result lives in the residue field."""
-    if isinstance(a, FieldElem):
-        field = a.field
-    elif isinstance(b, FieldElem):
-        field = b.field
-    else:
-        field = rationals()
-    if isinstance(field, RationalField):
-        place = _as_place(field, place)
-        if place.kind == "real":
-            raise InfinitePlace("no tame symbol at the real place")
-        p = place.data
-        a, b = Fraction(a if not isinstance(a, FieldElem) else a.val), Fraction(
-            b if not isinstance(b, FieldElem) else b.val
-        )
-        if not a or not b:
-            raise ZeroArgument("tame symbol needs nonzero arguments")
-        kappa = place.residue_field()
-        va, ua = rational_valuation(a, p)
-        vb, ub = rational_valuation(b, p)
-        sign = -1 if (va * vb) % 2 else 1
-        value = Fraction(sign) * ua**vb / ub**va
-        return kappa.elem(_frac_mod(value, p))
-    if isinstance(field, RatFunField):
-        place = _as_place(field, place)
-        a = field.elem(a) if not isinstance(a, FieldElem) else a
-        b = field.elem(b) if not isinstance(b, FieldElem) else b
-        if a.field is not field or b.field is not field:
-            raise MixedFields("tame symbol arguments over different fields")
-        if not a or not b:
-            raise ZeroArgument("tame symbol needs nonzero arguments")
-        va, ra = valuation(a, place)
-        vb, rb = valuation(b, place)
-        kappa = ra.field
-        sign = kappa.one if (va * vb) % 2 == 0 else -kappa.one
-        return sign * ra**vb * rb ** (-va)
-    raise UnsupportedField(f"no tame symbols over {field}")
-
-
-@lru_cache(maxsize=1 << 16)
-def hilbert(a, b, place) -> int:
-    """Hilbert symbol (a, b) at a place of Q or of F_q(t); returns +-1."""
-    if isinstance(a, FieldElem) and isinstance(a.field, RatFunField):
-        field = a.field
-    elif isinstance(b, FieldElem) and isinstance(b.field, RatFunField):
-        field = b.field
-    else:
-        field = rationals()
-
-    if isinstance(field, RatFunField):
-        if not isinstance(field.base, FiniteField):
-            raise UnsupportedField("Hilbert symbols over Q(t) are not supported")
-        place = _as_place(field, place)
-        val = tame_symbol(a, b, place)
-        kappa = val.field
-        return 1 if kappa.is_square_raw(val.val) else -1
-
-    place = _as_place(field, place)
-    a = Fraction(a.val if isinstance(a, FieldElem) else a)
-    b = Fraction(b.val if isinstance(b, FieldElem) else b)
-    if not a or not b:
-        raise ZeroArgument("Hilbert symbol needs nonzero arguments")
+def _symbol_bit(place: Place, x: tuple, y: tuple) -> int:
+    """The b with (x, y) = (-1)^b at the place, for local classes x, y
+    as ``_local_class`` gives them; the Hilbert symbol is
+    bimultiplicative (Serre, *A Course in Arithmetic*, ch. III, §1), so
+    it factors through them."""
     if place.kind == "real":
-        return -1 if a < 0 and b < 0 else 1
-    p = place.data
-    if p == 2:
-        alpha, u = rational_valuation(a, 2)
-        beta, w = rational_valuation(b, 2)
-        um = _frac_mod(u, 8)
-        wm = _frac_mod(w, 8)
-        exp = _eps(um) * _eps(wm) + alpha * _omega(wm) + beta * _omega(um)
-        return -1 if exp % 2 else 1
-    val = tame_symbol(a, b, place)
-    kappa = val.field
-    r = pow(val.val, (p - 1) // 2, p)
-    return -1 if r == p - 1 else 1
+        return x[0] & y[0]
+    (e, s), (f, t) = x, y
+    if place.kind == "prime" and place.data == 2:
+        return (_eps(s) * _eps(t) + e * _omega(t) + f * _omega(s)) % 2
+    # the quadratic character of the tame symbol (-1)^(ef) u^f w^(-e)
+    minus_one = e * f and place.residue_field().order % 4 == 3
+    return (s * f + t * e + minus_one) % 2
+
+
+# -- support places
+
+
+def _place_order(place: Place) -> tuple:
+    """The real place or infinity first, then primes ascending, or
+    monic irreducibles by degree and coefficients."""
+    if place.kind == "prime":
+        return (1, place.data)
+    if place.kind == "poly":
+        return (1, place.data.degree(), _poly_key(place.data))
+    return (0,)
+
+
+def _place_list(field: Field, finite: Iterable) -> list[Place]:
+    """The real place of Q or the infinite place of F_q(t), then the
+    places of ``finite`` (primes over Q, coefficient tuples of monic
+    irreducibles over F_q(t)) in ``_place_order``."""
+    if isinstance(field, RationalField):
+        first = Place(field, "real", None)
+        places = [Place(field, "prime", p) for p in finite]
+    else:
+        first = Place(field, "inf", None)
+        places = [_fqt_place(field, c) for c in finite]
+    return [first, *sorted(places, key=_place_order)]
+
+
+def _class_support(field: Field, classes: Iterable[SquareClass]) -> list[Place]:
+    """``support_places`` of the representatives, read off the keys: the
+    real place, 2 and the primes of each key over Q; infinity and the
+    places of each key over F_q(t)."""
+    if isinstance(field, RationalField):
+        primes = {2}
+        for cls in classes:
+            primes.update(p for p, _ in factor_int(cls.key[1]))
+        return _place_list(field, primes)
+    if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
+        union = set()
+        for cls in classes:
+            union.update(cls.key[1])
+        return _place_list(field, union)
+    raise UnsupportedField(f"no place enumeration over {field}")
 
 
 def support_places(field: Field, elems: Iterable) -> list[Place]:
@@ -1820,29 +1763,67 @@ def support_places(field: Field, elems: Iterable) -> list[Place]:
     if isinstance(field, RationalField):
         primes = {2}
         for x in elems:
-            fr = Fraction(x.val if isinstance(x, FieldElem) else x)
+            fr = field.elem(x).val
             if not fr:
                 raise ZeroArgument("support of zero")
             for n in (fr.numerator, fr.denominator):
-                for p, _ in factor_int(abs(n)):
-                    primes.add(p)
-        out = [rational_place("real")]
-        out.extend(rational_place(p) for p in sorted(primes))
-        return out
+                primes.update(p for p, _ in factor_int(abs(n)))
+        return _place_list(field, primes)
     if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
-        polys = {}
-        for x in elems:
-            x = field.elem(x) if not isinstance(x, FieldElem) else x
-            if not x:
-                raise ZeroArgument("support of zero")
-            for irr, _ in _ratfun_factors(x)[1]:
-                polys[_poly_key(irr)] = irr
         # factor_poly returns monic irreducibles, so these places skip the
         # irreducibility test function_place makes of caller input
-        out = [function_place(field, "inf")]
-        out.extend(Place(field, "poly", polys[k]) for k in sorted(polys))
-        return out
+        union = set()
+        for x in elems:
+            x = field.elem(x)
+            if not x:
+                raise ZeroArgument("support of zero")
+            union.update(irr.coeffs for irr, _ in _ratfun_factors(x)[1])
+        return _place_list(field, union)
     raise UnsupportedField(f"no place enumeration over {field}")
+
+
+# ---------------------------------------------------------------------------
+# symbols
+
+
+def _symbol_args(a, b, place) -> tuple:
+    """(field, a, b, place) for a symbol: the field of the first element
+    argument, or Q for plain numbers, both arguments as its nonzero
+    elements, and the place as one of its places."""
+    if isinstance(a, FieldElem):
+        field = a.field
+    elif isinstance(b, FieldElem):
+        field = b.field
+    else:
+        field = rationals()
+    a, b = field.elem(a), field.elem(b)
+    if not a or not b:
+        raise ZeroArgument("symbols need nonzero arguments")
+    return field, a, b, _as_place(field, place)
+
+
+@lru_cache(maxsize=1 << 16)
+def tame_symbol(a, b, place) -> FieldElem:
+    """Tame symbol (-1)^{v(a)v(b)} a^{v(b)} b^{-v(a)} reduced at a finite
+    place of Q or k(t); the result lives in the residue field."""
+    _, a, b, place = _symbol_args(a, b, place)
+    va, ra = _valuation_cached(a, place)
+    vb, rb = _valuation_cached(b, place)
+    kappa = ra.field
+    sign = kappa.one if (va * vb) % 2 == 0 else -kappa.one
+    return sign * ra**vb * rb ** (-va)
+
+
+@lru_cache(maxsize=1 << 16)
+def hilbert(a, b, place) -> int:
+    """Hilbert symbol (a, b) at a place of Q or of F_q(t); returns +-1,
+    read off the local square classes of a and b at the place."""
+    field, a, b, place = _symbol_args(a, b, place)
+    if isinstance(field, RatFunField) and not isinstance(field.base, FiniteField):
+        raise UnsupportedField("Hilbert symbols over Q(t) are not supported")
+    x = _local_class(square_class(a), place)
+    y = _local_class(square_class(b), place)
+    return -1 if _symbol_bit(place, x, y) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .fields import (
     RatFunField,
     RationalField,
     _flat_key,
-    _poly_key,
+    _place_order,
     finite_field,
     hilbert,
     parse_elem,
@@ -85,13 +85,14 @@ class MilnorCoords:
 
     Degree 0 holds an integer (K_0), degree 1 a unit of the field
     (K_1).  Degree 2 holds a tuple of ``(place, local value)`` in the
-    order of ``_place_order``, without trivial entries.  The local value
-    is the Hilbert sign, an int +-1, at the real and 2-adic places of
-    the rationals, and the tame symbol, in the residue field, at every
-    other place: the odd primes of Q, and the monic irreducibles and
-    infinity of a rational function field with finite base.  Over a
-    finite field the tuple is empty (K_2 vanishes there).  By Weil
-    reciprocity the entry at infinity is determined by the others.
+    order of ``kmw.fields._place_order``, without trivial entries.  The
+    local value is the Hilbert sign, an int +-1, at the real and 2-adic
+    places of the rationals, and the tame symbol, in the residue field,
+    at every other place: the odd primes of Q, and the monic
+    irreducibles and infinity of a rational function field with finite
+    base.  Over a finite field the tuple is empty (K_2 vanishes there).
+    By Weil reciprocity the entry at infinity is determined by the
+    others.
     """
 
     __slots__ = ("field", "degree", "data")
@@ -137,16 +138,6 @@ def _k1_coords(field, monomials: Dict[Monomial, int]) -> MilnorCoords:
         if k == 0:
             acc = acc * syms[0] ** c
     return MilnorCoords(field, 1, acc)
-
-
-def _place_order(place: Place) -> tuple:
-    """The real place or infinity first, then primes ascending, or
-    monic irreducibles by degree and coefficients."""
-    if place.kind == "prime":
-        return (1, place.data)
-    if place.kind == "poly":
-        return (1, place.data.degree(), _poly_key(place.data))
-    return (0,)
 
 
 def _k2_coords(field, monomials: Dict[Monomial, int]) -> MilnorCoords:

@@ -27,7 +27,9 @@ its square-class key, never off a representative element: over Q from
 (sign, squarefree n), and over F_q(t) from (base bit, places of odd
 valuation), where the class at a place P is (P in the places, chi_P(base)
 plus the bits of Q mod P over the other places Q), and at infinity (the
-degree parity, the base bit).  The support is read off the keys too.
+degree parity, the base bit).  The symbol of two local classes is
+``kmw.fields._symbol_bit``, the same that ``kmw.fields.hilbert`` reads.
+The support is read off the keys too.
 ``second_residue`` reads the same local classes: at a place of F_q(t)
 each class of odd valuation contributes its residue class.
 
@@ -57,10 +59,9 @@ from .fields import (
     RationalField,
     SquareClass,
     _class_support,
-    _eps,
     _local_class,
     _minus_one_class,
-    _omega,
+    _symbol_bit,
     _trivial_class,
     finite_field,
 )
@@ -126,19 +127,8 @@ def signature(form: GroupRingElem) -> int:
 # classes there: four at a tame place, eight at 2 over Q, two at the real
 # place.  The Hasse product prod_{i<j} (a_i, a_j) of a diagonal form is
 # then read off how many entries fall in each class, in O(r) per place;
-# ``fields._local_class`` reads each entry's local class off its key.
-
-
-def _symbol_bit(place: Place, x: tuple, y: tuple) -> int:
-    """The b with (x, y) = (-1)^b at the place, for local classes x, y."""
-    if place.kind == "real":
-        return x[0] & y[0]
-    (e, s), (f, t) = x, y
-    if place.kind == "prime" and place.data == 2:
-        return (_eps(s) * _eps(t) + e * _omega(t) + f * _omega(s)) % 2
-    # the quadratic character of the tame symbol (-1)^(ef) u^f w^(-e)
-    minus_one = e * f and place.residue_field().order % 4 == 3
-    return (s * f + t * e + minus_one) % 2
+# ``fields._local_class`` reads each entry's local class off its key, and
+# ``fields._symbol_bit`` gives the symbol of two local classes.
 
 
 def _local_hasse(rep: Sequence[SquareClass], place: Place) -> int:

@@ -18,7 +18,6 @@ from kmw import fields
 from kmw.fields import (
     FiniteField,
     Poly,
-    RatFunField,
     RationalField,
     _PolyExtension,
     _flat_key,

@@ -1,6 +1,6 @@
-"""Static hygiene of the library sources: no module imports a name it
-never uses.  The package root is exempt, since it imports names only to
-re-export them."""
+"""Static hygiene of the library sources and of the tests: no module
+imports a name it never uses.  The package root is exempt, since it
+imports names only to re-export them."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kmw"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "kmw"
 
 # kmw.suites never calls derived_groups, but the benchmark's tracer test
 # (perfbench/tests, test_install_rebinds_reexported_bindings) asserts that
@@ -18,7 +19,8 @@ ALLOWED_UNUSED = {("suites", "derived_groups")}
 
 
 def _modules():
-    return sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    library = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    return library + sorted(TESTS.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -38,7 +40,11 @@ def _used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", _modules(), ids=lambda p: p.stem)
+def _module_id(path: Path) -> str:
+    return path.stem if path.parent == SRC else f"tests.{path.stem}"
+
+
+@pytest.mark.parametrize("path", _modules(), ids=_module_id)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)
@@ -47,4 +53,5 @@ def test_every_import_is_used(path):
         for name, line in _imported_names(tree).items()
         if name not in used and (path.stem, name) not in ALLOWED_UNUSED
     )
-    assert not unused, f"kmw.{path.stem} imports unused names: {', '.join(unused)}"
+    name = f"kmw.{path.stem}" if path.parent == SRC else _module_id(path)
+    assert not unused, f"{name} imports unused names: {', '.join(unused)}"

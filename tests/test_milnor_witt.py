@@ -26,15 +26,12 @@ from kmw.fields import (
     finite_field,
     function_field,
     function_place,
-    hilbert,
     rationals,
     square_class,
     support_places,
-    tame_symbol,
 )
 from kmw.milnor_witt import (
     MilnorCoords,
-    MWElem,
     _check_fiber,
     _field_kind,
     _pair_elem,
@@ -69,6 +66,7 @@ from kmw.witt import (
     witt_is_zero,
     zero_form,
 )
+from symbol_oracle import hilbert, tame_symbol
 from witt_oracle import _ehat_matches_hyperbolic, _rep_elems
 
 Q = rationals()
@@ -436,7 +434,8 @@ class TestBracketExpressions:
 # coordinates over Q were (2-adic sign, real sign, odd-prime tame symbols),
 # those over F_q(t) left out infinity, and the fiber check recomputed a
 # Hilbert symbol for every monomial pair at every place.  The two
-# functions below are that implementation, unchanged but for their names.
+# functions below are that implementation, unchanged but for their names
+# and for reading the element-level symbols of ``symbol_oracle``.
 
 
 def oracle_k2_coords(field, monomials) -> MilnorCoords:

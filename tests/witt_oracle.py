@@ -1,11 +1,14 @@
 """Pairwise Witt decisions, kept as the oracle for the local-data path
 of ``kmw.witt``: the Hasse product of a diagonal form as r(r-1)/2
-Hilbert symbols, and ``in_i_power(., 3)`` / ``witt_is_zero`` built on
-it."""
+Hilbert symbols of ``symbol_oracle`` (the library's own symbols read
+the same local classes as ``kmw.witt``), and ``in_i_power(., 3)`` /
+``witt_is_zero`` built on it."""
 
 from typing import Sequence
 
-from kmw.fields import FieldElem, FiniteField, RationalField, hilbert, support_places
+from symbol_oracle import hilbert
+
+from kmw.fields import FieldElem, FiniteField, RationalField, support_places
 from kmw.witt import _check_decidable, _signed_disc, signature
 
 
