@@ -37,8 +37,8 @@ def _q_places(a, b) -> list:
     """The support of a and b over Q, plus the odd primes of
     ``EXTRA_PRIMES``, where both are units unless they divide them."""
     places = support_places(Q, [a, b])
-    return places + [rational_place(p) for p in EXTRA_PRIMES
-                     if rational_place(p) not in places]
+    extra = [rational_place(p) for p in EXTRA_PRIMES]
+    return places + [pl for pl in extra if pl not in places]
 
 
 def _fqt_places(field, a, b) -> list:
