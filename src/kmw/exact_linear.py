@@ -4,16 +4,17 @@ Everything downstream reduces to this module: Smith/Hermite normal forms
 over Z, lattice membership, and the presentation calculus (kernels,
 images, cokernels of maps between finitely presented abelian groups).
 
-A presentation is reduced once.  ``AbGroupInfo`` runs a Hermite normal
-form (no transform) over the distinct rows, up to sign, of its relation
-matrix and keeps the nonzero rows as ``relation_basis``, a rank x n
-matrix spanning the same lattice.  That basis is unique and generates
-the lattice (Cohen, GTM 138, section 2.4), so everything reads the
-presentation through it: membership and element orders by reduction
+A presentation is its Hermite basis.  ``AbGroupInfo`` streams its
+relation rows, from any iterable, into a Hermite normal form (no
+transform) over the distinct rows up to sign, and keeps the nonzero
+rows as ``relation_basis``, a rank x n matrix spanning the same lattice;
+no copy of the relation rows is stored.  That basis is unique and
+generates the lattice (Cohen, GTM 138, section 2.4), so everything reads
+the presentation through it: membership and element orders by reduction
 against its pivots, the relation check of ``AbMap`` on its rows, and
 the invariant factors from a transform-free Smith form of it.  The
 kernel calculus stacks against ``relation_basis`` rather than the tall,
-sparse relation matrix, so its ``left_kernel`` transforms stay small.
+sparse relations, so its ``left_kernel`` transforms stay small.
 
 The kernels themselves live in ``_snf_py`` and work in arbitrary
 precision, so no entry size needs a special path.
@@ -22,11 +23,12 @@ precision, so no entry size needs a special path.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import _snf_py
-from .errors import IntegrityFailure, RelationNotKilled
+from .errors import BadBound, IntegrityFailure, RelationNotKilled
 
 
 class IntMatrix:
@@ -181,20 +183,23 @@ def _member(pivots, vec: Sequence[int]) -> Optional[list[int]]:
     return coeffs
 
 
-def _distinct_rows(m: IntMatrix) -> list[tuple[int, tuple[int, ...]]]:
-    """The nonzero rows of ``m``, each once up to sign, in order of first
-    appearance and signed so that the leading entry is positive, each
-    with the index of that first appearance.  They span the same row
-    lattice as ``m``."""
+def _distinct_rows(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """The nonzero rows of ``rows``, each once up to sign, in order of
+    first appearance and signed so that the leading entry is positive.
+    They span the same row lattice as ``rows``.  Each row is read once,
+    so any iterable will do: its width is checked against ``n`` and its
+    entries are coerced with ``int``."""
     out = {}
-    for i in range(m.rows):
-        row = m.row(i)
+    for row in rows:
+        row = tuple(map(int, row))
+        if len(row) != n:
+            raise ValueError("relation width does not match generator count")
         lead = next((x for x in row if x), 0)
         if lead < 0:
             row = tuple(-x for x in row)
-        if lead and row not in out:
-            out[row] = i
-    return [(i, row) for row, i in out.items()]
+        if lead:
+            out[row] = None
+    return list(out)
 
 
 def left_kernel(m: IntMatrix) -> IntMatrix:
@@ -254,25 +259,23 @@ def lattice_intersection(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 class AbGroupInfo:
     """A finitely presented abelian group Z^n / (row lattice).
 
-    The relations are reduced once, to their Hermite basis
-    ``relation_basis`` (rank x n, same row lattice as
-    ``relation_matrix``).  Only the distinct nonzero relation rows, a row
-    and its negation counting as one, enter that reduction: they span
-    the same lattice, and the Hermite basis of a lattice is unique.
-    ``relation_matrix`` is kept as given.  Every reading comes from the
-    basis: the invariant factors from its Smith form, taken without
-    transforms, and ``is_zero`` and ``element_order`` from reduction
-    against its pivots."""
+    The relation rows (any iterable of rows, or an ``IntMatrix``) are
+    reduced once, to their Hermite basis ``relation_basis`` (rank x n,
+    same row lattice), and not kept.  Only the distinct nonzero rows, a
+    row and its negation counting as one, enter that reduction: they
+    span the same lattice, and the Hermite basis of a lattice is unique.
+    Every reading comes from the basis: the invariant factors from its
+    Smith form, taken without transforms, and ``is_zero`` and
+    ``element_order`` from reduction against its pivots."""
 
-    def __init__(self, labels: Sequence[str], relations: IntMatrix):
+    def __init__(self, labels: Sequence[str], relations: Iterable[Sequence[int]]):
         labels = tuple(str(s) for s in labels)
-        if relations.cols != len(labels):
-            raise ValueError("relation width does not match generator count")
         self.generator_labels = labels
-        self.relation_matrix = relations
-        n = relations.cols
+        n = len(labels)
+        if isinstance(relations, IntMatrix):
+            relations = relations.row_list()
 
-        rows = [row for _, row in _distinct_rows(relations)]
+        rows = _distinct_rows(relations, n)
         h_flat, _, rank = _snf_py.hnf_kernel([x for row in rows for x in row], len(rows), n, False)
         self.relation_basis = IntMatrix(rank, n, h_flat[: rank * n])
         self._pivots = _pivot_data(self.relation_basis.row_list(), rank)
@@ -345,9 +348,7 @@ class AbGroupInfo:
 
 def fp_group(labels: Sequence[str], relations) -> AbGroupInfo:
     """Finitely presented abelian group on ``labels`` modulo the rows of
-    ``relations`` (an IntMatrix or an iterable of rows)."""
-    if not isinstance(relations, IntMatrix):
-        relations = IntMatrix.from_rows(relations, cols=len(labels))
+    ``relations`` (an IntMatrix or any iterable of rows)."""
     return AbGroupInfo(labels, relations)
 
 
@@ -365,15 +366,11 @@ class AbMap:
         self.target = target
         self.images = images
         # a map kills a lattice iff it kills a basis of it; the first
-        # distinct relation row that survives names the failure
+        # basis row that survives names the failure
         for row in source.relation_basis.row_list():
             if not target.is_zero(self.apply(row)):
-                i = next(
-                    i for i, rel in _distinct_rows(source.relation_matrix)
-                    if not target.is_zero(self.apply(rel))
-                )
                 raise RelationNotKilled(
-                    f"source relation {i} maps to a nonzero target element"
+                    f"source relation basis row {row} maps to a nonzero target element"
                 )
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
@@ -400,25 +397,13 @@ def fp_kernel(f: AbMap) -> tuple[AbGroupInfo, AbMap]:
     the stacked matrix [images; target relation basis]; its own relations
     are the coefficient vectors landing in the source relation lattice."""
     n = f.source.ngens
-    stacked = f.images.stack(f.target.relation_basis)
-    kb = left_kernel(stacked)
-    gen_rows = []
-    for i in range(kb.rows):
-        row = kb.row(i)[:n]
-        if any(row):
-            gen_rows.append(row)
-    gens = IntMatrix.from_rows(gen_rows, cols=n)
+    kb = left_kernel(f.images.stack(f.target.relation_basis))
+    gens = IntMatrix.from_rows([row[:n] for row in kb.row_list() if any(row[:n])], cols=n)
 
     k = gens.rows
-    stacked2 = gens.stack(f.source.relation_basis)
-    kb2 = left_kernel(stacked2)
-    rel_rows = []
-    for i in range(kb2.rows):
-        row = kb2.row(i)[:k]
-        if any(row):
-            rel_rows.append(row)
+    kb2 = left_kernel(gens.stack(f.source.relation_basis))
     labels = tuple(f"k{i}" for i in range(k))
-    kern = AbGroupInfo(labels, IntMatrix.from_rows(rel_rows, cols=k))
+    kern = AbGroupInfo(labels, (row[:k] for row in kb2.row_list()))
     incl = AbMap(kern, f.source, gens)
     return kern, incl
 
@@ -426,24 +411,23 @@ def fp_kernel(f: AbMap) -> tuple[AbGroupInfo, AbMap]:
 def fp_cokernel(f: AbMap) -> AbGroupInfo:
     """Cokernel of ``f``: the target with the image rows adjoined as
     relations."""
-    rels = f.target.relation_basis.stack(f.images)
+    rels = chain(f.target.relation_basis.row_list(), f.images.row_list())
     return AbGroupInfo(f.target.generator_labels, rels)
+
+
+def odd_part_int(n: int) -> int:
+    """n with every factor 2 removed, for n >= 1."""
+    if n < 1:
+        raise BadBound("the odd part is taken of a positive integer")
+    while n % 2 == 0:
+        n //= 2
+    return n
 
 
 def odd_part(g: AbGroupInfo) -> AbGroupInfo:
     """The group modulo its 2-primary torsion: same free rank, each
     invariant factor replaced by its odd part."""
-    odds = []
-    for d in g.invariant_factors:
-        while d % 2 == 0:
-            d //= 2
-        if d > 1:
-            odds.append(d)
+    odds = [d for d in map(odd_part_int, g.invariant_factors) if d > 1]
     labels = [f"g{i}" for i in range(len(odds))] + [f"f{i}" for i in range(g.free_rank)]
-    n = len(labels)
-    rows = []
-    for i, d in enumerate(odds):
-        row = [0] * n
-        row[i] = d
-        rows.append(row)
-    return AbGroupInfo(tuple(labels), IntMatrix.from_rows(rows, cols=n))
+    rows = ([d if j == i else 0 for j in range(len(labels))] for i, d in enumerate(odds))
+    return AbGroupInfo(labels, rows)

@@ -1396,18 +1396,25 @@ def valuation(f: FieldElem, place) -> tuple[int, FieldElem]:
     return _valuation_cached(f, place)
 
 
+def _prime_split(x, p: int) -> tuple[int, int, int]:
+    """(v, n, d) with x = p^v n / d for a nonzero rational x, p dividing
+    neither n nor d."""
+    num, den = x.numerator, x.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
 @lru_cache(maxsize=1 << 16)
 def _valuation_cached(f: FieldElem, place: "Place") -> tuple[int, FieldElem]:
     if place.kind == "prime":
         p = place.data
-        num, den = f.val.numerator, f.val.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
+        v, num, den = _prime_split(f.val, p)
         return v, place.residue_field().elem(num * pow(den, -1, p))
     if place.kind == "real":
         raise InfinitePlace("no valuation at the real place")
@@ -1660,27 +1667,34 @@ def _fqt_place(field: RatFunField, c: tuple) -> Place:
 # -- local data of classes
 
 
+def _rational_local(x, place: Place) -> tuple:
+    """The local square class of a nonzero rational x (an int or a
+    Fraction) at a place of Q: (sign bit,) at the real place; (v mod 2,
+    u mod 8) at 2, for x = 2^v u; (v mod 2, nonsquare bit of the residue
+    of the unit part) at an odd prime.  Only the valuation at the place
+    is read, so nothing is factored."""
+    if place.kind == "real":
+        return (int(x < 0),)
+    p = place.data
+    v, num, den = _prime_split(x, p)
+    if p == 2:
+        return (v % 2, num * pow(den, -1, 8) % 8)
+    return (v % 2, int(not place.residue_field().is_square_raw(num * pow(den, -1, p) % p)))
+
+
 def _local_class(cls: SquareClass, place: Place) -> tuple:
     """The local square class of the representative of cls at a place:
-    (sign bit,) at the real place of Q; (v mod 2, u mod 8) at 2, for
-    2^v u; at every other place, all tame, (v mod 2, the square-class key
-    of the residue of the unit part), which over Q and F_q(t) is the
-    nonsquare bit.  Witt decisions, residue forms and specialization all
-    read classes here."""
-    field, key = cls.field, cls.key
+    over Q, ``_rational_local`` of it; at every place of k(t), all tame,
+    (v mod 2, the square-class key of the residue of the unit part),
+    which over F_q(t) is the nonsquare bit.  Witt decisions, residue
+    forms and specialization all read classes here."""
+    field = cls.field
     if isinstance(field, RationalField):
-        s, n = key
-        if place.kind == "real":
-            return (s,)
-        p = place.data
-        v = int(n % p == 0)
-        u = (n // p if v else n) * (-1 if s else 1)
-        if p == 2:
-            return (v, u % 8)
-        return (v, int(not place.residue_field().is_square_raw(u % p)))
+        s, n = cls.key  # the representative is -n or n
+        return _rational_local(-n if s else n, place)
     if isinstance(field, RatFunField):
         if isinstance(field.base, FiniteField):
-            return _fqt_local(field, key, place)
+            return _fqt_local(field, cls.key, place)
         # Q(t) keeps polynomial keys: read the representative's valuation
         v, res = valuation(cls.rep(), place)
         return (v % 2, square_class(res).key)
@@ -1817,12 +1831,15 @@ def tame_symbol(a, b, place) -> FieldElem:
 @lru_cache(maxsize=1 << 16)
 def hilbert(a, b, place) -> int:
     """Hilbert symbol (a, b) at a place of Q or of F_q(t); returns +-1,
-    read off the local square classes of a and b at the place."""
+    read off the local square classes of a and b at the place, which over
+    Q come from the elements themselves, with nothing factored."""
     field, a, b, place = _symbol_args(a, b, place)
-    if isinstance(field, RatFunField) and not isinstance(field.base, FiniteField):
+    if isinstance(field, RationalField):
+        x, y = _rational_local(a.val, place), _rational_local(b.val, place)
+    elif isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
+        x, y = _local_class(square_class(a), place), _local_class(square_class(b), place)
+    else:
         raise UnsupportedField("Hilbert symbols over Q(t) are not supported")
-    x = _local_class(square_class(a), place)
-    y = _local_class(square_class(b), place)
     return -1 if _symbol_bit(place, x, y) else 1
 
 

@@ -11,9 +11,11 @@ generator per unit) is the fold, the two halves added.
 The rows of the presentations, the K1 rows and the images of the lambda
 maps are index arithmetic on discrete logs: a unit is g^a, its square
 class is a mod 2, and 1 - g^a is a Zech-table lookup in the field's
-exp/log/Zech tables.  The element path (``refined_five_term``,
-``rp_vector``, ``psi1_vector``) is their row-for-row oracle and serves
-the specialization maps.
+exp/log/Zech tables.  The relation rows are generated on demand and
+streamed into each group's Hermite reduction; no list of them is kept.
+The element path (``refined_five_term``, ``rp_vector``,
+``psi1_vector``) is their row-for-row oracle and serves the
+specialization maps.
 
 Derived objects are kernels and quotients computed with the integer
 linear algebra layer: the Bloch-type kernels B, RB, RP_1, the
@@ -26,11 +28,11 @@ degree-one place of k(t) land in pairs of RP-tilde elements.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
-    BadBound,
     DegenerateArguments,
     EvenQ,
     IntegrityFailure,
@@ -40,7 +42,7 @@ from .errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from .exact_linear import _left_solver, AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_group, fp_kernel, lattice_intersection, odd_part
+from .exact_linear import _left_solver, AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_group, fp_kernel, lattice_intersection, odd_part, odd_part_int
 from .fields import (
     FieldElem,
     FiniteField,
@@ -206,10 +208,8 @@ class ScissorsContext:
         self.n_units = len(self.units)
         self._p_group: Optional[AbGroupInfo] = None
         self._rp_group: Optional[AbGroupInfo] = None
-        self._rp_rows: Optional[List[List[int]]] = None
         self._maps = None
         self._derived = None
-        self._k1_rows: Optional[List[List[int]]] = None
         self._rp_tilde: Optional[AbGroupInfo] = None
 
     def _pairs(self):
@@ -277,8 +277,7 @@ class ScissorsContext:
             labels = [f"[{e!r}]" for e in self.units]
             one_row = [0] * self.n_units
             one_row[self.unit_index[self.field.one.val]] = 1
-            rows = [one_row]
-            rows.extend(_fold_halves(v) for v in self._five_term_rows())
+            rows = chain([one_row], map(_fold_halves, self._five_term_rows()))
             self._p_group = fp_group(labels, rows)
         return self._p_group
 
@@ -296,23 +295,24 @@ class ScissorsContext:
                 vec[self.flat_index(cls.key, arg)] += n
         return _swap_halves(vec) if twist % 2 else vec
 
+    def _rp_row_iter(self):
+        """The normalization [1] = 0 and each untwisted five-term row,
+        each followed by its s-translate."""
+        one_row = [0] * (2 * self.n_units)
+        one_row[self.flat_index(0, self.field.one)] = 1
+        for v in chain([one_row], self._five_term_rows()):
+            yield v
+            yield _swap_halves(v)
+
     def rp_rows(self) -> List[List[int]]:
-        if self._rp_rows is None:
-            one_row = [0] * (2 * self.n_units)
-            one_row[self.flat_index(0, self.field.one)] = 1
-            rows = [one_row, _swap_halves(one_row)]
-            for v in self._five_term_rows():
-                rows.append(v)
-                rows.append(_swap_halves(v))
-            self._rp_rows = rows
-        return self._rp_rows
+        return list(self._rp_row_iter())
 
     def rp_labels(self) -> List[str]:
         return [f"[{e!r}]" for e in self.units] + [f"s[{e!r}]" for e in self.units]
 
     def rp_group(self) -> AbGroupInfo:
         if self._rp_group is None:
-            self._rp_group = fp_group(self.rp_labels(), self.rp_rows())
+            self._rp_group = fp_group(self.rp_labels(), self._rp_row_iter())
         return self._rp_group
 
     # -- lambda maps ----------------------------------------------------
@@ -361,38 +361,37 @@ class ScissorsContext:
         )
         return self.rp_vector(elem, twist)
 
-    def k1_rows(self) -> List[List[int]]:
+    def _k1_row_iter(self):
         """``psi1_vector(x)`` and its s-translate for every unit x, from
         discrete logs: [x] + <-1>[g^-a] for x = g^a, where <-1> has
         class (q-1)/2 mod 2."""
-        if self._k1_rows is None:
-            col, log, _ = self._logs()
-            n = self.n_units
-            cls_minus_one = ((n // 2) & 1) * n
-            rows = []
-            for x in self.units:
-                a = log[x.val]
-                v = [0] * (2 * n)
-                v[col[a]] += 1
-                v[cls_minus_one + col[-a]] += 1
-                rows.append(v)
-                rows.append(_swap_halves(v))
-            self._k1_rows = rows
-        return self._k1_rows
+        col, log, _ = self._logs()
+        n = self.n_units
+        cls_minus_one = ((n // 2) & 1) * n
+        for x in self.units:
+            a = log[x.val]
+            v = [0] * (2 * n)
+            v[col[a]] += 1
+            v[cls_minus_one + col[-a]] += 1
+            yield v
+            yield _swap_halves(v)
+
+    def k1_rows(self) -> List[List[int]]:
+        return list(self._k1_row_iter())
 
     def rp_tilde(self) -> AbGroupInfo:
         """RP modulo the K1 submodule: the K1 rows adjoined to RP's
         Hermite basis, which spans the same lattice as its relations."""
         if self._rp_tilde is None:
-            k1 = IntMatrix.from_rows(self.k1_rows(), cols=2 * self.n_units)
-            self._rp_tilde = fp_group(self.rp_labels(), self.rp_group().relation_basis.stack(k1))
+            rows = chain(self.rp_group().relation_basis.row_list(), self._k1_row_iter())
+            self._rp_tilde = fp_group(self.rp_labels(), rows)
         return self._rp_tilde
 
     # -- derived groups -------------------------------------------------
 
-    def derived(self, strict: bool = True):
-        """The derived groups, computed once; with ``strict`` every call
-        checks that RB -> B is an isomorphism."""
+    def derived(self):
+        """The derived groups, computed once; every call checks that
+        RB -> B is an isomorphism."""
         if self._derived is None:
             lambda1, lambda2, lam_mixed, lambda_p, proj = self.maps()
             p = self.p_group()
@@ -436,11 +435,10 @@ class ScissorsContext:
                 "RP_tilde": self.rp_tilde(),
                 "k1_intersection_exponent": exponent,
             }
-        if strict:
-            if self._derived["rblker"].order() != 1:
-                raise IntegrityFailure("comparison kernel RB -> B is not trivial")
-            if self._derived["cokernel_RB_to_B"].order() != 1:
-                raise IntegrityFailure("RB -> B fails to be onto")
+        if self._derived["rblker"].order() != 1:
+            raise IntegrityFailure("comparison kernel RB -> B is not trivial")
+        if self._derived["cokernel_RB_to_B"].order() != 1:
+            raise IntegrityFailure("RB -> B fails to be onto")
         return self._derived
 
 
@@ -463,23 +461,14 @@ def pb_half(q: int) -> AbGroupInfo:
     return odd_part(pb_group(q))
 
 
-def odd_part_int(n: int) -> int:
-    """n with every factor 2 removed, for n >= 1."""
-    if n < 1:
-        raise BadBound("the odd part is taken of a positive integer")
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
 def rp_presentation(q: int):
     """(flat generator labels, relation rows, flattened group)."""
     ctx = scissors_context(q)
     return ctx.rp_labels(), ctx.rp_rows(), ctx.rp_group()
 
 
-def derived_groups(q: int, strict: bool = True):
-    return scissors_context(q).derived(strict=strict)
+def derived_groups(q: int):
+    return scissors_context(q).derived()
 
 
 # -- specialization at a degree-one place ------------------------------

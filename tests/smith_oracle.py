@@ -7,16 +7,18 @@ v goes to y = v * V, whose entries at the zero diagonal places are its
 free coordinates and whose entries at the places with d_j >= 2 are its
 torsion coordinates mod d_j.  ``element_order`` is read off those
 coordinates, and ``all_rows_init`` is the ``AbMap`` constructor that
-checks every distinct relation row instead of a basis of the lattice.
-``install`` swaps both in for the library's, so that whole commands can
-be run on either reading.
+checks every relation row instead of a basis of the lattice.  A group
+keeps no copy of its relation rows, so ``record_inputs`` wraps the
+``AbGroupInfo`` constructor to remember each group's rows
+(``input_rows``).  ``install`` swaps the oracles in for the library's,
+so that whole commands can be run on either reading.
 """
 
 from math import gcd, lcm
 from weakref import WeakKeyDictionary
 
 from kmw.errors import RelationNotKilled
-from kmw.exact_linear import AbGroupInfo, AbMap, IntMatrix, _distinct_rows, snf
+from kmw.exact_linear import AbGroupInfo, AbMap, IntMatrix, snf
 
 
 class SmithReading:
@@ -80,9 +82,33 @@ def element_order(g: AbGroupInfo, vec):
     return smith_reading(g).element_order(vec)
 
 
-def all_rows_init(self, source, target, images):
-    """``AbMap.__init__`` checking each distinct relation row of the
-    source, named by its first row, instead of the source's basis."""
+_inputs = WeakKeyDictionary()
+
+
+def record_inputs(monkeypatch):
+    """Wrap the ``AbGroupInfo`` constructor so that each group built
+    from then on remembers its relation rows, as a list."""
+    original = AbGroupInfo.__init__
+
+    def init(self, labels, relations):
+        if isinstance(relations, IntMatrix):
+            relations = relations.row_list()
+        rows = [list(r) for r in relations]
+        original(self, labels, rows)
+        _inputs[self] = rows
+
+    monkeypatch.setattr(AbGroupInfo, "__init__", init)
+
+
+def input_rows(g: AbGroupInfo) -> list:
+    """The relation rows ``g`` was built from, under ``record_inputs``."""
+    return _inputs[g]
+
+
+def all_rows_init(self, source, target, images, source_rows=None):
+    """``AbMap.__init__`` checking each relation row of the source (by
+    default its recorded rows), named by its index, instead of the
+    source's basis."""
     if not isinstance(images, IntMatrix):
         images = IntMatrix.from_rows(images, cols=target.ngens)
     if images.rows != source.ngens or images.cols != target.ngens:
@@ -90,7 +116,9 @@ def all_rows_init(self, source, target, images):
     self.source = source
     self.target = target
     self.images = images
-    for i, row in _distinct_rows(source.relation_matrix):
+    if source_rows is None:
+        source_rows = input_rows(source)
+    for i, row in enumerate(source_rows):
         if not target.is_zero(self.apply(row)):
             raise RelationNotKilled(
                 f"source relation {i} maps to a nonzero target element"
@@ -99,7 +127,8 @@ def all_rows_init(self, source, target, images):
 
 def install(monkeypatch, calls):
     """Swap the Smith reading of element orders and the all-rows map check
-    in for the library's; each oracle call appends its name to ``calls``."""
+    in for the library's, recording every group's rows for the latter;
+    each oracle call appends its name to ``calls``."""
 
     def order(self, vec):
         calls.append("element_order")
@@ -109,5 +138,6 @@ def install(monkeypatch, calls):
         calls.append("AbMap")
         all_rows_init(self, source, target, images)
 
+    record_inputs(monkeypatch)
     monkeypatch.setattr(AbGroupInfo, "element_order", order)
     monkeypatch.setattr(AbMap, "__init__", init)

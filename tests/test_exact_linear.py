@@ -5,6 +5,7 @@ cofactor expansion for determinants, and the Smith-coordinate reading of
 
 import copy
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
@@ -29,7 +30,7 @@ from kmw.exact_linear import (
     odd_part,
     snf,
 )
-from kmw.scissors import rp_presentation, scissors_context
+from kmw.scissors import ScissorsContext, rp_presentation
 
 
 def laplace_det(rows):
@@ -418,10 +419,10 @@ class TestMaps:
 
     def test_duplicated_relation_still_checked(self):
         # relation 2 (2x), the second distinct one, is not killed; it
-        # recurs negated as relation 4
+        # recurs negated as relation 4, and it is the basis row (2, 0)
         src = fp_group(["x", "y"], [[0, 3], [0, -3], [2, 0], [0, 3], [-2, 0]])
         z3 = fp_group(["z"], [[3]])
-        with pytest.raises(RelationNotKilled, match="relation 2 "):
+        with pytest.raises(RelationNotKilled, match=r"basis row \(2, 0\) "):
             AbMap(src, z3, [[1], [1]])
         AbMap(src, z3, [[3], [1]])
 
@@ -438,12 +439,12 @@ class TestMaps:
         monkeypatch.setattr(AbMap, "apply", recording_apply)
         AbMap(src, z6, [[3], [2]])
         assert applied == src.relation_basis.row_list() == [(2, 0), (0, 3)]
-        # on failure, the distinct relation rows are scanned up to the
-        # first one that survives, which the message names
+        # on failure, the first basis row that survives names it, and no
+        # other row is applied
         applied.clear()
-        with pytest.raises(RelationNotKilled, match="relation 1 "):
+        with pytest.raises(RelationNotKilled, match=r"basis row \(2, 0\) "):
             AbMap(src, z6, [[1], [2]])
-        assert applied == [(2, 0), (0, 3), (2, 0)]
+        assert applied == [(2, 0)]
 
     def test_kernel_image_orders_multiply(self):
         rng = random.Random(59)
@@ -555,7 +556,9 @@ class TestIntMatrix:
 # invariants, membership and element orders from that basis; the kernel
 # calculus stacks against it.  The SNF of the whole relation matrix,
 # stacks of the whole relation matrix and the Smith-coordinate reading of
-# smith_oracle are the oracles.
+# smith_oracle are the oracles.  A group keeps no copy of its relation
+# rows, so each oracle takes them from the test or, for groups the
+# library builds, from smith_oracle.record_inputs.
 
 SPARSE_ENTRIES = (0, 0, 0, 1, -1)
 
@@ -587,22 +590,23 @@ def invariants(g):
     return g.free_rank, g.invariant_factors
 
 
-def with_full_stack(g):
+def with_full_stack(g, rows):
     """Copy of ``g`` whose kernel calculus stacks the full relation
-    matrix instead of the Hermite basis."""
+    matrix ``rows`` instead of the Hermite basis."""
     h = copy.copy(g)
-    h.relation_basis = g.relation_matrix
+    h.relation_basis = IntMatrix.from_rows(rows, cols=g.ngens)
     return h
 
 
-def assert_stack_independent(f):
-    full = AbMap(with_full_stack(f.source), with_full_stack(f.target), f.images)
+def assert_stack_independent(f, src_rows, tgt_rows):
+    full = AbMap(
+        with_full_stack(f.source, src_rows), with_full_stack(f.target, tgt_rows), f.images
+    )
     assert invariants(fp_kernel(f)[0]) == invariants(fp_kernel(full)[0])
     assert invariants(fp_cokernel(f)) == invariants(fp_cokernel(full))
 
 
-def assert_zero_test_agrees(g, rng, trials=30):
-    rows = g.relation_matrix.row_list()
+def assert_zero_test_agrees(g, rows, rng, trials=30):
     for _ in range(trials):
         vec = [0] * g.ngens
         for row in rows:
@@ -628,7 +632,7 @@ class TestHermiteBasis:
         assert invariants(g) == full_snf_invariants(rows, n)
         assert g.relation_basis.rows == n - g.free_rank
         assert g.relation_basis.cols == n
-        assert_zero_test_agrees(g, random.Random(seed))
+        assert_zero_test_agrees(g, rows, random.Random(seed))
 
     @settings(max_examples=60, deadline=None)
     @given(tall_sparse, st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -645,7 +649,7 @@ class TestHermiteBasis:
         tgt_rows = random_sparse_rows(rng, rng.randint(0, 2 * m), m) + killed
         src = fp_group([f"s{i}" for i in range(n)], src_rows)
         tgt = fp_group([f"t{j}" for j in range(m)], tgt_rows)
-        assert_stack_independent(AbMap(src, tgt, images))
+        assert_stack_independent(AbMap(src, tgt, images), src_rows, tgt_rows)
 
     @settings(max_examples=200, deadline=None)
     @given(tall_sparse, st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -665,26 +669,40 @@ class TestHermiteBasis:
         src = fp_group([f"s{i}" for i in range(n)], src_rows)
         tgt = fp_group([f"t{j}" for j in range(m)], tgt_rows)
 
-        def outcome(init):
+        def outcome(init, *rows):
             try:
-                init(AbMap.__new__(AbMap), src, tgt, images)
+                init(AbMap.__new__(AbMap), src, tgt, images, *rows)
             except RelationNotKilled as exc:
                 return str(exc)
             return None
 
-        assert outcome(AbMap.__init__) == outcome(smith_oracle.all_rows_init)
+        # both fail or neither does; the library names the first basis row
+        # whose image survives
+        survivors = [
+            row for row in src.relation_basis.row_list()
+            if not tgt.is_zero([sum(row[i] * images[i][j] for i in range(n)) for j in range(m)])
+        ]
+        got = outcome(AbMap.__init__)
+        assert (got is None) == (outcome(smith_oracle.all_rows_init, src_rows) is None)
+        if survivors:
+            assert got == f"source relation basis row {survivors[0]} maps to a nonzero target element"
+        else:
+            assert got is None
 
     @pytest.mark.parametrize("q", SMALL_RP_QS)
     def test_rp_presentation_against_full_snf(self, q):
         labels, rows, _ = rp_presentation(q)
         g = fp_group(labels, rows)
         assert invariants(g) == full_snf_invariants(rows, len(labels))
-        assert_zero_test_agrees(g, random.Random(q))
+        assert_zero_test_agrees(g, rows, random.Random(q))
 
     @pytest.mark.parametrize("q", SMALL_RP_QS)
-    def test_scissors_maps_stack_independent(self, q):
-        for f in scissors_context(q).maps():
-            assert_stack_independent(f)
+    def test_scissors_maps_stack_independent(self, q, monkeypatch):
+        # a fresh context, so that every group is built under the recorder
+        smith_oracle.record_inputs(monkeypatch)
+        for f in ScissorsContext(q).maps():
+            rows = smith_oracle.input_rows
+            assert_stack_independent(f, rows(f.source), rows(f.target))
 
     def test_one_full_height_reduction(self, monkeypatch):
         # built before recording: rp_presentation also builds the cached
@@ -709,6 +727,41 @@ class TestHermiteBasis:
         g = fp_group(labels, list(rows) + redundant)
         rank = n - g.free_rank
         assert calls == [("hnf", len(rows), n, False), ("snf", rank, n, False, False)]
+
+
+class TestStreamedRelations:
+    """A presentation reads its relation rows once, from any iterable,
+    and keeps only their Hermite basis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tall_sparse)
+    def test_one_shot_generator_gives_the_list_built_group(self, rows):
+        labels = [f"g{i}" for i in range(len(rows[0]))]
+        want = fp_group(labels, rows)
+        read = []
+
+        def one_shot():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        got = fp_group(labels, one_shot())
+        assert read == rows
+        assert got.generator_labels == want.generator_labels
+        assert got.relation_basis == want.relation_basis
+        assert (got.invariant_factors, got.free_rank) == (want.invariant_factors, want.free_rank)
+
+    def test_every_row_width_is_checked(self):
+        with pytest.raises(ValueError, match="width"):
+            fp_group(["a", "b"], iter([[2, 0], [0, 3], [1, 1, 0]]))
+        with pytest.raises(ValueError, match="width"):
+            fp_group(["a", "b"], [[2, 0], [0]])
+
+    def test_entries_are_coerced_to_int(self):
+        g = fp_group(["a", "b"], iter([(True, 0), (0, 6.0), (False, Fraction(-3))]))
+        assert g.relation_basis.row_list() == [(1, 0), (0, 3)]
+        assert all(type(x) is int for x in g.relation_basis.entries)
+        assert g.describe() == "Z/3"
 
 
 # -- row-list Hermite kernel, distinct relation rows -----------------------
@@ -838,11 +891,11 @@ class TestRowListHNF:
         rng.shuffle(extended)
         labels = [f"g{i}" for i in range(n)]
         g = fp_group(labels, rows)
-        h = fp_group(labels, extended)
-        assert h.relation_matrix == IntMatrix.from_rows(extended)
-        assert h.relation_basis == g.relation_basis
-        assert h.invariant_factors == g.invariant_factors
-        assert h.free_rank == g.free_rank
+        for relations in (extended, IntMatrix.from_rows(extended), iter(extended)):
+            h = fp_group(labels, relations)
+            assert h.relation_basis == g.relation_basis
+            assert h.invariant_factors == g.invariant_factors
+            assert h.free_rank == g.free_rank
 
     @settings(max_examples=100, deadline=None)
     @given(dense_matrix.filter(bool))

@@ -3,24 +3,32 @@ off local square classes and one valuation, against the element-level
 symbols of ``symbol_oracle``; the symbols' argument handling; and whole
 commands run on either set of symbols."""
 
+import os
 import random
+import subprocess
 import sys
+from math import prod
+from pathlib import Path
 
 import pytest
 import symbol_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kmw
 from kmw.cli import main
 from kmw.errors import MixedFields, UnsupportedField
 from kmw.fields import (
     Poly,
+    _local_class,
+    _rational_local,
     finite_field,
     function_field,
     function_place,
     hilbert,
     rational_place,
     rationals,
+    square_class,
     support_places,
     tame_symbol,
     valuation,
@@ -73,12 +81,13 @@ def _place_kind(place) -> str:
     return place.kind
 
 
-def _check_q(a, b) -> set:
+def _check_q(a, b, places=None) -> set:
     """Every symbol and valuation of the pair (a, b) over Q against the
-    oracle; returns the (kind of place, Hilbert sign) pairs seen."""
+    oracle, at ``places`` or else at ``_q_places``; returns the (kind of
+    place, Hilbert sign) pairs seen."""
     a, b = Q.elem(a), Q.elem(b)
     seen = set()
-    for place in _q_places(a, b):
+    for place in _q_places(a, b) if places is None else places:
         h = hilbert(a, b, place)
         assert h == symbol_oracle.hilbert(a, b, place), (a, b, place)
         seen.add((_place_kind(place), h))
@@ -125,6 +134,14 @@ class TestAgainstElementLevelSymbols:
         field = FQT[q]
         _check_fqt(field, _fqt_elem(field, *da), _fqt_elem(field, *db))
 
+    @settings(max_examples=100, deadline=None)
+    @given(fractions, st.sampled_from((2, 3, 5, 7, 11, 13)))
+    def test_local_class_of_a_rational_is_that_of_its_class(self, a, p):
+        # the class's key and the element itself give one local class
+        x = a[0] / Q.elem(a[1])
+        for place in (rational_place(p), rational_place("real")):
+            assert _local_class(square_class(x), place) == _rational_local(x.val, place)
+
     def test_seeded_corpus_over_q_reaches_both_signs(self):
         rng = random.Random(15)
         seen = set()
@@ -153,6 +170,50 @@ class TestAgainstElementLevelSymbols:
             seen |= _check_fqt(field, draw(), draw())
         for kind in ("inf", "degree 1", "degree >= 2"):
             assert {(kind, 1), (kind, -1)} <= seen, (q, kind)
+
+
+#: primes near 10^9, so that products of two are semiprimes near 10^18
+LARGE_PRIMES = (998244353, 999999937, 1000000007, 1000000009)
+
+
+class TestLargeRationalArguments:
+    """Over Q the Hilbert symbol reads one valuation per argument and
+    factors nothing, so semiprimes near 10^18 cost no more than small
+    arguments."""
+
+    def test_semiprimes_against_element_level_symbols(self):
+        rng = random.Random(16)
+        places = [rational_place(p) for p in ("real", 2, *EXTRA_PRIMES, *LARGE_PRIMES)]
+        seen = set()
+        for _ in range(60):
+            a = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 8]) * prod(rng.sample(LARGE_PRIMES, 2))
+            b = rng.choice([-1, 1]) * rng.randint(1, 60) * rng.choice(LARGE_PRIMES)
+            den = rng.choice([1, 2, 5, rng.choice(LARGE_PRIMES)])
+            seen |= _check_q(Q.elem(a) / den, Q.elem(b), places)
+        for kind in ("real", "2", "odd"):
+            assert {(kind, 1), (kind, -1)} <= seen, kind
+
+    def test_hilbert_on_a_semiprime_returns(self):
+        # run apart, so that a symbol that factors its arguments fails this
+        # test by its timeout instead of stalling the suite
+        script = (
+            "from kmw.fields import hilbert\n"
+            "print(hilbert(1000000007 * 998244353, 5, 3),"
+            " hilbert(-2 * 999999937 * 1000000009, 998244353 * 3, 2))\n"
+        )
+        src = str(Path(kmw.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        want = (
+            symbol_oracle.hilbert(1000000007 * 998244353, 5, 3),
+            symbol_oracle.hilbert(-2 * 999999937 * 1000000009, 998244353 * 3, 2),
+        )
+        assert result.stdout == f"{want[0]} {want[1]}\n"
 
 
 class TestArgumentHandling:

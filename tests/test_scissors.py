@@ -16,13 +16,14 @@ from kmw.errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from kmw.exact_linear import AbMap, fp_group, fp_kernel, odd_part
+from kmw.exact_linear import AbMap, IntMatrix, fp_group, fp_kernel, odd_part
 from kmw.fields import finite_field, function_field, function_place, rationals
 from kmw.group_ring import gr_int, gr_mul, gr_unit, pfister_elem
 from kmw.scissors import (
     RPElem,
     RPTildeElem,
     ScissorsContext,
+    _fold_halves,
     delta_t_rp,
     derived_groups,
     five_term_admissible,
@@ -239,15 +240,20 @@ class TestOneRowPerFact:
 
     @pytest.mark.parametrize("q", [5, 9, 13, 25, 27])
     def test_p_rows_are_plain_five_terms(self, q):
+        # P's rows are the folds of the untwisted rows of rp_rows(), in
+        # _pairs() order, and P is the group they present
         ctx = scissors_context(q)
-        rows = ctx.p_group().relation_matrix.row_list()
+        rows = [_fold_halves(v) for v in ctx.rp_rows()[::2]]
         pairs = list(ctx._pairs())
         assert len(rows) == len(pairs) + 1
+        assert rows[0] == ctx.p_vector(rp_gen(ctx.field, 1))
         for (x, y), row in zip(pairs, rows[1:]):
             plain = plain_five_term(ctx.field, x, y)
             want = self._plain_oracle(ctx, plain)
             assert ctx.p_vector(plain) == want
-            assert list(row) == want
+            assert row == want
+        p = ctx.p_group()
+        assert fp_group(p.generator_labels, rows).relation_basis == p.relation_basis
 
     @pytest.mark.parametrize("q", [5, 9, 13, 25, 27])
     def test_twisted_rows_are_translates(self, q):
@@ -327,11 +333,36 @@ class TestOneRowPerFact:
         assert got.free_rank == full.free_rank
 
     def test_strict_checks_run_on_cached_groups(self, monkeypatch):
+        # the RB -> B checks run on the first call and on every cached one
         monkeypatch.setattr("kmw.scissors.fp_cokernel", lambda f: fp_group(["g"], [[3]]))
         ctx = ScissorsContext(5)
-        assert ctx.derived(strict=False)["cokernel_RB_to_B"].order() == 3
-        with pytest.raises(IntegrityFailure):
-            ctx.derived(strict=True)
+        with pytest.raises(IntegrityFailure, match="onto"):
+            ctx.derived()
+        assert ctx._derived["cokernel_RB_to_B"].order() == 3
+        with pytest.raises(IntegrityFailure, match="onto"):
+            ctx.derived()
+
+    def test_groups_and_context_keep_no_relation_rows(self):
+        # a presentation is its Hermite basis: neither the groups nor the
+        # context hold a row list or matrix taller than the basis rank
+        p = pb_group(25)
+        ctx = scissors_context(25)
+        rp = ctx.rp_group()
+
+        def heights(obj):
+            for name, value in vars(obj).items():
+                if isinstance(value, IntMatrix):
+                    yield name, value.rows
+                elif isinstance(value, (list, tuple)) and value and all(
+                    isinstance(r, (list, tuple)) for r in value
+                ):
+                    yield name, len(value)
+
+        rank = {g: g.relation_basis.rows for g in (p, rp)}
+        assert rank[p] > 0 and rank[rp] > 0
+        for obj, bound in ((p, rank[p]), (rp, rank[rp]), (ctx, max(rank.values()))):
+            for name, height in heights(obj):
+                assert height <= bound, (obj, name, height)
 
 
 def r_element(field, x) -> RPElem:
