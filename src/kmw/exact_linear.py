@@ -273,6 +273,8 @@ class AbGroupInfo:
         self.generator_labels = labels
         n = len(labels)
         if isinstance(relations, IntMatrix):
+            if relations.cols != n:
+                raise ValueError("relation width does not match generator count")
             relations = relations.row_list()
 
         rows = _distinct_rows(relations, n)

@@ -5,6 +5,7 @@ cofactor expansion for determinants, and the Smith-coordinate reading of
 
 import copy
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -751,11 +752,29 @@ class TestStreamedRelations:
         assert got.relation_basis == want.relation_basis
         assert (got.invariant_factors, got.free_rank) == (want.invariant_factors, want.free_rank)
 
+    def test_a_long_stream_is_not_held(self):
+        # 50,000 rows, two distinct: only the distinct rows are held, so
+        # peak traced memory stays far below what the rows take as a list
+        def stream():
+            for i in range(50_000):
+                yield [2, 0, 0] if i % 2 else [0, -3, 0]
+
+        tracemalloc.start()
+        try:
+            g = fp_group(["a", "b", "c"], stream())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (g.invariant_factors, g.free_rank) == ((6,), 1)
+        assert peak < 500_000
+
     def test_every_row_width_is_checked(self):
         with pytest.raises(ValueError, match="width"):
             fp_group(["a", "b"], iter([[2, 0], [0, 3], [1, 1, 0]]))
         with pytest.raises(ValueError, match="width"):
             fp_group(["a", "b"], [[2, 0], [0]])
+        with pytest.raises(ValueError, match="width"):
+            fp_group(["a", "b"], IntMatrix.zeros(0, 3))
 
     def test_entries_are_coerced_to_int(self):
         g = fp_group(["a", "b"], iter([(True, 0), (0, 6.0), (False, Fraction(-3))]))
