@@ -1,9 +1,11 @@
 """Integer normal-form kernels (pure Python, arbitrary precision).
 
 Matrices go in and come out as flat row-major lists of Python ints.
-The pivot rule is the first entry of minimal absolute value,
-short-circuiting on +-1; row and column operations run in a fixed
-order, so the output is a function of the input alone.
+There is one elimination loop, ``hnf_kernel``; ``snf_kernel`` builds the
+Smith form from its reductions of the matrix and of its transpose, plus
+gcd/lcm steps on the diagonal.  The pivot rule is the first entry of
+minimal absolute value, short-circuiting on +-1; row operations run in a
+fixed order, so the output is a function of the input alone.
 
 ``hnf_kernel`` holds the matrix and its transform as lists of rows
 inside, so swaps and negations move whole rows.  While column j is
@@ -15,6 +17,8 @@ The skipped columns would only have received zeros.
 
 from __future__ import annotations
 
+from math import gcd
+
 
 def _nearest_quo(a: int, b: int) -> int:
     # quotient rounded to nearest, |a - q*b| <= |b|/2 (ties toward floor)
@@ -25,130 +29,76 @@ def _nearest_quo(a: int, b: int) -> int:
     return q
 
 
-def _identity(n: int) -> list[int]:
-    m = [0] * (n * n)
-    for i in range(n):
-        m[i * n + i] = 1
-    return m
+def _reduce(m, t):
+    """Hermite-reduce the rows ``m`` with the leading rows of the
+    transform ``t`` (or None) beside them, updating ``t`` in place, and
+    return the nonzero reduced rows of ``m``.  Rows with a zero ``m``
+    part come last; reducing their ``t`` part leaves ``m`` alone."""
+    if not m:
+        return []
+    n = len(m[0])
+    if t is not None:
+        m = [row + trow for row, trow in zip(m, t)]
+    k, w = len(m), len(m[0])
+    h, _, _ = hnf_kernel([x for row in m for x in row], k, w, False)
+    reduced = [h[i * w : (i + 1) * w] for i in range(k)]
+    if t is not None:
+        t[:k] = [row[n:] for row in reduced]
+    return [row[:n] for row in reduced if any(row[:n])]
+
+
+def _combine(t, i, j, a, b, c, d):
+    # rows i, j of t become a*t_i + b*t_j and c*t_i + d*t_j
+    ti, tj = t[i], t[j]
+    t[i] = [a * x + b * y for x, y in zip(ti, tj)]
+    t[j] = [c * x + d * y for x, y in zip(ti, tj)]
 
 
 def snf_kernel(a, rows, cols, want_u=True, want_v=True):
     """Smith normal form.  Returns (d, u, v) as flat lists (u, v possibly
     None) with u*a*v = d, d diagonal, nonnegative, each pivot dividing
-    the next, and u, v unimodular."""
-    a = list(a)
-    u = _identity(rows) if want_u else None
-    v = _identity(cols) if want_v else None
+    the next, and u, v unimodular.
 
-    def swap_rows(i, j):
-        for c in range(cols):
-            a[i * cols + c], a[j * cols + c] = a[j * cols + c], a[i * cols + c]
-        if u is not None:
-            for c in range(rows):
-                u[i * rows + c], u[j * rows + c] = u[j * rows + c], u[i * rows + c]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r * cols + i], a[r * cols + j] = a[r * cols + j], a[r * cols + i]
-        if v is not None:
-            for r in range(cols):
-                v[r * cols + i], v[r * cols + j] = v[r * cols + j], v[r * cols + i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        for k in range(cols):
-            a[i * cols + k] += c * a[j * cols + k]
-        if u is not None:
-            for k in range(rows):
-                u[i * rows + k] += c * u[j * rows + k]
-
-    def add_col(i, j, c):
-        # col_i += c * col_j
-        for r in range(rows):
-            a[r * cols + i] += c * a[r * cols + j]
-        if v is not None:
-            for r in range(cols):
-                v[r * cols + i] += c * v[r * cols + j]
-
-    limit = min(rows, cols)
-    t = 0
-    while t < limit:
-        # pivot: first entry of minimal |value| in the trailing block
-        best_abs = 0
-        best_i = best_j = -1
-        for i in range(t, rows):
-            base = i * cols
-            for j in range(t, cols):
-                x = a[base + j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best_i < 0 or ax < best_abs:
-                        best_abs, best_i, best_j = ax, i, j
-                        if ax == 1:
-                            break
-            if best_abs == 1:
-                break
-        if best_i < 0:
-            break  # trailing block is zero
-        if best_i != t:
-            swap_rows(best_i, t)
-        if best_j != t:
-            swap_cols(best_j, t)
-
-        while True:
-            p = a[t * cols + t]
-            restart = False
-            # clear column t below the pivot
-            for i in range(t + 1, rows):
-                x = a[i * cols + t]
-                if x:
-                    q = _nearest_quo(x, p)
-                    if q:
-                        add_row(i, t, -q)
-                    if a[i * cols + t]:
-                        swap_rows(i, t)  # strictly smaller pivot
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear row t right of the pivot (column t below is zero, so
-            # these column operations cannot refill it)
-            for j in range(t + 1, cols):
-                x = a[t * cols + j]
-                if x:
-                    q = _nearest_quo(x, p)
-                    if q:
-                        add_col(j, t, -q)
-                    if a[t * cols + j]:
-                        swap_cols(j, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # divisibility: pivot must divide every trailing entry
-            p = a[t * cols + t]
-            bad = False
-            for i in range(t + 1, rows):
-                base = i * cols
-                for j in range(t + 1, cols):
-                    if a[base + j] % p:
-                        add_row(t, i, 1)  # pull the offending row up
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                continue
+    Hermite-reduce the rows, transpose the nonzero ones, and repeat until
+    the matrix is diagonal (Kannan & Bachem, SIAM J. Comput. 8(4), 1979;
+    Cohen, GTM 138, section 2.4), with u beside the matrix and v
+    transposed beside its transpose.  Then each diagonal pair x, y
+    with x not dividing y becomes gcd g and lcm: with s*x + t*y = g, the
+    rows by [[s, t], [-y/g, x/g]], the columns by [[1, -t*y/g], [1, s*x/g]]."""
+    m = [list(a[i * cols : (i + 1) * cols]) for i in range(rows)]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if want_u else None
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_v else None
+    # the rows of m are the leading rows of the transform beside them
+    side, other = u, vt
+    while True:
+        m = _reduce(m, side)
+        # row i is zero left of its pivot, which is at column i or later
+        if all(not any(row[i + 1 :]) for i, row in enumerate(m)):
             break
-        t += 1
+        m = [list(c) for c in zip(*m)]
+        side, other = other, side
 
-    for i in range(limit):
-        if a[i * cols + i] < 0:
-            a[i * cols + i] = -a[i * cols + i]
-            if u is not None:
-                for k in range(rows):
-                    u[i * rows + k] = -u[i * rows + k]
-    return a, u, v
+    diag = [row[i] for i, row in enumerate(m)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            x, y = diag[i], diag[j]
+            if y % x:
+                g = gcd(x, y)
+                s = pow(x // g, -1, y // g)
+                t = (g - s * x) // y
+                diag[i], diag[j] = g, x // g * y
+                if u is not None:
+                    _combine(u, i, j, s, t, -y // g, x // g)
+                if vt is not None:
+                    _combine(vt, i, j, 1, 1, -t * y // g, s * x // g)
+
+    d = [0] * (rows * cols)
+    for i, x in enumerate(diag):
+        d[i * cols + i] = x
+    if u is not None:
+        u = [x for row in u for x in row]
+    v = [x for col in zip(*vt) for x in col] if vt is not None else None
+    return d, u, v
 
 
 def hnf_kernel(a, rows, cols, want_u=True):

@@ -29,7 +29,7 @@ from .errors import BadBound, IntegrityFailure, KmwError, UnsupportedField
 from .exact_linear import IntMatrix, snf
 from .fields import RatFunField, field_make
 from .reports import h2_laurent_report, h3_laurent_report, stabilization_report
-from .scissors import derived_groups, odd_part_int, pb_group, pb_half, rp_presentation
+from .scissors import derived_groups, odd_part_int, pb_group, pb_half, scissors_context
 from .suites import (
     run_hilbert,
     run_mw_relations,
@@ -194,11 +194,12 @@ def _pb_payload(q: int) -> dict:
 
 
 def _rp_payload(q: int) -> dict:
-    labels, rows, group = rp_presentation(q)
+    ctx = scissors_context(q)
+    group = ctx.rp_group()
     return {
         "q": q,
-        "generators": len(labels),
-        "relations": len(rows),
+        "generators": group.ngens,
+        "relations": ctx._rp_row_count(),
         "group": {
             "free_rank": group.free_rank,
             "invariant_factors": list(group.invariant_factors),

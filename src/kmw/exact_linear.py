@@ -16,8 +16,8 @@ the invariant factors from a transform-free Smith form of it.  The
 kernel calculus stacks against ``relation_basis`` rather than the tall,
 sparse relations, so its ``left_kernel`` transforms stay small.
 
-The kernels themselves live in ``_snf_py`` and work in arbitrary
-precision, so no entry size needs a special path.
+The kernels live in ``_snf_py``, in arbitrary precision: one Hermite
+elimination, and the Smith form built from its reductions.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, _snf_py._identity(n))
+        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":

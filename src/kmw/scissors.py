@@ -307,6 +307,13 @@ class ScissorsContext:
     def rp_rows(self) -> List[List[int]]:
         return list(self._rp_row_iter())
 
+    def _rp_row_count(self) -> int:
+        """``len(rp_rows())`` without building the rows: the
+        normalization and the five-term row of each pair of distinct
+        units other than 1, each with its s-translate."""
+        pool = self.n_units - 1
+        return 2 * (1 + pool * (pool - 1))
+
     def rp_labels(self) -> List[str]:
         return [f"[{e!r}]" for e in self.units] + [f"s[{e!r}]" for e in self.units]
 

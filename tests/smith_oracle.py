@@ -5,8 +5,11 @@ Here a class is read through the column transform V of the Smith form of
 ``relation_basis`` (U * basis * V = D): a vector of generator exponents
 v goes to y = v * V, whose entries at the zero diagonal places are its
 free coordinates and whose entries at the places with d_j >= 2 are its
-torsion coordinates mod d_j.  ``element_order`` is read off those
-coordinates, and ``all_rows_init`` is the ``AbMap`` constructor that
+torsion coordinates mod d_j.  V is whatever transform ``snf`` returns;
+a Smith transform is not unique, so the coordinates themselves are not
+either, and only what every choice of V gives alike is compared with the
+library: whether a class is zero, and its order.  ``element_order`` is
+read off those coordinates, and ``all_rows_init`` is the ``AbMap`` constructor that
 checks every relation row instead of a basis of the lattice.  A group
 keeps no copy of its relation rows, so ``record_inputs`` wraps the
 ``AbGroupInfo`` constructor to remember each group's rows
@@ -22,8 +25,8 @@ from kmw.exact_linear import AbGroupInfo, AbMap, IntMatrix, snf
 
 
 class SmithReading:
-    """Canonical coordinates of the classes of ``g``, through the Smith
-    column transform of its Hermite basis."""
+    """Coordinates of the classes of ``g``, through the Smith column
+    transform of its Hermite basis."""
 
     def __init__(self, g: AbGroupInfo):
         n = g.ngens

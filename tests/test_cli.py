@@ -163,6 +163,21 @@ class TestRpDerived:
         assert row["relations"] == 14
         assert row["group"] == {"free_rank": 1, "invariant_factors": [3]}
 
+    def test_rp_builds_no_rows(self, capsys, monkeypatch):
+        # with the group built, the row count comes from the row layout
+        monkeypatch.delenv("KMW_THREADS", raising=False)
+        ctx = kmw.scissors.scissors_context(7)
+        ctx.rp_group()
+        want = len(ctx.rp_rows())
+
+        def no_rows(self):
+            raise AssertionError("relation rows built")
+
+        monkeypatch.setattr(kmw.scissors.ScissorsContext, "_rp_row_iter", no_rows)
+        code, out, _ = run_cli(capsys, ["rp", "--q", "7", "--json"])
+        assert code == 0
+        assert json.loads(out)["relations"] == want
+
     def test_derived_payload(self, capsys):
         code, out, _ = run_cli(capsys, ["derived", "--q", "5", "--json"])
         assert code == 0

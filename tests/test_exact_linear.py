@@ -1,6 +1,7 @@
 """Normal forms and presented abelian groups, checked against
 independent oracles: determinantal divisors for invariant factors,
-cofactor expansion for determinants, and the Smith-coordinate reading of
+cofactor expansion for determinants, the elimination kernel of
+``snf_oracle`` for Smith forms, and the Smith-coordinate reading of
 ``smith_oracle`` for membership, element orders and map checks."""
 
 import copy
@@ -12,11 +13,13 @@ from math import gcd, prod
 
 import pytest
 import smith_oracle
+import snf_oracle
+from snf_oracle import _identity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmw import _snf_py
-from kmw._snf_py import _identity, _nearest_quo
+from kmw._snf_py import _nearest_quo
 from kmw.errors import RelationNotKilled
 from kmw.exact_linear import (
     AbMap,
@@ -267,6 +270,20 @@ class TestFpGroup:
             # every relation row is zero
             for row in rel:
                 assert g.is_zero(row)
+
+    def test_smith_reading_sends_basis_rows_to_zero(self):
+        # a Smith column transform is not unique, but any one of them
+        # sends each row of the relation lattice to zero coordinates
+        rng = random.Random(29)
+        groups = [rp_presentation(q)[2] for q in (5, 7)]
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            rel = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(0, 6))]
+            groups.append(fp_group([f"g{i}" for i in range(n)], rel))
+        for g in groups:
+            for row in g.relation_basis.row_list():
+                free, tors = smith_oracle.coordinate_map(g, row)
+                assert not any(free) and not any(tors)
 
     def test_coordinate_map_additive(self):
         g = fp_group(["a", "b", "c"], [[2, 0, 4], [0, 6, 0]])
@@ -580,9 +597,10 @@ SMALL_RP_QS = (5, 7, 9, 11, 13)
 
 def full_snf_invariants(rows, n):
     """(free rank, invariant factors) read off the SNF of the whole
-    relation matrix."""
+    relation matrix, by the elimination kernel of ``snf_oracle``, so that
+    the check does not run the Hermite reductions it checks."""
     flat = [x for r in rows for x in r]
-    d, _, _ = _snf_py.snf_kernel(flat, len(rows), n, False, False)
+    d, _, _ = snf_oracle.snf_kernel(flat, len(rows), n, False, False)
     diag = [d[j * n + j] for j in range(min(len(rows), n))]
     return n - sum(1 for x in diag if x), tuple(x for x in diag if x >= 2)
 
@@ -727,7 +745,12 @@ class TestHermiteBasis:
         redundant = [[-x for x in rows[0]], list(rows[1]), [0] * n]
         g = fp_group(labels, list(rows) + redundant)
         rank = n - g.free_rank
-        assert calls == [("hnf", len(rows), n, False), ("snf", rank, n, False, False)]
+        # only the first reduction reads the relation rows, at full height;
+        # the Smith form runs once, on the rank x n basis, and the Hermite
+        # reductions it runs itself are at most n rows tall
+        assert len(rows) > n
+        assert calls[:2] == [("hnf", len(rows), n, False), ("snf", rank, n, False, False)]
+        assert all(call[0] == "hnf" and call[1] <= n for call in calls[2:])
 
 
 class TestStreamedRelations:
@@ -923,3 +946,109 @@ class TestRowListHNF:
         d, u, v = snf(m, want_u=False, want_v=False)
         assert u is None and v is None
         assert d == snf(m)[0]
+
+
+# -- Smith form from alternating Hermite reductions ------------------------
+#
+# snf_kernel Hermite-reduces the matrix and its transpose in turn until
+# it is diagonal, then makes the diagonal a divisibility chain by gcd/lcm
+# steps.  snf_oracle.snf_kernel is the previous elimination kernel.  A
+# Smith form is unique, so the diagonals must agree entrywise; the
+# transforms need not, and are checked against the contract instead.
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Q."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def flat_matrix(nrows, ncols, entries):
+    """(flat entries, rows, cols) with the shape drawn from ``nrows`` and
+    ``ncols``."""
+    return st.tuples(nrows, ncols).flatmap(
+        lambda shape: st.tuples(
+            st.lists(entries, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]),
+            st.just(shape[0]),
+            st.just(shape[1]),
+        )
+    )
+
+
+def assert_snf_matches_oracle(flat, rows, cols):
+    want, _, _ = snf_oracle.snf_kernel(flat, rows, cols, False, False)
+    d, u, v = _snf_py.snf_kernel(tuple(flat), rows, cols)
+    assert d == want
+    m = IntMatrix(rows, cols, flat)
+    um, vm = IntMatrix(rows, rows, u), IntMatrix(cols, cols, v)
+    assert um.mul(m).mul(vm) == IntMatrix(rows, cols, d)
+    assert abs(fraction_det(um.row_list())) == 1
+    assert abs(fraction_det(vm.row_list())) == 1
+    for want_u, want_v in ((False, False), (True, False), (False, True)):
+        got_d, got_u, got_v = _snf_py.snf_kernel(tuple(flat), rows, cols, want_u, want_v)
+        assert got_d == d
+        assert (got_u is None) != want_u and (got_v is None) != want_v
+
+
+BIG_ENTRY = st.one_of(
+    st.integers(-9, 9), st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64))
+)
+
+
+class TestSmithFromHermite:
+    @settings(max_examples=150, deadline=None)
+    @given(flat_matrix(st.integers(0, 7), st.integers(0, 7), st.integers(-1000, 1000)))
+    def test_dense_matches_oracle(self, matrix):
+        assert_snf_matches_oracle(*matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(flat_matrix(st.integers(6, 14), st.integers(1, 5), sparse_entry))
+    def test_tall_matches_oracle(self, matrix):
+        assert_snf_matches_oracle(*matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(flat_matrix(st.integers(1, 5), st.integers(6, 14), st.integers(-20, 20)))
+    def test_wide_matches_oracle(self, matrix):
+        assert_snf_matches_oracle(*matrix)
+
+    @settings(max_examples=40, deadline=None)
+    @given(flat_matrix(st.integers(0, 6), st.integers(0, 6), st.just(0)))
+    def test_zero_matches_oracle(self, matrix):
+        assert_snf_matches_oracle(*matrix)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 1), (0, 5), (1, 0), (5, 0)])
+    def test_empty_matches_oracle(self, rows, cols):
+        assert_snf_matches_oracle([], rows, cols)
+
+    @settings(max_examples=80, deadline=None)
+    @given(flat_matrix(st.integers(0, 5), st.integers(0, 5), BIG_ENTRY))
+    def test_big_entries_match_oracle(self, matrix):
+        assert_snf_matches_oracle(*matrix)
+
+    @pytest.mark.parametrize("rows, cols, bound", [(20, 20, 9), (24, 16, 30), (16, 16, 99)])
+    def test_dense_random_corpus_matches_oracle(self, rows, cols, bound):
+        # the shapes and entry bounds of the random matrices the
+        # benchmark gives to `kmw snf`
+        rng = random.Random(rows * 1000 + bound)
+        for _ in range(4):
+            flat = [rng.randint(-bound, bound) for _ in range(rows * cols)]
+            assert_snf_matches_oracle(flat, rows, cols)
+
+    def test_divisibility_steps(self):
+        # diagonal inputs need no reduction, only gcd/lcm steps
+        for diag in ((6, 4), (4, 6), (5, 3, 2), (12, 18, 8, 0)):
+            n = len(diag)
+            flat = [diag[i] if i == j else 0 for i in range(n) for j in range(n)]
+            assert_snf_matches_oracle(flat, n, n)

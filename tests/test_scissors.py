@@ -102,6 +102,11 @@ class TestRefinedPresentation:
             assert len(labels) == 2 * (q - 1)
             assert len(rows) == 2 * ((q - 2) * (q - 3) + 1)
 
+    @pytest.mark.parametrize("q", (5, 7, 9, 11, 13, 17, 19))
+    def test_row_count_without_rows(self, q):
+        ctx = ScissorsContext(q)
+        assert ctx._rp_row_count() == len(ctx.rp_rows())
+
     def test_refined_five_term_dies_in_rp(self):
         ctx = scissors_context(5)
         g = ctx.rp_group()
