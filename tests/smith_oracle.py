@@ -9,12 +9,12 @@ torsion coordinates mod d_j.  V is whatever transform ``snf`` returns;
 a Smith transform is not unique, so the coordinates themselves are not
 either, and only what every choice of V gives alike is compared with the
 library: whether a class is zero, and its order.  ``element_order`` is
-read off those coordinates, and ``all_rows_init`` is the ``AbMap`` constructor that
-checks every relation row instead of a basis of the lattice.  A group
-keeps no copy of its relation rows, so ``record_inputs`` wraps the
-``AbGroupInfo`` constructor to remember each group's rows
-(``input_rows``).  ``install`` swaps the oracles in for the library's,
-so that whole commands can be run on either reading.
+read off those coordinates, and ``all_rows_init`` is the ``AbMap``
+constructor that checks every relation row instead of a basis of the
+lattice.  A group keeps no copy of its relation rows, so
+``record_inputs`` wraps the ``AbGroupInfo`` constructor to remember each
+group's rows (``input_rows``).  ``install`` swaps the oracles in for the
+library's, so that whole commands can be run on either reading.
 """
 
 from math import gcd, lcm
