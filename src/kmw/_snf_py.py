@@ -7,12 +7,14 @@ gcd/lcm steps on the diagonal.  The pivot rule is the first entry of
 minimal absolute value, short-circuiting on +-1; row operations run in a
 fixed order, so the output is a function of the input alone.
 
-``hnf_kernel`` holds the matrix and its transform as lists of rows
-inside, so swaps and negations move whole rows.  While column j is
-reduced, the pivot row and every row below it are zero left of j, so
-every row operation (which adds a multiple of the pivot row) runs over
-columns j.. of the matrix only; the transform rows stay full length.
-The skipped columns would only have received zeros.
+A transform is only ever carried: rows given to ``hnf_kernel`` may be
+wider than the columns it reduces, and the trailing entries take every
+row operation without holding a pivot.  ``_carry`` does this on row
+lists for the Smith form and for the kernel calculus of
+``exact_linear``.  Inside the kernel the rows are lists, so swaps
+and negations move whole rows.  While column j is reduced, the pivot
+row and every row below it are zero left of j, so each row operation
+runs over entries j.. only; the skipped ones would only get zeros.
 """
 
 from __future__ import annotations
@@ -29,22 +31,18 @@ def _nearest_quo(a: int, b: int) -> int:
     return q
 
 
-def _reduce(m, t):
-    """Hermite-reduce the rows ``m`` with the leading rows of the
-    transform ``t`` (or None) beside them, updating ``t`` in place, and
-    return the nonzero reduced rows of ``m``.  Rows with a zero ``m``
-    part come last; reducing their ``t`` part leaves ``m`` alone."""
-    if not m:
-        return []
-    n = len(m[0])
-    if t is not None:
-        m = [row + trow for row, trow in zip(m, t)]
-    k, w = len(m), len(m[0])
-    h, _, _ = hnf_kernel([x for row in m for x in row], k, w, False)
-    reduced = [h[i * w : (i + 1) * w] for i in range(k)]
-    if t is not None:
-        t[:k] = [row[n:] for row in reduced]
-    return [row[:n] for row in reduced if any(row[:n])]
+def _carry(m, t):
+    """Hermite-reduce the rows ``m``, pivoting in their own columns, with
+    the rows of ``t`` carried beside them (paired in order; extra rows
+    of ``t`` are left out).  Returns the rows of u*m and u*t and the
+    rank, for the transform u.  The rows of u from ``rank`` on are a
+    basis of the left kernel of ``m``; the carried rows there are that
+    basis times ``t``."""
+    k, n = len(m), len(m[0]) if m else 0
+    h, _, rank = hnf_kernel([x for row, trow in zip(m, t) for x in (*row, *trow)], k, n, False)
+    w = len(h) // k if k else n
+    rows = [h[i * w : (i + 1) * w] for i in range(k)]
+    return [row[:n] for row in rows], [row[n:] for row in rows], rank
 
 
 def _combine(t, i, j, a, b, c, d):
@@ -59,19 +57,24 @@ def snf_kernel(a, rows, cols, want_u=True, want_v=True):
     None) with u*a*v = d, d diagonal, nonnegative, each pivot dividing
     the next, and u, v unimodular.
 
-    Hermite-reduce the rows, transpose the nonzero ones, and repeat until
-    the matrix is diagonal (Kannan & Bachem, SIAM J. Comput. 8(4), 1979;
-    Cohen, GTM 138, section 2.4), with u beside the matrix and v
-    transposed beside its transpose.  Then each diagonal pair x, y
-    with x not dividing y becomes gcd g and lcm: with s*x + t*y = g, the
-    rows by [[s, t], [-y/g, x/g]], the columns by [[1, -t*y/g], [1, s*x/g]]."""
-    m = [list(a[i * cols : (i + 1) * cols]) for i in range(rows)]
+    Hermite-reduce the columns, transpose the nonzero ones, and alternate
+    until the matrix is diagonal (Kannan & Bachem, SIAM J. Comput. 8(4),
+    1979; Cohen, GTM 138, section 2.4), with v transposed beside the
+    transpose and u beside the matrix.  Columns go first, since a Hermite
+    basis comes out of a row reduction unchanged.  Then each diagonal
+    pair x, y with x not dividing y becomes gcd g and lcm: with
+    s*x + t*y = g, the rows by [[s, t], [-y/g, x/g]], the columns by
+    [[1, -t*y/g], [1, s*x/g]]."""
+    m = [list(a[j::cols]) for j in range(cols)]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)] if want_u else None
     vt = [[int(i == j) for j in range(cols)] for i in range(cols)] if want_v else None
     # the rows of m are the leading rows of the transform beside them
-    side, other = u, vt
+    side, other = vt, u
     while True:
-        m = _reduce(m, side)
+        m, moved, rank = _carry(m, [()] * len(m) if side is None else side)
+        if side is not None:
+            side[: len(moved)] = moved
+        m = m[:rank]
         # row i is zero left of its pivot, which is at column i or later
         if all(not any(row[i + 1 :]) for i, row in enumerate(m)):
             break
@@ -102,15 +105,18 @@ def snf_kernel(a, rows, cols, want_u=True, want_v=True):
 
 
 def hnf_kernel(a, rows, cols, want_u=True):
-    """Row Hermite normal form.  Returns (h, u, rank) with u*a = h,
-    u unimodular, pivots positive with entries above them reduced into
-    [0, pivot), and all zero rows at the bottom."""
-    a = [list(a[i * cols : (i + 1) * cols]) for i in range(rows)]
-    u = None
+    """Row Hermite normal form of the first ``cols`` columns.  Returns
+    (h, u, rank) with u*a = h, u unimodular, pivots positive with entries
+    above them reduced into [0, pivot), and all zero rows at the bottom.
+    Entries of ``a`` past ``cols`` in each row are carried: they take
+    every row operation, hold no pivot and stay in ``h``.  ``want_u``
+    carries the identity and splits it off as u."""
+    w = len(a) // rows if rows else cols
+    a = [list(a[i * w : (i + 1) * w]) for i in range(rows)]
     if want_u:
-        u = [[0] * rows for _ in range(rows)]
-        for i in range(rows):
-            u[i][i] = 1
+        for i, row in enumerate(a):
+            row += [0] * rows
+            row[w + i] = 1
 
     r = 0
     for j in range(cols):
@@ -138,18 +144,13 @@ def hnf_kernel(a, rows, cols, want_u=True):
                 others = [i for i in nz if i != best_i]
             if best_i != r:
                 a[best_i], a[r] = a[r], a[best_i]
-                if u is not None:
-                    u[best_i], u[r] = u[r], u[best_i]
             tail = a[r][j:]
             p = tail[0]
-            ur = u[r] if u is not None else None
             nz = [r]
             for i in others:
                 ai = a[i]
                 q = _nearest_quo(ai[j], p)
                 ai[j:] = [x - q * y for x, y in zip(ai[j:], tail)]
-                if ur is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], ur)]
                 if ai[j]:
                     nz.append(i)
             if len(nz) == 1:
@@ -157,20 +158,14 @@ def hnf_kernel(a, rows, cols, want_u=True):
         ar = a[r]
         if ar[j] < 0:
             ar[j:] = [-x for x in ar[j:]]
-            if u is not None:
-                u[r] = [-x for x in u[r]]
         tail = ar[j:]
         p = tail[0]
-        ur = u[r] if u is not None else None
         for i in range(r):
             ai = a[i]
             q = ai[j] // p  # floor puts the entry in [0, p)
             if q:
                 ai[j:] = [x - q * y for x, y in zip(ai[j:], tail)]
-                if ur is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], ur)]
         r += 1
-    h = [x for row in a for x in row]
-    if u is not None:
-        u = [x for row in u for x in row]
-    return h, u, r
+    if want_u:
+        return [x for row in a for x in row[:w]], [x for row in a for x in row[w:]], r
+    return [x for row in a for x in row], None, r

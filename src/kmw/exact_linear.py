@@ -14,7 +14,10 @@ the presentation through it: membership and element orders by reduction
 against its pivots, the relation check of ``AbMap`` on its rows, and
 the invariant factors from a transform-free Smith form of it.  The
 kernel calculus stacks against ``relation_basis`` rather than the tall,
-sparse relations, so its ``left_kernel`` transforms stay small.
+sparse relations, and reads each transform as carried columns
+(``_snf_py._carry``): a left kernel off carried unit columns, an
+intersection off carried copies of one lattice's rows (Cohen, GTM 138,
+section 2.4), so no square transform and no matrix product is formed.
 
 The kernels live in ``_snf_py``, in arbitrary precision: one Hermite
 elimination, and the Smith form built from its reductions.
@@ -25,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import index
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import _snf_py
@@ -37,7 +41,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int]):
-        entries = tuple(int(x) for x in entries)
+        entries = tuple(map(index, entries))
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("matrix shape does not match entry count")
         object.__setattr__(self, "rows", rows)
@@ -188,10 +192,10 @@ def _distinct_rows(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...
     first appearance and signed so that the leading entry is positive.
     They span the same row lattice as ``rows``.  Each row is read once,
     so any iterable will do: its width is checked against ``n`` and its
-    entries are coerced with ``int``."""
+    entries are coerced with ``operator.index`` (a float raises)."""
     out = {}
     for row in rows:
-        row = tuple(map(int, row))
+        row = tuple(map(index, row))
         if len(row) != n:
             raise ValueError("relation width does not match generator count")
         lead = next((x for x in row if x), 0)
@@ -202,32 +206,28 @@ def _distinct_rows(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...
     return list(out)
 
 
-def left_kernel(m: IntMatrix) -> IntMatrix:
-    """Basis (as rows) of {x in Z^rows : x*m = 0}; saturated since it
-    comes from a unimodular transform."""
-    _, u, r = hnf(m, want_u=True)
-    rows = [u.row(i) for i in range(r, m.rows)]
-    return IntMatrix.from_rows(rows, cols=m.rows)
+def _unit_rows(k: int, rows: int) -> list[list[int]]:
+    # the first k unit vectors of Z^k, then zero rows, ``rows`` in all
+    return [[int(i == j) for j in range(k)] for i in range(rows)]
 
 
 def _left_solver(m: IntMatrix) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
     """A solver for x*m = target against ``m``: the returned function
     gives some such x, or None if target is outside the row lattice of
-    m.  One Hermite reduction with transform is shared by every call."""
-    h, u, r = hnf(m, want_u=True)
-    pivots = _pivot_data(h.row_list(), r)
+    m.  One reduction, carrying the identity, serves every call."""
+    h, u, r = _snf_py._carry(m.row_list(), _unit_rows(m.rows, m.rows))
+    pivots = _pivot_data(h, r)
 
     def solve(target: Sequence[int]) -> Optional[tuple[int, ...]]:
-        target = [int(t) for t in target]
+        target = list(map(index, target))
         if len(target) != m.cols:
             raise ValueError("target length does not match column count")
         coeffs = _member(pivots, target)
         if coeffs is None:
             return None
         x = [0] * m.rows
-        for i, c in enumerate(coeffs):
+        for c, urow in zip(coeffs, u):
             if c:
-                urow = u.row(i)
                 for k in range(m.rows):
                     x[k] += c * urow[k]
         return tuple(x)
@@ -236,24 +236,13 @@ def _left_solver(m: IntMatrix) -> Callable[[Sequence[int]], Optional[tuple[int, 
 
 
 def lattice_intersection(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Generators (rows) of rowspace(a) ∩ rowspace(b) in Z^n."""
+    """Generators (rows) of rowspace(a) ∩ rowspace(b) in Z^n: each left
+    kernel row x of [a; b] carries x_a*a = -x_b*b beside it."""
     if a.cols != b.cols:
         raise ValueError("ambient ranks differ")
-    stacked = a.stack(b)
-    kern = left_kernel(stacked)
-    rows = []
-    for i in range(kern.rows):
-        krow = kern.row(i)
-        vec = [0] * a.cols
-        for j in range(a.rows):
-            c = krow[j]
-            if c:
-                arow = a.row(j)
-                for k in range(a.cols):
-                    vec[k] += c * arow[k]
-        if any(vec):
-            rows.append(vec)
-    return IntMatrix.from_rows(rows, cols=a.cols)
+    rows = a.row_list()
+    _, c, r = _snf_py._carry(rows + b.row_list(), rows + [(0,) * a.cols] * b.rows)
+    return IntMatrix.from_rows([row for row in c[r:] if any(row)], cols=a.cols)
 
 
 class AbGroupInfo:
@@ -294,7 +283,7 @@ class AbGroupInfo:
         return len(self.generator_labels)
 
     def is_zero(self, vec: Sequence[int]) -> bool:
-        vec = list(vec)
+        vec = list(map(index, vec))
         if len(vec) != self.ngens:
             raise ValueError("vector length does not match generator count")
         return _member(self._pivots, vec) is not None
@@ -304,7 +293,7 @@ class AbGroupInfo:
         rows are independent, so ``vec`` has unique rational coefficients
         over them when it lies in their span, and its order is the lcm of
         their denominators."""
-        rem = [Fraction(x) for x in vec]
+        rem = [Fraction(index(x)) for x in vec]
         if len(rem) != self.ngens:
             raise ValueError("vector length does not match generator count")
         out = 1
@@ -396,16 +385,19 @@ def fp_kernel(f: AbMap) -> tuple[AbGroupInfo, AbMap]:
     source.
 
     The kernel subgroup of Z^n is the projection of the left kernel of
-    the stacked matrix [images; target relation basis]; its own relations
-    are the coefficient vectors landing in the source relation lattice."""
+    the stacked matrix [images; target relation basis], carried as
+    [I_n; 0]; its own relations are the coefficient vectors landing in
+    the source relation lattice."""
     n = f.source.ngens
-    kb = left_kernel(f.images.stack(f.target.relation_basis))
-    gens = IntMatrix.from_rows([row[:n] for row in kb.row_list() if any(row[:n])], cols=n)
+    stack = f.images.row_list() + f.target.relation_basis.row_list()
+    _, c, r = _snf_py._carry(stack, _unit_rows(n, len(stack)))
+    gens = IntMatrix.from_rows([row for row in c[r:] if any(row)], cols=n)
 
     k = gens.rows
-    kb2 = left_kernel(gens.stack(f.source.relation_basis))
+    stack = gens.row_list() + f.source.relation_basis.row_list()
+    _, c, r = _snf_py._carry(stack, _unit_rows(k, len(stack)))
     labels = tuple(f"k{i}" for i in range(k))
-    kern = AbGroupInfo(labels, (row[:k] for row in kb2.row_list()))
+    kern = AbGroupInfo(labels, c[r:])
     incl = AbMap(kern, f.source, gens)
     return kern, incl
 

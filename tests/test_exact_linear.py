@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 
+import kernel_oracle
 import pytest
 import smith_oracle
 import snf_oracle
@@ -25,12 +26,12 @@ from kmw.exact_linear import (
     AbMap,
     IntMatrix,
     _left_solver,
+    _unit_rows,
     fp_cokernel,
     fp_group,
     fp_kernel,
     hnf,
     lattice_intersection,
-    left_kernel,
     odd_part,
     snf,
 )
@@ -222,7 +223,8 @@ class TestSolveAndKernels:
 
     def test_left_kernel(self):
         m = IntMatrix.from_rows([[1, 1], [1, 1], [2, 2]])
-        k = left_kernel(m)
+        _, carried, rank = _snf_py._carry(m.row_list(), _unit_rows(m.rows, m.rows))
+        k = IntMatrix.from_rows(carried[rank:], cols=m.rows)
         assert k.rows == 2
         for i in range(k.rows):
             row = k.row(i)
@@ -234,7 +236,8 @@ class TestSolveAndKernels:
     def test_left_kernel_saturated(self):
         # kernel of [[2],[4]] is generated by (2,-1), a primitive vector
         m = IntMatrix.from_rows([[2], [4]])
-        k = left_kernel(m)
+        _, carried, rank = _snf_py._carry(m.row_list(), _unit_rows(m.rows, m.rows))
+        k = IntMatrix.from_rows(carried[rank:], cols=m.rows)
         assert k.rows == 1
         assert gcd(k.entry(0, 0), k.entry(0, 1)) == 1
 
@@ -800,10 +803,62 @@ class TestStreamedRelations:
             fp_group(["a", "b"], IntMatrix.zeros(0, 3))
 
     def test_entries_are_coerced_to_int(self):
-        g = fp_group(["a", "b"], iter([(True, 0), (0, 6.0), (False, Fraction(-3))]))
+        # anything with __index__ is an integer; floats and fractions are
+        # not (see TestNoFloats)
+        g = fp_group(["a", "b"], iter([(True, 0), (0, Index(6)), (False, Index(-3))]))
         assert g.relation_basis.row_list() == [(1, 0), (0, 3)]
         assert all(type(x) is int for x in g.relation_basis.entries)
         assert g.describe() == "Z/3"
+
+
+class Index:
+    """An integer-valued object that is not an int."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+class TestNoFloats:
+    """Every entry point of the lattice layer takes integers only: a
+    float or a fraction raises TypeError instead of being truncated."""
+
+    @pytest.mark.parametrize("x", [2.5, 2.0, Fraction(5, 2), Fraction(2)])
+    def test_relation_entries(self, x):
+        with pytest.raises(TypeError):
+            fp_group(["a"], [[x]])
+        with pytest.raises(TypeError):
+            fp_group(["a"], iter([[x]]))
+
+    @pytest.mark.parametrize("x", [2.7, 3.0, Fraction(1, 2)])
+    def test_matrix_entries(self, x):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 1, [x])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1, x]])
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, Fraction(1, 2)])
+    def test_group_vectors(self, x):
+        g = fp_group(["a"], [[4]])
+        with pytest.raises(TypeError):
+            g.element_order([x])
+        with pytest.raises(TypeError):
+            g.is_zero([x])
+
+    @pytest.mark.parametrize("x", [1.5, 2.0, Fraction(3, 2)])
+    def test_solver_targets(self, x):
+        solve = _left_solver(IntMatrix.from_rows([[2, 0], [0, 2]]))
+        with pytest.raises(TypeError):
+            solve([x, 0])
+
+    def test_integers_still_pass(self):
+        g = fp_group(["a"], [[4]])
+        assert g.element_order([Index(1)]) == 4
+        assert g.is_zero([True]) is False
+        assert _left_solver(IntMatrix.from_rows([[2, 0], [0, 2]]))([Index(2), 4]) == (1, 2)
+        assert IntMatrix(1, 2, [True, Index(7)]).entries == (1, 7)
 
 
 # -- row-list Hermite kernel, distinct relation rows -----------------------
@@ -1052,3 +1107,130 @@ class TestSmithFromHermite:
             n = len(diag)
             flat = [diag[i] if i == j else 0 for i in range(n) for j in range(n)]
             assert_snf_matches_oracle(flat, n, n)
+
+
+# -- transforms as carried columns ------------------------------------------
+#
+# hnf_kernel reduces the leading columns of its rows and carries the rest
+# through every row operation; the kernel calculus reads each transform
+# that way.  kernel_oracle keeps the previous functions, which took the
+# full square transform: both run the same row operations in the same
+# order, so their outputs must agree entry for entry.
+
+small_entry = st.integers(-6, 6)
+
+
+def rows_of(width, max_size):
+    return st.lists(st.lists(small_entry, min_size=width, max_size=width), max_size=max_size)
+
+
+@st.composite
+def stacks(draw):
+    """(a, b) over one column count, from 0 up; b often repeats
+    combinations of a's rows, so that [a; b] is rank-deficient."""
+    cols = draw(st.integers(0, 5))
+    a = draw(rows_of(cols, 5))
+    b = draw(rows_of(cols, 4))
+    for _ in range(draw(st.integers(0, 3)) if a else 0):
+        c = draw(st.lists(st.integers(-3, 3), min_size=len(a), max_size=len(a)))
+        b.append([sum(x * row[j] for x, row in zip(c, a)) for j in range(cols)])
+    return IntMatrix.from_rows(a, cols=cols), IntMatrix.from_rows(b, cols=cols)
+
+
+@st.composite
+def ab_maps(draw):
+    """A map of small presented groups: the target relations include the
+    image of every source relation, so the map is well defined."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    source_rels = draw(rows_of(n, 4))
+    images = draw(st.lists(st.lists(small_entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    target_rels = draw(rows_of(m, 3)) + [
+        [sum(x * img[j] for x, img in zip(row, images)) for j in range(m)] for row in source_rels
+    ]
+    source = fp_group([f"s{i}" for i in range(n)], source_rels)
+    target = fp_group([f"t{j}" for j in range(m)], target_rels)
+    return AbMap(source, target, IntMatrix.from_rows(images, cols=m))
+
+
+def assert_kernels_match_oracle(f):
+    kern, incl = fp_kernel(f)
+    want, want_incl = kernel_oracle.fp_kernel(f)
+    assert kern.generator_labels == want.generator_labels
+    assert kern.relation_basis == want.relation_basis
+    assert invariants(kern) == invariants(want)
+    assert incl.images == want_incl.images
+
+
+class TestCarriedColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(flat_matrix(st.integers(0, 6), st.integers(0, 6), st.integers(-50, 50)),
+           st.integers(0, 4), st.randoms(use_true_random=False))
+    def test_carried_part_is_the_transform_times_what_was_carried(self, matrix, width, rng):
+        flat, rows, cols = matrix
+        carried = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(rows)]
+        wide = [x for i in range(rows) for x in flat[i * cols : (i + 1) * cols] + carried[i]]
+        h, u, rank = _snf_py.hnf_kernel(flat, rows, cols, True)
+        got, none, got_rank = _snf_py.hnf_kernel(wide, rows, cols, False)
+        assert none is None and got_rank == rank
+        w = cols + width
+        assert [x for i in range(rows) for x in got[i * w : i * w + cols]] == h
+        um = IntMatrix(rows, rows, u)
+        want = um.mul(IntMatrix.from_rows(carried, cols=width))
+        assert [got[i * w + cols : (i + 1) * w] for i in range(rows)] == [
+            list(row) for row in want.row_list()
+        ]
+        # carrying the identity as well splits off the same transform
+        wide_h, wide_u, _ = _snf_py.hnf_kernel(wide, rows, cols, True)
+        assert (wide_h, wide_u) == (got, u)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks())
+    def test_left_kernel_matches_oracle(self, pair):
+        m = pair[0].stack(pair[1])
+        _, carried, rank = _snf_py._carry(m.row_list(), _unit_rows(m.rows, m.rows))
+        assert [tuple(row) for row in carried[rank:]] == kernel_oracle.left_kernel(m).row_list()
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks())
+    def test_lattice_intersection_matches_oracle(self, pair):
+        a, b = pair
+        assert lattice_intersection(a, b) == kernel_oracle.lattice_intersection(a, b)
+        assert lattice_intersection(b, a) == kernel_oracle.lattice_intersection(b, a)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 2)])
+    def test_empty_and_zero_stacks(self, shape):
+        a = IntMatrix.zeros(*shape)
+        b = IntMatrix.zeros(1, shape[1])
+        assert lattice_intersection(a, b) == kernel_oracle.lattice_intersection(a, b)
+        m = a.stack(b)
+        _, carried, rank = _snf_py._carry(m.row_list(), _unit_rows(m.rows, m.rows))
+        assert [tuple(row) for row in carried[rank:]] == kernel_oracle.left_kernel(m).row_list()
+
+    @settings(max_examples=150, deadline=None)
+    @given(ab_maps())
+    def test_fp_kernel_matches_oracle(self, f):
+        assert_kernels_match_oracle(f)
+
+    @pytest.mark.parametrize("q", SMALL_RP_QS)
+    def test_fp_kernel_matches_oracle_on_scissors_maps(self, q):
+        for f in ScissorsContext(q).maps():
+            assert_kernels_match_oracle(f)
+
+    def test_smith_form_reduces_columns_first(self, monkeypatch):
+        # a Hermite basis is rank x n; a first row reduction would give
+        # it back unchanged, so the first reduction is of its transpose
+        labels, rows, _ = rp_presentation(7)
+        for g in (fp_group(["a", "b", "c"], [[2, 4, 0], [0, 3, 6]]), fp_group(labels, rows)):
+            basis = g.relation_basis
+            calls = []
+            hnf_kernel = _snf_py.hnf_kernel
+
+            def record(entries, rows, cols, want_u=True):
+                calls.append((rows, cols))
+                return hnf_kernel(entries, rows, cols, want_u)
+
+            monkeypatch.setattr(_snf_py, "hnf_kernel", record)
+            d, _, _ = _snf_py.snf_kernel(basis.entries, basis.rows, basis.cols, False, False)
+            monkeypatch.undo()
+            assert calls[0] == (basis.cols, basis.rows)
+            assert d == snf_oracle.snf_kernel(basis.entries, basis.rows, basis.cols, False, False)[0]

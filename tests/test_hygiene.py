@@ -1,16 +1,22 @@
 """Static hygiene of the library sources and of the tests: no module
 imports a name it never uses.  The package root is exempt, since it
-imports names only to re-export them."""
+imports names only to re-export them.  Also the kernel signatures that
+the benchmark's tracer reads by position."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
+from kmw import _snf_py
+from kmw.scissors import ScissorsContext
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "kmw"
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
 # kmw.suites never calls derived_groups, but the benchmark's tracer test
 # (perfbench/tests, test_install_rebinds_reexported_bindings) asserts that
@@ -57,3 +63,48 @@ def test_every_import_is_used(path):
     )
     name = f"kmw.{path.stem}" if path.parent == SRC else _module_id(path)
     assert not unused, f"{name} imports unused names: {', '.join(unused)}"
+
+
+def _traced_kernels():
+    """``KERNELS`` of the benchmark's tracer, read from its source
+    without importing it: (layer, kernel name, {flag: position})."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "KERNELS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no KERNELS")
+
+
+TRACED_KERNELS = _traced_kernels()
+
+
+@pytest.mark.parametrize("layer, name, flags", TRACED_KERNELS, ids=[k[0] for k in TRACED_KERNELS])
+def test_tracer_reads_kernel_arguments_by_position(layer, name, flags):
+    # the tracer takes the shape from positions 1 and 2 and each flag
+    # from its listed position
+    params = list(inspect.signature(getattr(_snf_py, name)).parameters)
+    assert params[1:3] == ["rows", "cols"], layer
+    for flag, position in flags.items():
+        assert params[position] == flag, layer
+
+
+def test_library_passes_kernel_flags_by_position(monkeypatch):
+    # a flag passed by keyword or left to its default would be censused
+    # as the default (True), so carried columns must say want_u=False
+    flags = {name: flags for _, name, flags in TRACED_KERNELS}
+    seen = set()
+    for name, positions in flags.items():
+        kernel = getattr(_snf_py, name)
+
+        def record(*args, _kernel=kernel, _name=name, _positions=positions, **kwargs):
+            assert not kwargs, f"{_name} called with keywords {sorted(kwargs)}"
+            assert len(args) > max(_positions.values()), f"{_name} called without every flag"
+            seen.add((_name, tuple(bool(args[i]) for i in _positions.values())))
+            return _kernel(*args)
+
+        monkeypatch.setattr(_snf_py, name, record)
+    ScissorsContext(5).derived()
+    # presentations, kernels and intersections all run transform-free
+    assert seen == {("hnf_kernel", (False,)), ("snf_kernel", (False, False))}
