@@ -14,10 +14,11 @@ the presentation through it: membership and element orders by reduction
 against its pivots, the relation check of ``AbMap`` on its rows, and
 the invariant factors from a transform-free Smith form of it.  The
 kernel calculus stacks against ``relation_basis`` rather than the tall,
-sparse relations, and reads each transform as carried columns
-(``_snf_py._carry``): a left kernel off carried unit columns, an
-intersection off carried copies of one lattice's rows (Cohen, GTM 138,
-section 2.4), so no square transform and no matrix product is formed.
+sparse relations, and reads each left kernel off unit columns carried
+beside one reduction (``_snf_py._carry``; Cohen, GTM 138, section 2.4),
+so no square transform is formed.  Kernels, cokernels and ``AbMap``'s
+relation check are the whole calculus: a solve, an intersection or a
+containment is asked of them as a kernel or a quotient map.
 
 The kernels live in ``_snf_py``, in arbitrary precision: one Hermite
 elimination, and the Smith form built from its reductions.
@@ -29,7 +30,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import index
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import _snf_py
 from .errors import BadBound, IntegrityFailure, RelationNotKilled
@@ -167,24 +168,18 @@ def _pivot_data(h_rows: list[tuple[int, ...]], rank: int):
     return out
 
 
-def _member(pivots, vec: Sequence[int]) -> Optional[list[int]]:
-    """Coefficients expressing vec over HNF basis rows, or None."""
+def _member(pivots, vec: Sequence[int]) -> bool:
+    """Whether vec lies in the lattice of the HNF basis rows."""
     rem = list(vec)
-    coeffs = []
     for row, c, p in pivots:
         x = rem[c]
         if x:
             q, r = divmod(x, p)
             if r:
-                return None
+                return False
             for k in range(c, len(rem)):
                 rem[k] -= q * row[k]
-            coeffs.append(q)
-        else:
-            coeffs.append(0)
-    if any(rem):
-        return None
-    return coeffs
+    return not any(rem)
 
 
 def _distinct_rows(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
@@ -209,40 +204,6 @@ def _distinct_rows(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...
 def _unit_rows(k: int, rows: int) -> list[list[int]]:
     # the first k unit vectors of Z^k, then zero rows, ``rows`` in all
     return [[int(i == j) for j in range(k)] for i in range(rows)]
-
-
-def _left_solver(m: IntMatrix) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
-    """A solver for x*m = target against ``m``: the returned function
-    gives some such x, or None if target is outside the row lattice of
-    m.  One reduction, carrying the identity, serves every call."""
-    h, u, r = _snf_py._carry(m.row_list(), _unit_rows(m.rows, m.rows))
-    pivots = _pivot_data(h, r)
-
-    def solve(target: Sequence[int]) -> Optional[tuple[int, ...]]:
-        target = list(map(index, target))
-        if len(target) != m.cols:
-            raise ValueError("target length does not match column count")
-        coeffs = _member(pivots, target)
-        if coeffs is None:
-            return None
-        x = [0] * m.rows
-        for c, urow in zip(coeffs, u):
-            if c:
-                for k in range(m.rows):
-                    x[k] += c * urow[k]
-        return tuple(x)
-
-    return solve
-
-
-def lattice_intersection(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Generators (rows) of rowspace(a) ∩ rowspace(b) in Z^n: each left
-    kernel row x of [a; b] carries x_a*a = -x_b*b beside it."""
-    if a.cols != b.cols:
-        raise ValueError("ambient ranks differ")
-    rows = a.row_list()
-    _, c, r = _snf_py._carry(rows + b.row_list(), rows + [(0,) * a.cols] * b.rows)
-    return IntMatrix.from_rows([row for row in c[r:] if any(row)], cols=a.cols)
 
 
 class AbGroupInfo:
@@ -286,7 +247,7 @@ class AbGroupInfo:
         vec = list(map(index, vec))
         if len(vec) != self.ngens:
             raise ValueError("vector length does not match generator count")
-        return _member(self._pivots, vec) is not None
+        return _member(self._pivots, vec)
 
     def element_order(self, vec: Sequence[int]) -> Optional[int]:
         """Order of the class of ``vec``; None when infinite.  The basis
@@ -365,7 +326,7 @@ class AbMap:
                 )
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        vec = list(vec)
+        vec = list(map(index, vec))
         if len(vec) != self.source.ngens:
             raise ValueError("vector length does not match source generators")
         out = [0] * self.target.ngens

@@ -13,6 +13,7 @@ virtual diagonal form, its augmentation is the virtual rank, and
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Mapping
 
 from .errors import MixedFields, ZeroEntry
@@ -37,7 +38,7 @@ class GroupRingElem:
         for cls, c in coeffs.items():
             if cls.field is not field:
                 raise MixedFields("square class over a different field")
-            c = int(c)
+            c = index(c)
             if c:
                 clean[cls] = c
         object.__setattr__(self, "field", field)

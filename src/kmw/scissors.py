@@ -17,19 +17,21 @@ The element path (``refined_five_term``, ``rp_vector``,
 ``psi1_vector``) is their row-for-row oracle and serves the
 specialization maps.
 
-Derived objects are kernels and quotients computed with the integer
-linear algebra layer: the Bloch-type kernels B, RB, RP_1, the
-comparison kernel of RB -> B, the submodule generated by the
-one-dimensional cycles, and the quotient RP-tilde, presented by RP's
-Hermite basis with the K1 rows adjoined.  The specialization maps at a
-degree-one place of k(t) land in pairs of RP-tilde elements.
+Derived objects are kernels and cokernels computed with the integer
+linear algebra layer, and nothing else: the Bloch-type kernels B, RB,
+RP_1 of the lambda maps; the kernel and cokernel of RB -> B, read as
+the kernel of RB -> P and the kernel of P / im RB -> P / B; the
+quotient RP-tilde, presented by RP's Hermite basis with the K1 rows
+adjoined; and RP_1 meeting the K1 submodule, the kernel of
+RP_1 -> RP-tilde.  The specialization maps at a degree-one place of
+k(t) land in pairs of RP-tilde elements.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from math import gcd
+from operator import index
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -38,11 +40,12 @@ from .errors import (
     IntegrityFailure,
     MixedFields,
     NonUnitArgument,
+    RelationNotKilled,
     TooSmallQ,
     UnsupportedPlace,
     ZeroArgument,
 )
-from .exact_linear import _left_solver, AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_group, fp_kernel, lattice_intersection, odd_part, odd_part_int
+from .exact_linear import AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_group, fp_kernel, odd_part, odd_part_int
 from .fields import (
     FieldElem,
     FiniteField,
@@ -400,34 +403,30 @@ class ScissorsContext:
         """The derived groups, computed once; every call checks that
         RB -> B is an isomorphism."""
         if self._derived is None:
-            lambda1, lambda2, lam_mixed, lambda_p, proj = self.maps()
+            lambda1, _, lam_mixed, lambda_p, proj = self.maps()
             p = self.p_group()
             rp = self.rp_group()
             b_grp, b_incl = fp_kernel(lambda_p)
             rb_grp, rb_incl = fp_kernel(lam_mixed)
             rp1_grp, rp1_incl = fp_kernel(lambda1)
 
-            # express the image of each RB generator in B coordinates
-            solve = _left_solver(b_incl.images.stack(p.relation_basis))
-            rb_to_b_images = []
-            for i in range(rb_grp.ngens):
-                vec = proj.apply(rb_incl.images.row(i))
-                sol = solve(vec)
-                if sol is None:
-                    raise IntegrityFailure("image of RB escapes the Bloch kernel")
-                rb_to_b_images.append(list(sol[: b_grp.ngens]))
-            rb_to_b = AbMap(rb_grp, b_grp, rb_to_b_images)
-            rblker_grp, _ = fp_kernel(rb_to_b)
+            # B sits in P by an injective inclusion, so ker(RB -> B) =
+            # ker(RB -> P), and B / im RB = ker(P / im RB -> P / B); that
+            # quotient map exists exactly when im RB lies in B
+            rb_to_p = AbMap(rb_grp, p, rb_incl.images @ proj.images)
+            rblker_grp, _ = fp_kernel(rb_to_p)
+            eye = IntMatrix.identity(p.ngens)
+            try:
+                quot = AbMap(fp_cokernel(rb_to_p), fp_cokernel(b_incl), eye)
+            except RelationNotKilled:
+                raise IntegrityFailure("image of RB escapes the Bloch kernel") from None
+            coker_grp, _ = fp_kernel(quot)
 
-            # intersection of RP1 with the K1 submodule inside RP
-            lat1 = rp1_incl.images.stack(rp.relation_basis)
-            inter = lattice_intersection(lat1, self.rp_tilde().relation_basis)
-            exponent = 1
-            for i in range(inter.rows):
-                order = rp.element_order(inter.row(i))
-                if order is None:
-                    raise IntegrityFailure("intersection with K1 has an infinite cycle")
-                exponent = exponent * order // gcd(exponent, order)
+            # RP1 meets the K1 submodule of RP in the kernel of RP1 -> RP-tilde
+            meet, _ = fp_kernel(AbMap(rp1_grp, self.rp_tilde(), rp1_incl.images))
+            exponent = meet.exponent()
+            if exponent is None:
+                raise IntegrityFailure("intersection with K1 has an infinite cycle")
 
             self._derived = {
                 "P": p,
@@ -438,7 +437,7 @@ class ScissorsContext:
                 "RP1": rp1_grp,
                 "half_RP1": odd_part(rp1_grp),
                 "rblker": rblker_grp,
-                "cokernel_RB_to_B": fp_cokernel(rb_to_b),
+                "cokernel_RB_to_B": coker_grp,
                 "RP_tilde": self.rp_tilde(),
                 "k1_intersection_exponent": exponent,
             }
@@ -491,7 +490,7 @@ class RPTildeElem:
         if len(vector) != 2 * ctx.n_units:
             raise ValueError("coordinate length mismatch")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "vector", tuple(int(v) for v in vector))
+        object.__setattr__(self, "vector", tuple(map(index, vector)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RPTildeElem is immutable")

@@ -5,9 +5,31 @@ previous library functions, verbatim: each takes the full rows x rows
 transform of a Hermite reduction, keeps the rows past the rank, and
 multiplies them back by hand.  Both paths run the same row operations
 in the same order, so their outputs must agree entry for entry.
+
+``_left_solver`` (with the coefficient-returning ``_member`` it reads)
+is also a previous library function, verbatim.  ``solver_derived`` uses
+it and ``lattice_intersection`` to rebuild the parts of
+``ScissorsContext.derived`` that now come from kernels and cokernels
+alone: the RB -> B map solved into B coordinates, and the exponent of
+RP1 meeting K1 as an lcm of element orders.
 """
 
-from kmw.exact_linear import AbGroupInfo, AbMap, IntMatrix, hnf
+from math import gcd
+from operator import index
+from typing import Callable, Optional, Sequence
+
+from kmw import _snf_py
+from kmw.errors import IntegrityFailure
+from kmw.exact_linear import (
+    AbGroupInfo,
+    AbMap,
+    IntMatrix,
+    _pivot_data,
+    _unit_rows,
+    fp_cokernel,
+    hnf,
+)
+from kmw.exact_linear import fp_kernel as carried_fp_kernel
 
 
 def left_kernel(m: IntMatrix) -> IntMatrix:
@@ -56,3 +78,81 @@ def fp_kernel(f: AbMap) -> tuple[AbGroupInfo, AbMap]:
     kern = AbGroupInfo(labels, (row[:k] for row in kb2.row_list()))
     incl = AbMap(kern, f.source, gens)
     return kern, incl
+
+
+def _member(pivots, vec: Sequence[int]) -> Optional[list[int]]:
+    """Coefficients expressing vec over HNF basis rows, or None."""
+    rem = list(vec)
+    coeffs = []
+    for row, c, p in pivots:
+        x = rem[c]
+        if x:
+            q, r = divmod(x, p)
+            if r:
+                return None
+            for k in range(c, len(rem)):
+                rem[k] -= q * row[k]
+            coeffs.append(q)
+        else:
+            coeffs.append(0)
+    if any(rem):
+        return None
+    return coeffs
+
+
+def _left_solver(m: IntMatrix) -> Callable[[Sequence[int]], Optional[tuple[int, ...]]]:
+    """A solver for x*m = target against ``m``: the returned function
+    gives some such x, or None if target is outside the row lattice of
+    m.  One reduction, carrying the identity, serves every call."""
+    h, u, r = _snf_py._carry(m.row_list(), _unit_rows(m.rows, m.rows))
+    pivots = _pivot_data(h, r)
+
+    def solve(target: Sequence[int]) -> Optional[tuple[int, ...]]:
+        target = list(map(index, target))
+        if len(target) != m.cols:
+            raise ValueError("target length does not match column count")
+        coeffs = _member(pivots, target)
+        if coeffs is None:
+            return None
+        x = [0] * m.rows
+        for c, urow in zip(coeffs, u):
+            if c:
+                for k in range(m.rows):
+                    x[k] += c * urow[k]
+        return tuple(x)
+
+    return solve
+
+
+def solver_derived(ctx) -> tuple[AbGroupInfo, AbGroupInfo, int]:
+    """(rblker, cokernel_RB_to_B, k1_intersection_exponent) of ``ctx``
+    as the previous ``ScissorsContext.derived`` computed them: each RB
+    generator solved into B coordinates, then the kernel and cokernel
+    of that map; and the lcm of the RP orders of the rows generating
+    RP1 ∩ K1."""
+    lambda1, _, lam_mixed, lambda_p, proj = ctx.maps()
+    p = ctx.p_group()
+    rp = ctx.rp_group()
+    b_grp, b_incl = carried_fp_kernel(lambda_p)
+    rb_grp, rb_incl = carried_fp_kernel(lam_mixed)
+    _, rp1_incl = carried_fp_kernel(lambda1)
+
+    solve = _left_solver(b_incl.images.stack(p.relation_basis))
+    rb_to_b_images = []
+    for i in range(rb_grp.ngens):
+        sol = solve(proj.apply(rb_incl.images.row(i)))
+        if sol is None:
+            raise IntegrityFailure("image of RB escapes the Bloch kernel")
+        rb_to_b_images.append(list(sol[: b_grp.ngens]))
+    rb_to_b = AbMap(rb_grp, b_grp, rb_to_b_images)
+    rblker, _ = carried_fp_kernel(rb_to_b)
+
+    lat1 = rp1_incl.images.stack(rp.relation_basis)
+    inter = lattice_intersection(lat1, ctx.rp_tilde().relation_basis)
+    exponent = 1
+    for i in range(inter.rows):
+        order = rp.element_order(inter.row(i))
+        if order is None:
+            raise IntegrityFailure("intersection with K1 has an infinite cycle")
+        exponent = exponent * order // gcd(exponent, order)
+    return rblker, fp_cokernel(rb_to_b), exponent

@@ -1,5 +1,6 @@
 """Command-line surface: shapes, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -22,6 +23,26 @@ PB5_JSON = (
     '{"group":{"invariant_factors":[6]},'
     '"half":{"invariant_factors":[3]},"expected":3,"pass":true}\n'
 )
+
+# sha256 of the stdout of each command, recorded when it was added
+PINNED_STDOUT = {
+    "pb --q-range 5:31 --json":
+        "620bc9fa5e385eb1eb6d72e9d8f78204bd7d83f241be52bf3e77cb258c937663",
+    "rp --q-range 5:13 --csv":
+        "f30cae81c1aa4c6a532ddf4287c2951b7600cb174904949ee339cc18530ee6aa",
+    "derived --q-range 5:25 --json":
+        "7673b71c416ccfee95403a87dd33abf7e3a94dd25943d43e1baf0b14f3677214",
+    "derived --q-range 5:13":
+        "580a183951aaf262a5854edc205b63b34336b3b49c1d765d2f5dfe066aaf848b",
+    "derived --q-range 5:13 --csv":
+        "8808b835b8c44fc7cca41a7af4c0fbbf8a6902d7e246f99202e59a673ab65489",
+    "report h3-laurent --field F13":
+        "62b2d6adac8f92ed18d5f112c88f8cabd896401c7f3135fdb6edfa2b6f14c47d",
+    "report h3-laurent --field F9 --json":
+        "36c58e3f7aa1b09ff95443b4d97c4d2b240b2631a3eb36e881a24706738defa5",
+    "verify sv --q-range 5:11 --json":
+        "f9d56d46910a89b6cbd6cd89c5cfd64ba6503efdc620afb335aabb9bede1fde0",
+}
 
 
 def run_cli(capsys, argv):
@@ -506,7 +527,20 @@ class TestHermiteReadingAgainstSmithReading:
         assert new[0] == 0
         assert bool(calls) == reaches_oracle
         if reaches_oracle:
-            assert set(calls) == {"AbMap", "element_order"}
+            # derived reads no element order: its exponent is a kernel's
+            assert set(calls) == {"AbMap"}
+
+
+class TestPinnedStdout:
+    """The sha256 of stdout for a fixed set of commands, so that any
+    change to the bytes the CLI prints shows up here."""
+
+    @pytest.mark.parametrize("argv", PINNED_STDOUT)
+    def test_stdout_digest(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("KMW_THREADS", raising=False)
+        code, out, _ = run_cli(capsys, argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
 class TestEntryPoint:

@@ -25,13 +25,11 @@ from kmw.errors import RelationNotKilled
 from kmw.exact_linear import (
     AbMap,
     IntMatrix,
-    _left_solver,
     _unit_rows,
     fp_cokernel,
     fp_group,
     fp_kernel,
     hnf,
-    lattice_intersection,
     odd_part,
     snf,
 )
@@ -199,6 +197,8 @@ class TestHNF:
 
 
 class TestSolveAndKernels:
+    # the solver is the oracle that pins ScissorsContext.derived's
+    # RB -> B reading (test_scissors.TestDerivedAgainstSolver)
     def test_solve_left_roundtrip(self):
         rng = random.Random(11)
         for _ in range(60):
@@ -210,14 +210,14 @@ class TestSolveAndKernels:
             target = [
                 sum(coeffs[i] * m.entry(i, j) for i in range(r)) for j in range(c)
             ]
-            x = _left_solver(m)(target)
+            x = kernel_oracle._left_solver(m)(target)
             assert x is not None
             back = [sum(x[i] * m.entry(i, j) for i in range(r)) for j in range(c)]
             assert back == target
 
     def test_solve_left_unsolvable(self):
         m = IntMatrix.from_rows([[2, 0], [0, 2]])
-        solve = _left_solver(m)
+        solve = kernel_oracle._left_solver(m)
         assert solve([1, 0]) is None
         assert solve([2, 2]) == (1, 1)
 
@@ -515,10 +515,12 @@ class TestOddPartAndIntersection:
         g = fp_group(["a"], [[8]])
         assert odd_part(g).describe() == "0"
 
+    # the intersection is the oracle that pins ScissorsContext.derived's
+    # K1 exponent (test_scissors.TestDerivedAgainstSolver)
     def test_lattice_intersection_lines(self):
         a = IntMatrix.from_rows([[2, 0]])
         b = IntMatrix.from_rows([[3, 0]])
-        inter = lattice_intersection(a, b)
+        inter = kernel_oracle.lattice_intersection(a, b)
         h, _, rank = hnf(inter)
         assert rank == 1
         assert h.row(0) == (6, 0)
@@ -530,7 +532,7 @@ class TestOddPartAndIntersection:
             r = rng.randint(1, 3)
             rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
             a = IntMatrix.from_rows(rows, cols=n)
-            inter = lattice_intersection(a, a)
+            inter = kernel_oracle.lattice_intersection(a, a)
             ha = hnf(a, want_u=False)[0]
             hi = hnf(inter, want_u=False)[0]
             assert [r for r in ha.row_list() if any(r)] == [
@@ -549,11 +551,11 @@ class TestOddPartAndIntersection:
                 [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 3))],
                 cols=n,
             )
-            inter = lattice_intersection(a, b)
+            inter = kernel_oracle.lattice_intersection(a, b)
             for i in range(inter.rows):
                 v = inter.row(i)
-                assert _left_solver(a)(v) is not None
-                assert _left_solver(b)(v) is not None
+                assert kernel_oracle._left_solver(a)(v) is not None
+                assert kernel_oracle._left_solver(b)(v) is not None
 
 
 class TestIntMatrix:
@@ -847,17 +849,18 @@ class TestNoFloats:
         with pytest.raises(TypeError):
             g.is_zero([x])
 
-    @pytest.mark.parametrize("x", [1.5, 2.0, Fraction(3, 2)])
-    def test_solver_targets(self, x):
-        solve = _left_solver(IntMatrix.from_rows([[2, 0], [0, 2]]))
+    @pytest.mark.parametrize("x", [0.5, 1.0, Fraction(1, 2)])
+    def test_map_vectors(self, x):
+        g = fp_group(["a"], [[4]])
+        f = AbMap(g, g, [[1]])
         with pytest.raises(TypeError):
-            solve([x, 0])
+            f.apply([x])
 
     def test_integers_still_pass(self):
         g = fp_group(["a"], [[4]])
         assert g.element_order([Index(1)]) == 4
         assert g.is_zero([True]) is False
-        assert _left_solver(IntMatrix.from_rows([[2, 0], [0, 2]]))([Index(2), 4]) == (1, 2)
+        assert AbMap(g, g, [[3]]).apply([Index(2)]) == (6,)
         assert IntMatrix(1, 2, [True, Index(7)]).entries == (1, 7)
 
 
@@ -1193,15 +1196,21 @@ class TestCarriedColumns:
     @settings(max_examples=150, deadline=None)
     @given(stacks())
     def test_lattice_intersection_matches_oracle(self, pair):
-        a, b = pair
-        assert lattice_intersection(a, b) == kernel_oracle.lattice_intersection(a, b)
-        assert lattice_intersection(b, a) == kernel_oracle.lattice_intersection(b, a)
+        # rowspace(a) ∩ rowspace(b) is the image of the kernel of the map
+        # from the free group on a's rows to Z^n / rowspace(b), the
+        # reading ScissorsContext.derived takes of RP1 meeting K1
+        for a, b in (pair, pair[::-1]):
+            free = fp_group([f"a{i}" for i in range(a.rows)], [])
+            quotient = fp_group([f"x{j}" for j in range(a.cols)], b.row_list())
+            _, incl = fp_kernel(AbMap(free, quotient, a))
+            got = hnf(incl.images @ a, want_u=False)[0]
+            want = hnf(kernel_oracle.lattice_intersection(a, b), want_u=False)[0]
+            assert [r for r in got.row_list() if any(r)] == [r for r in want.row_list() if any(r)]
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 2)])
     def test_empty_and_zero_stacks(self, shape):
         a = IntMatrix.zeros(*shape)
         b = IntMatrix.zeros(1, shape[1])
-        assert lattice_intersection(a, b) == kernel_oracle.lattice_intersection(a, b)
         m = a.stack(b)
         _, carried, rank = _snf_py._carry(m.row_list(), _unit_rows(m.rows, m.rows))
         assert [tuple(row) for row in carried[rank:]] == kernel_oracle.left_kernel(m).row_list()

@@ -57,6 +57,15 @@ class TestBasics:
         assert x == 2 * gr.gr_unit(Q, 2)
         assert hash(x) == hash(2 * gr.gr_unit(Q, 2))
 
+    @pytest.mark.parametrize("c", [2.5, 1.0, Fraction(5, 2)])
+    def test_coefficients_are_integers(self, c):
+        # a float or fraction coefficient raises instead of truncating
+        F5 = fl.finite_field(5)
+        with pytest.raises(TypeError):
+            gr.gr_int(F5, c)
+        with pytest.raises(TypeError):
+            gr.GroupRingElem(F5, {fl.square_class(F5.elem(2)): c})
+
 
 class TestIdentities:
     def test_augmentation_multiplicative(self):

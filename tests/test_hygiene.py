@@ -106,5 +106,5 @@ def test_library_passes_kernel_flags_by_position(monkeypatch):
 
         monkeypatch.setattr(_snf_py, name, record)
     ScissorsContext(5).derived()
-    # presentations, kernels and intersections all run transform-free
+    # presentations, kernels and cokernels all run transform-free
     assert seen == {("hnf_kernel", (False,)), ("snf_kernel", (False, False))}

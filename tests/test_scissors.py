@@ -3,6 +3,7 @@
 import random
 import time
 
+import kernel_oracle
 import pytest
 
 from kmw.errors import (
@@ -223,6 +224,35 @@ class TestDerivedGroups:
         assert time.monotonic() - start < 30.0
 
 
+class TestDerivedAgainstSolver:
+    """rblker, the cokernel of RB -> B and the K1 exponent, read from
+    kernels and cokernels alone, against the solve-into-B and
+    intersection reading of ``kernel_oracle.solver_derived``."""
+
+    @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17, 19, 23, 25])
+    def test_same_groups_and_exponent(self, q):
+        ctx = scissors_context(q)
+        d = ctx.derived()
+        rblker, coker, exponent = kernel_oracle.solver_derived(ctx)
+        for got, want in ((d["rblker"], rblker), (d["cokernel_RB_to_B"], coker)):
+            assert got.invariant_factors == want.invariant_factors
+            assert got.free_rank == want.free_rank
+            assert got.generator_labels == want.generator_labels
+            assert got.relation_basis == want.relation_basis
+        assert d["k1_intersection_exponent"] == exponent
+
+    @pytest.mark.parametrize("q", [5, 7, 9])
+    def test_image_outside_bloch_kernel_raises(self, q):
+        # the identity on P in place of lambda makes B = 0, which the
+        # nonzero image of RB escapes
+        ctx = ScissorsContext(q)
+        p = ctx.p_group()
+        lambda1, lambda2, lam_mixed, _, proj = ctx.maps()
+        ctx._maps = (lambda1, lambda2, lam_mixed, AbMap(p, p, IntMatrix.identity(p.ngens)), proj)
+        with pytest.raises(IntegrityFailure, match="image of RB escapes the Bloch kernel"):
+            ctx.derived()
+
+
 class TestOneRowPerFact:
     """P rows are folds of the untwisted RP rows, twisted rows are
     half-swaps, and RP-tilde stacks the K1 rows on RP's Hermite basis;
@@ -338,8 +368,16 @@ class TestOneRowPerFact:
         assert got.free_rank == full.free_rank
 
     def test_strict_checks_run_on_cached_groups(self, monkeypatch):
-        # the RB -> B checks run on the first call and on every cached one
-        monkeypatch.setattr("kmw.scissors.fp_cokernel", lambda f: fp_group(["g"], [[3]]))
+        # the RB -> B checks run on the first call and on every cached one;
+        # B / im RB is the kernel of the identity map P / im RB -> P / B,
+        # here made Z/3
+        def kernel(f):
+            if f.source.generator_labels == f.target.generator_labels:
+                assert f.images == IntMatrix.identity(f.source.ngens)
+                return fp_group(["g"], [[3]]), None
+            return fp_kernel(f)
+
+        monkeypatch.setattr("kmw.scissors.fp_kernel", kernel)
         ctx = ScissorsContext(5)
         with pytest.raises(IntegrityFailure, match="onto"):
             ctx.derived()
@@ -523,6 +561,12 @@ class TestSpecialization:
         Kq = function_field(QQ)
         with pytest.raises(UnsupportedPlace):
             sv_apply(rp_gen(Kq, Kq.elem(2)), Kq.t)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0])
+    def test_tilde_elem_rejects_floats(self, x):
+        # truncation would store zeros and report a nonzero vector as zero
+        with pytest.raises(TypeError):
+            RPTildeElem(5, [x] * 8)
 
     def test_tilde_elem_algebra(self):
         a = rp_tilde_gen(5, 2)
