@@ -18,7 +18,6 @@ from .exact_linear import (
     fp_cokernel,
     fp_group,
     fp_kernel,
-    hnf,
     odd_part,
     snf,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "h3_laurent_report",
     "h_elem",
     "hilbert",
-    "hnf",
     "in_i_power",
     "mw_delta",
     "mw_descriptor",

@@ -10,15 +10,17 @@ transform) over the distinct rows up to sign, and keeps the nonzero
 rows as ``relation_basis``, a rank x n matrix spanning the same lattice;
 no copy of the relation rows is stored.  That basis is unique and
 generates the lattice (Cohen, GTM 138, section 2.4), so everything reads
-the presentation through it: membership and element orders by reduction
-against its pivots, the relation check of ``AbMap`` on its rows, and
-the invariant factors from a transform-free Smith form of it.  The
-kernel calculus stacks against ``relation_basis`` rather than the tall,
-sparse relations, and reads each left kernel off unit columns carried
-beside one reduction (``_snf_py._carry``; Cohen, GTM 138, section 2.4),
-so no square transform is formed.  Kernels, cokernels and ``AbMap``'s
-relation check are the whole calculus: a solve, an intersection or a
-containment is asked of them as a kernel or a quotient map.
+the presentation through it: membership by reduction against its
+pivots, the relation check of ``AbMap`` on its rows, and the invariant
+factors and free rank from a transform-free Smith form of it, taken
+when one of them is first read, so a group that is only stacked against
+takes none.  The kernel calculus stacks against ``relation_basis``
+rather than the tall, sparse relations, and reads each left kernel off
+unit columns carried beside one reduction (``_snf_py._carry``; Cohen,
+GTM 138, section 2.4), so no square transform is formed.  Kernels,
+cokernels and ``AbMap``'s relation check are the whole calculus: a
+solve, an intersection or a containment is asked of them as a kernel or
+a quotient map.
 
 The kernels live in ``_snf_py``, in arbitrary precision: one Hermite
 elimination, and the Smith form built from its reductions.
@@ -26,9 +28,8 @@ elimination, and the Smith form built from its reductions.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cached_property
 from itertools import chain
-from math import lcm
 from operator import index
 from typing import Iterable, Optional, Sequence
 
@@ -103,14 +104,6 @@ class IntMatrix:
             raise ValueError("column counts differ")
         return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i * self.cols + j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i * self.cols + i] for i in range(min(self.rows, self.cols)))
 
@@ -143,16 +136,6 @@ def snf(
         IntMatrix(m.rows, m.cols, d),
         IntMatrix(m.rows, m.rows, u) if want_u else None,
         IntMatrix(m.cols, m.cols, v) if want_v else None,
-    )
-
-
-def hnf(m: IntMatrix, want_u: bool = True):
-    """Row Hermite normal form: returns (H, U, rank) with U*m = H."""
-    h, u, r = _snf_py.hnf_kernel(m.entries, m.rows, m.cols, want_u)
-    return (
-        IntMatrix(m.rows, m.cols, h),
-        IntMatrix(m.rows, m.rows, u) if want_u else None,
-        r,
     )
 
 
@@ -214,9 +197,10 @@ class AbGroupInfo:
     same row lattice), and not kept.  Only the distinct nonzero rows, a
     row and its negation counting as one, enter that reduction: they
     span the same lattice, and the Hermite basis of a lattice is unique.
-    Every reading comes from the basis: the invariant factors from its
-    Smith form, taken without transforms, and ``is_zero`` and
-    ``element_order`` from reduction against its pivots."""
+    Every reading comes from the basis: ``is_zero`` from reduction
+    against its pivots, and ``invariant_factors`` and ``free_rank`` from
+    its Smith form, taken without transforms on the first read of either
+    and kept."""
 
     def __init__(self, labels: Sequence[str], relations: Iterable[Sequence[int]]):
         labels = tuple(str(s) for s in labels)
@@ -232,12 +216,24 @@ class AbGroupInfo:
         self.relation_basis = IntMatrix(rank, n, h_flat[: rank * n])
         self._pivots = _pivot_data(self.relation_basis.row_list(), rank)
 
+    @cached_property
+    def _smith(self) -> tuple[tuple[int, ...], int]:
+        # (invariant factors, free rank) off the Smith form of the basis
+        rank, n = self.relation_basis.rows, self.relation_basis.cols
         d_flat, _, _ = _snf_py.snf_kernel(self.relation_basis.entries, rank, n, False, False)
         diag = [d_flat[j * n + j] for j in range(min(rank, n))]
-        self.invariant_factors = tuple(d for d in diag if d >= 2)
-        self.free_rank = n - sum(1 for d in diag if d)
-        if rank != n - self.free_rank:
+        free_rank = n - sum(1 for d in diag if d)
+        if rank != n - free_rank:
             raise IntegrityFailure("normal forms disagree on rank")
+        return tuple(d for d in diag if d >= 2), free_rank
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        return self._smith[0]
+
+    @property
+    def free_rank(self) -> int:
+        return self._smith[1]
 
     @property
     def ngens(self) -> int:
@@ -248,25 +244,6 @@ class AbGroupInfo:
         if len(vec) != self.ngens:
             raise ValueError("vector length does not match generator count")
         return _member(self._pivots, vec)
-
-    def element_order(self, vec: Sequence[int]) -> Optional[int]:
-        """Order of the class of ``vec``; None when infinite.  The basis
-        rows are independent, so ``vec`` has unique rational coefficients
-        over them when it lies in their span, and its order is the lcm of
-        their denominators."""
-        rem = [Fraction(index(x)) for x in vec]
-        if len(rem) != self.ngens:
-            raise ValueError("vector length does not match generator count")
-        out = 1
-        for row, c, p in self._pivots:
-            a = rem[c] / p
-            if a:
-                for k in range(c, len(rem)):
-                    rem[k] -= a * row[k]
-                out = lcm(out, a.denominator)
-        if any(rem):
-            return None
-        return out
 
     def order(self) -> Optional[int]:
         """Group order; None when infinite."""
@@ -372,6 +349,7 @@ def fp_cokernel(f: AbMap) -> AbGroupInfo:
 
 def odd_part_int(n: int) -> int:
     """n with every factor 2 removed, for n >= 1."""
+    n = index(n)
     if n < 1:
         raise BadBound("the odd part is taken of a positive integer")
     while n % 2 == 0:

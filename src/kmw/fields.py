@@ -136,9 +136,6 @@ class Field:
     def one(self) -> "FieldElem":
         return FieldElem(self, self._one_raw)
 
-    def parse(self, text: str) -> "FieldElem":
-        return parse_elem(self, text)
-
 
 class FieldElem:
     """An element tied to its field handle; arithmetic stays inside one
@@ -1215,9 +1212,6 @@ class RatFunField(Field):
             return FieldElem(self, (Poly.constant(self.base, x), one))
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
-    def from_base(self, x) -> FieldElem:
-        return self.elem(self.base.elem(x))
-
     def num_den(self, x: FieldElem) -> tuple[Poly, Poly]:
         return x.val
 
@@ -1580,10 +1574,6 @@ def _minus_one_class(field: Field) -> SquareClass:
     """The class of -1, which diagonal representatives and signed
     discriminants multiply by on every call."""
     return square_class(field.elem(-1))
-
-
-def is_square(x: FieldElem) -> bool:
-    return square_class(x).is_trivial()
 
 
 # -- F_q(t): a class is a base bit and a set of places

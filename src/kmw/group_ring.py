@@ -19,7 +19,6 @@ from typing import Iterable, Mapping
 from .errors import MixedFields, ZeroEntry
 from .fields import (
     Field,
-    FiniteField,
     SquareClass,
     _minus_one_class,
     _trivial_class,
@@ -127,19 +126,6 @@ class GroupRingElem:
         return sum(self.coeffs.values())
 
     rank = augmentation  # the virtual rank of the form
-
-    def to_pair(self) -> tuple[int, int]:
-        """Coefficients (on 1, on the nonsquare class) over a finite
-        field, where the class group is {1, s}."""
-        if not isinstance(self.field, FiniteField):
-            raise MixedFields("coefficient pairs need a finite base field")
-        c1 = cs = 0
-        for cls, c in self.coeffs.items():
-            if cls.is_trivial():
-                c1 = c
-            else:
-                cs = c
-        return c1, cs
 
     def diag_rep(self) -> list[SquareClass]:
         """Diagonal representative of the same Witt class: negative

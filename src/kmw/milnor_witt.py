@@ -303,11 +303,6 @@ def mw_zero(field, degree: int) -> MWElem:
     return _make(field, degree, {})
 
 
-def mw_one(field) -> MWElem:
-    """The unit of the graded ring: the empty symbol in degree 0."""
-    return _make(field, 0, {(0, ()): 1})
-
-
 def mw_symbol(field, entries: Sequence) -> MWElem:
     """Generator monomial ``[a_1]...[a_n]`` in degree n <= 3."""
     elems = []

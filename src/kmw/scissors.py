@@ -120,10 +120,6 @@ class RPElem:
         return "RPElem(" + " + ".join(bits) + ")"
 
 
-def rp_gen(field, a, coeff=1) -> RPElem:
-    return RPElem(field, [(coeff if not isinstance(coeff, int) else gr_int(field, coeff), a)])
-
-
 def refined_five_term(field, x, y) -> RPElem:
     """The five-term relation at (x, y) with its square-class
     coefficients; defined whenever x, y avoid 0 and 1 and differ."""

@@ -89,11 +89,6 @@ def zero_form(field) -> GroupRingElem:
     return gr_zero(field)
 
 
-def hyperbolic_form(field, m: int = 1) -> GroupRingElem:
-    """``m`` hyperbolic planes ``<1, -1>``."""
-    return diagonal_form(field, [1, -1]) * m
-
-
 pfister_form = pfister_elem
 
 

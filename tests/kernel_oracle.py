@@ -4,19 +4,24 @@
 previous library functions, verbatim: each takes the full rows x rows
 transform of a Hermite reduction, keeps the rows past the rank, and
 multiplies them back by hand.  Both paths run the same row operations
-in the same order, so their outputs must agree entry for entry.
+in the same order, so their outputs must agree entry for entry.  ``hnf``,
+the previous public wrapper of ``_snf_py.hnf_kernel`` that returns the
+square transform U, serves them, and the tests of that kernel.
 
 ``_left_solver`` (with the coefficient-returning ``_member`` it reads)
 is also a previous library function, verbatim.  ``solver_derived`` uses
 it and ``lattice_intersection`` to rebuild the parts of
 ``ScissorsContext.derived`` that now come from kernels and cokernels
 alone: the RB -> B map solved into B coordinates, and the exponent of
-RP1 meeting K1 as an lcm of element orders.
+RP1 meeting K1 as an lcm of element orders, read through
+``smith_oracle.element_order``.
 """
 
 from math import gcd
 from operator import index
 from typing import Callable, Optional, Sequence
+
+import smith_oracle
 
 from kmw import _snf_py
 from kmw.errors import IntegrityFailure
@@ -27,9 +32,18 @@ from kmw.exact_linear import (
     _pivot_data,
     _unit_rows,
     fp_cokernel,
-    hnf,
 )
 from kmw.exact_linear import fp_kernel as carried_fp_kernel
+
+
+def hnf(m: IntMatrix, want_u: bool = True):
+    """Row Hermite normal form: returns (H, U, rank) with U*m = H."""
+    h, u, r = _snf_py.hnf_kernel(m.entries, m.rows, m.cols, want_u)
+    return (
+        IntMatrix(m.rows, m.cols, h),
+        IntMatrix(m.rows, m.rows, u) if want_u else None,
+        r,
+    )
 
 
 def left_kernel(m: IntMatrix) -> IntMatrix:
@@ -151,7 +165,7 @@ def solver_derived(ctx) -> tuple[AbGroupInfo, AbGroupInfo, int]:
     inter = lattice_intersection(lat1, ctx.rp_tilde().relation_basis)
     exponent = 1
     for i in range(inter.rows):
-        order = rp.element_order(inter.row(i))
+        order = smith_oracle.element_order(rp, inter.row(i))
         if order is None:
             raise IntegrityFailure("intersection with K1 has an infinite cycle")
         exponent = exponent * order // gcd(exponent, order)

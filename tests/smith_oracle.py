@@ -8,13 +8,15 @@ free coordinates and whose entries at the places with d_j >= 2 are its
 torsion coordinates mod d_j.  V is whatever transform ``snf`` returns;
 a Smith transform is not unique, so the coordinates themselves are not
 either, and only what every choice of V gives alike is compared with the
-library: whether a class is zero, and its order.  ``element_order`` is
-read off those coordinates, and ``all_rows_init`` is the ``AbMap``
-constructor that checks every relation row instead of a basis of the
-lattice.  A group keeps no copy of its relation rows, so
-``record_inputs`` wraps the ``AbGroupInfo`` constructor to remember each
-group's rows (``input_rows``).  ``install`` swaps the oracles in for the
-library's, so that whole commands can be run on either reading.
+library: whether a class is zero.  ``element_order``, the order of a
+class, is read off those coordinates; the library has no element orders
+(the exponent of a group is read off its invariant factors).
+``all_rows_init`` is the ``AbMap`` constructor that checks every relation
+row instead of a basis of the lattice.  A group keeps no copy of its
+relation rows, so ``record_inputs`` wraps the ``AbGroupInfo`` constructor
+to remember each group's rows (``input_rows``).  ``install`` swaps the
+all-rows check in for the library's, so that whole commands can be run
+on either check.
 """
 
 from math import gcd, lcm
@@ -129,18 +131,12 @@ def all_rows_init(self, source, target, images, source_rows=None):
 
 
 def install(monkeypatch, calls):
-    """Swap the Smith reading of element orders and the all-rows map check
-    in for the library's, recording every group's rows for the latter;
-    each oracle call appends its name to ``calls``."""
-
-    def order(self, vec):
-        calls.append("element_order")
-        return element_order(self, vec)
+    """Swap the all-rows map check in for the library's, recording every
+    group's rows for it; each oracle call appends its name to ``calls``."""
 
     def init(self, source, target, images):
         calls.append("AbMap")
         all_rows_init(self, source, target, images)
 
     record_inputs(monkeypatch)
-    monkeypatch.setattr(AbGroupInfo, "element_order", order)
     monkeypatch.setattr(AbMap, "__init__", init)

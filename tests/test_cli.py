@@ -494,9 +494,8 @@ class TestPlaceSetKeyAgainstPolynomialKey:
 
 
 class TestHermiteReadingAgainstSmithReading:
-    """The same stdout and exit code with element orders and map checks
-    read off the Hermite basis as with the Smith-coordinate reading and
-    the all-rows map check of ``smith_oracle``."""
+    """The same stdout and exit code with map checks read off the Hermite
+    basis as with the all-rows map check of ``smith_oracle``."""
 
     @pytest.fixture
     def smith_reading(self, monkeypatch):
@@ -527,7 +526,6 @@ class TestHermiteReadingAgainstSmithReading:
         assert new[0] == 0
         assert bool(calls) == reaches_oracle
         if reaches_oracle:
-            # derived reads no element order: its exponent is a kernel's
             assert set(calls) == {"AbMap"}
 
 

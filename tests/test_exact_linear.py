@@ -2,26 +2,27 @@
 independent oracles: determinantal divisors for invariant factors,
 cofactor expansion for determinants, the elimination kernel of
 ``snf_oracle`` for Smith forms, and the Smith-coordinate reading of
-``smith_oracle`` for membership, element orders and map checks."""
+``smith_oracle`` for membership and map checks."""
 
 import copy
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import gcd
 
 import kernel_oracle
 import pytest
 import smith_oracle
 import snf_oracle
+from kernel_oracle import hnf
 from snf_oracle import _identity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmw import _snf_py
 from kmw._snf_py import _nearest_quo
-from kmw.errors import RelationNotKilled
+from kmw.errors import IntegrityFailure, RelationNotKilled
 from kmw.exact_linear import (
     AbMap,
     IntMatrix,
@@ -29,8 +30,8 @@ from kmw.exact_linear import (
     fp_cokernel,
     fp_group,
     fp_kernel,
-    hnf,
     odd_part,
+    odd_part_int,
     snf,
 )
 from kmw.scissors import ScissorsContext, rp_presentation
@@ -100,8 +101,10 @@ class TestSNF:
         assert u.mul(m).mul(v) == d
         assert abs(laplace_det(u.row_list())) == 1
         assert abs(laplace_det(v.row_list())) == 1
-        assert d.is_diagonal()
         diag = d.diagonal()
+        assert d.entries == tuple(
+            diag[i] if i == j else 0 for i in range(d.rows) for j in range(d.cols)
+        )
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             if b:
@@ -329,77 +332,6 @@ class TestFpGroup:
             g2 = fp_group([f"g{perm[j]}" for j in range(n)], rel2)
             assert g.invariant_factors == g2.invariant_factors
             assert g.free_rank == g2.free_rank
-
-    def test_element_order(self):
-        g = fp_group(["a", "b"], [[2, 0], [0, 3]])  # Z/6 via (a, b)
-        assert g.element_order([0, 1]) == 3
-        assert g.element_order([1, 0]) == 2
-        assert g.element_order([1, 1]) == 6
-        assert g.element_order([0, 0]) == 1
-        h = fp_group(["a"], [])
-        assert h.element_order([1]) is None
-        assert h.element_order([0]) == 1
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(st.integers(2, 12), min_size=1, max_size=3),
-        st.integers(1, 2),
-        st.integers(0, 2),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_element_order_matches_smith_oracle(self, factors, free, trivial, seed):
-        g, w = free_and_torsion_presentation(factors, free, trivial, seed)
-        assert g.free_rank == free
-        assert g.torsion_order() == prod(factors)
-        rng = random.Random(seed + 1)
-        n, k = g.ngens, len(factors) + trivial
-        for _ in range(20):
-            # free coordinates vanish half of the time: finite order
-            c = [rng.randint(-6, 6) for _ in range(k)]
-            c += [0 if rng.random() < 0.5 else rng.randint(-3, 3) for _ in range(free)]
-            vec = [sum(c[i] * w[i][j] for i in range(n)) for j in range(n)]
-            assert g.element_order(vec) == smith_oracle.element_order(g, vec)
-
-    def test_element_order_brute(self):
-        rng = random.Random(41)
-        for _ in range(15):
-            n = rng.randint(1, 3)
-            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            if laplace_det(rows) == 0:
-                continue
-            g = fp_group([f"g{i}" for i in range(n)], rows)
-            size = g.order()
-            for _ in range(5):
-                vec = [rng.randint(-6, 6) for _ in range(n)]
-                k = next(
-                    k
-                    for k in range(1, size + 1)
-                    if g.is_zero([k * x for x in vec])
-                )
-                assert g.element_order(vec) == k
-
-
-def free_and_torsion_presentation(factors, free, trivial, seed):
-    """Relations of Z^free + sum Z/d over d in ``factors``, with ``trivial``
-    generators killed outright, in a random basis of the generators and
-    padded with redundant and shuffled rows; returns (group, change of
-    basis W), so a vector c in the diagonal coordinates is c * W."""
-    rng = random.Random(seed)
-    n = len(factors) + trivial + free
-    diag = list(factors) + [1] * trivial
-    rows = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(diag)]
-    w = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        a, b = rng.sample(range(n), 2)
-        c = rng.randint(-2, 2)
-        for mat in (rows, w):
-            for row in mat:
-                row[a] += c * row[b]
-    for _ in range(rng.randint(0, 3)):
-        coeffs = [rng.randint(-1, 1) for _ in diag]
-        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
-    rng.shuffle(rows)
-    return fp_group([f"g{i}" for i in range(n)], rows), w
 
 
 class TestMaps:
@@ -749,13 +681,80 @@ class TestHermiteBasis:
         # the Hermite reduction sees each nonzero relation row once, up to sign
         redundant = [[-x for x in rows[0]], list(rows[1]), [0] * n]
         g = fp_group(labels, list(rows) + redundant)
-        rank = n - g.free_rank
-        # only the first reduction reads the relation rows, at full height;
-        # the Smith form runs once, on the rank x n basis, and the Hermite
-        # reductions it runs itself are at most n rows tall
+        # only the first reduction reads the relation rows, at full height,
+        # and building the group takes no Smith form
         assert len(rows) > n
-        assert calls[:2] == [("hnf", len(rows), n, False), ("snf", rank, n, False, False)]
+        assert calls == [("hnf", len(rows), n, False)]
+        # the first read takes the Smith form once, on the rank x n basis,
+        # and the Hermite reductions it runs itself are at most n rows tall
+        rank = n - g.free_rank
+        assert calls[1] == ("snf", rank, n, False, False)
         assert all(call[0] == "hnf" and call[1] <= n for call in calls[2:])
+
+
+def record_kernel_calls(monkeypatch) -> list:
+    """The name of each normal-form kernel call from now on, the Hermite
+    reductions a Smith form runs itself included."""
+    calls = []
+    for name in ("hnf_kernel", "snf_kernel"):
+        kernel = getattr(_snf_py, name)
+
+        def record(*args, _kernel=kernel, _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(_snf_py, name, record)
+    return calls
+
+
+class TestLazySmithForm:
+    """A group takes the Smith form of its basis when ``invariant_factors``
+    or ``free_rank`` is first read, once, and not before."""
+
+    @pytest.mark.parametrize("first", ["invariant_factors", "free_rank"])
+    def test_first_read_takes_it_once(self, monkeypatch, first):
+        calls = record_kernel_calls(monkeypatch)
+        g = fp_group(["a", "b", "c"], [[2, 4, 0], [0, 3, 6], [2, 1, -6]])
+        assert calls == ["hnf_kernel"]
+        getattr(g, first)
+        assert calls.count("snf_kernel") == 1
+        calls.clear()
+        assert (g.invariant_factors, g.free_rank) == ((6,), 1)
+        assert g.describe() == "Z x Z/6"
+        assert calls == []
+
+    def test_stacking_takes_none(self, monkeypatch):
+        # membership, map checks, kernels and cokernels read the basis
+        # only; the groups they build take no Smith form either
+        calls = record_kernel_calls(monkeypatch)
+        z4 = fp_group(["x"], [[4]])
+        z2 = fp_group(["y"], [[2]])
+        f = AbMap(z4, z2, [[1]])
+        assert not z4.is_zero([1])
+        kern, incl = fp_kernel(f)
+        coker = fp_cokernel(f)
+        AbMap(coker, coker, [[1]])
+        assert "snf_kernel" not in calls
+        assert (kern.invariant_factors, coker.invariant_factors) == ((2,), ())
+        assert calls.count("snf_kernel") == 2
+
+    @pytest.mark.parametrize("first", ["invariant_factors", "free_rank"])
+    def test_rank_check_runs_on_every_smith_form(self, monkeypatch, first):
+        # a Smith form that loses a diagonal entry disagrees with the
+        # Hermite rank; the check fires on the read that takes it
+        snf_kernel = _snf_py.snf_kernel
+
+        def drop_one(entries, rows, cols, want_u, want_v):
+            d, u, v = snf_kernel(entries, rows, cols, want_u, want_v)
+            j = max(j for j in range(min(rows, cols)) if d[j * cols + j])
+            d[j * cols + j] = 0
+            return d, u, v
+
+        g = fp_group(["a", "b"], [[2, 0], [0, 3]])
+        monkeypatch.setattr(_snf_py, "snf_kernel", drop_one)
+        for _ in range(2):
+            with pytest.raises(IntegrityFailure, match="normal forms disagree on rank"):
+                getattr(g, first)
 
 
 class TestStreamedRelations:
@@ -845,8 +844,6 @@ class TestNoFloats:
     def test_group_vectors(self, x):
         g = fp_group(["a"], [[4]])
         with pytest.raises(TypeError):
-            g.element_order([x])
-        with pytest.raises(TypeError):
             g.is_zero([x])
 
     @pytest.mark.parametrize("x", [0.5, 1.0, Fraction(1, 2)])
@@ -856,9 +853,14 @@ class TestNoFloats:
         with pytest.raises(TypeError):
             f.apply([x])
 
+    @pytest.mark.parametrize("x", [6.0, 2.5, Fraction(6)])
+    def test_odd_part_of_an_integer(self, x):
+        with pytest.raises(TypeError):
+            odd_part_int(x)
+
     def test_integers_still_pass(self):
         g = fp_group(["a"], [[4]])
-        assert g.element_order([Index(1)]) == 4
+        assert odd_part_int(Index(12)) == 3
         assert g.is_zero([True]) is False
         assert AbMap(g, g, [[3]]).apply([Index(2)]) == (6,)
         assert IntMatrix(1, 2, [True, Index(7)]).entries == (1, 7)

@@ -22,13 +22,6 @@ class TestBasics:
         expected = gr.gr_int(F7, 2) - gr.gr_unit(F7, 3) * 2
         assert x == expected  # ⟪3⟫^2 = 2 - 2⟨3⟩
 
-    def test_pair_flattening(self):
-        F7 = fl.finite_field(7)
-        x = gr.gr_int(F7, 2) - gr.gr_unit(F7, 3) * 2
-        assert x.to_pair() == (2, -2)
-        assert gr.gr_zero(F7).to_pair() == (0, 0)
-        assert gr.gr_unit(F7, 2).to_pair() == (1, 0)  # 2 = 4^2 mod 7 is a square
-
     def test_zero_argument(self):
         F5 = fl.finite_field(5)
         with pytest.raises(ZeroArgument):

@@ -1,6 +1,7 @@
 """Static hygiene of the library sources and of the tests: no module
 imports a name it never uses.  The package root is exempt, since it
-imports names only to re-export them.  Also the kernel signatures that
+imports names only to re-export them; instead, what it imports is
+exactly what ``kmw.__all__`` lists.  Also the kernel signatures that
 the benchmark's tracer reads by position."""
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import kmw
 from kmw import _snf_py
 from kmw.scissors import ScissorsContext
 
@@ -63,6 +65,14 @@ def test_every_import_is_used(path):
     )
     name = f"kmw.{path.stem}" if path.parent == SRC else _module_id(path)
     assert not unused, f"{name} imports unused names: {', '.join(unused)}"
+
+
+def test_package_root_exports_what_it_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert set(_imported_names(tree)) == set(kmw.__all__)
+    assert len(set(kmw.__all__)) == len(kmw.__all__)
+    for name in kmw.__all__:
+        assert getattr(kmw, name, None) is not None, name
 
 
 def _traced_kernels():

@@ -52,7 +52,7 @@ def _q_places(a, b) -> list:
 def _fqt_places(field, a, b) -> list:
     """The support of a and b over F_q(t), plus t - 1 and t^2 - n for a
     nonsquare n of the base, where both may be units."""
-    t, n = field.t, field.from_base(field.base.nonsquare())
+    t, n = field.t, field.elem(field.base.nonsquare())
     extra = [function_place(field, t - 1), function_place(field, t * t - n)]
     places = support_places(field, [a, b])
     return places + [pl for pl in extra if pl not in places]

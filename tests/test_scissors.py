@@ -17,7 +17,8 @@ from kmw.errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from kmw.exact_linear import AbMap, IntMatrix, fp_group, fp_kernel, odd_part
+from kmw import _snf_py
+from kmw.exact_linear import AbGroupInfo, AbMap, IntMatrix, fp_group, fp_kernel, odd_part
 from kmw.fields import finite_field, function_field, function_place, rationals
 from kmw.group_ring import gr_int, gr_mul, gr_unit, pfister_elem
 from kmw.scissors import (
@@ -33,7 +34,6 @@ from kmw.scissors import (
     pb_half,
     plain_five_term,
     refined_five_term,
-    rp_gen,
     rp_presentation,
     scissors_context,
     sv_apply,
@@ -43,6 +43,15 @@ F5 = finite_field(5)
 F7 = finite_field(7)
 F9 = finite_field(9)
 QQ = rationals()
+
+
+def coeff_pair(x):
+    """(coefficient on the trivial class, on the nonsquare class) of a
+    group-ring element over a finite field."""
+    pair = [0, 0]
+    for cls, c in x.coeffs.items():
+        pair[not cls.is_trivial()] = c
+    return tuple(pair)
 
 
 class TestPlainPresentation:
@@ -124,14 +133,14 @@ class TestRefinedPresentation:
         assert not plain_five_term(F5, 2, 3).refined()
 
     def test_rp_elem_algebra(self):
-        a = rp_gen(F5, 2)
-        b = rp_gen(F5, 3, gr_unit(F5, F5.elem(2)))
+        a = RPElem(F5, [(1, 2)])
+        b = RPElem(F5, [(gr_unit(F5, F5.elem(2)), 3)])
         ctx = scissors_context(5)
         v = ctx.rp_vector(a + b - a)
         assert v == ctx.rp_vector(b)
         scaled = b.scale(gr_unit(F5, F5.elem(2)))
         # <2><2> = <4> is trivial, so the coefficient lands untwisted
-        assert ctx.rp_vector(scaled) == ctx.rp_vector(rp_gen(F5, 3))
+        assert ctx.rp_vector(scaled) == ctx.rp_vector(RPElem(F5, [(1, 3)]))
 
     def test_context_is_cached(self):
         assert scissors_context(5) is scissors_context(5)
@@ -141,20 +150,20 @@ class TestLambdaMaps:
     def test_lambda1_of_two_vanishes(self):
         ctx = scissors_context(5)
         l1 = ctx.maps()[0]
-        v = ctx.rp_vector(rp_gen(F5, 2))
+        v = ctx.rp_vector(RPElem(F5, [(1, 2)]))
         assert l1.target.is_zero(l1.apply(v))
 
     def test_lambda2_of_two_vanishes(self):
         ctx = scissors_context(5)
         l2 = ctx.maps()[1]
-        v = ctx.rp_vector(rp_gen(F5, 2))
+        v = ctx.rp_vector(RPElem(F5, [(1, 2)]))
         assert l2.target.is_zero(l2.apply(v))
 
     def test_lambda2_hits_odd_index_pairs(self):
         ctx = scissors_context(5)
         l2 = ctx.maps()[1]
         hits = [x for x in ctx.units
-                if x != F5.one and not l2.target.is_zero(l2.apply(ctx.rp_vector(rp_gen(F5, x))))]
+                if x != F5.one and not l2.target.is_zero(l2.apply(ctx.rp_vector(RPElem(F5, [(1, x)]))))]
         assert hits  # the map is onto Z/2
 
     def test_lambda1_matches_pfister_product(self):
@@ -163,9 +172,9 @@ class TestLambdaMaps:
         for x in ctx.units:
             if x == F7.one:
                 continue
-            v = ctx.rp_vector(rp_gen(F7, x))
+            v = ctx.rp_vector(RPElem(F7, [(1, x)]))
             w = pfister_elem(F7, [x, F7.one - x])
-            assert tuple(l1.apply(v)) == w.to_pair()
+            assert tuple(l1.apply(v)) == coeff_pair(w)
 
     def test_construction_verifies_relations(self):
         # five terms with unit image each cannot die mod 2
@@ -222,6 +231,34 @@ class TestDerivedGroups:
             assert lhs == odd_part_int(q + 1), f"q={q}"
             assert 4 % d["k1_intersection_exponent"] == 0, f"q={q}"
         assert time.monotonic() - start < 30.0
+
+
+class TestSmithFormsTaken:
+    def test_only_read_groups_take_one(self, monkeypatch):
+        # with P, RP and RP-tilde built and read, maps() and derived() take
+        # four Smith forms per q (RP1 for its odd part, the two RB -> B
+        # checks and the K1 exponent), and reading every entry four more
+        # (half_P, B, RB and half_RP1); the cokernels stacked against
+        # take none
+        contexts = [ScissorsContext(q) for q in (5, 7, 9, 11, 13)]
+        for ctx in contexts:
+            for g in (ctx.p_group(), ctx.rp_group(), ctx.rp_tilde()):
+                g.describe()
+        snf_kernel = _snf_py.snf_kernel
+        calls = []
+
+        def record(*args):
+            calls.append(args[1:3])
+            return snf_kernel(*args)
+
+        monkeypatch.setattr(_snf_py, "snf_kernel", record)
+        entries = [ctx.derived() for ctx in contexts]
+        assert len(calls) == 20
+        for d in entries:
+            for g in d.values():
+                if isinstance(g, AbGroupInfo):
+                    g.describe()
+        assert len(calls) == 40
 
 
 class TestDerivedAgainstSolver:
@@ -281,7 +318,7 @@ class TestOneRowPerFact:
         rows = [_fold_halves(v) for v in ctx.rp_rows()[::2]]
         pairs = list(ctx._pairs())
         assert len(rows) == len(pairs) + 1
-        assert rows[0] == ctx.p_vector(rp_gen(ctx.field, 1))
+        assert rows[0] == ctx.p_vector(RPElem(ctx.field, [(1, 1)]))
         for (x, y), row in zip(pairs, rows[1:]):
             plain = plain_five_term(ctx.field, x, y)
             want = self._plain_oracle(ctx, plain)
@@ -297,7 +334,7 @@ class TestOneRowPerFact:
         rows = ctx.rp_rows()
         pairs = list(ctx._pairs())
         assert len(rows) == 2 * (len(pairs) + 1)
-        assert rows[1] == self._twisted_oracle(ctx, rp_gen(field, 1))
+        assert rows[1] == self._twisted_oracle(ctx, RPElem(field, [(1, 1)]))
         for i, (x, y) in enumerate(pairs):
             rel = refined_five_term(field, x, y)
             want = self._twisted_oracle(ctx, rel)
@@ -342,7 +379,7 @@ class TestOneRowPerFact:
             if a == one:
                 assert (pair, bit) == ((0, 0), 0)
             else:
-                assert pair == pfister_elem(field, [a, one - a]).to_pair()
+                assert pair == coeff_pair(pfister_elem(field, [a, one - a]))
                 assert bit == field.dlog(a) * field.dlog(one - a) % 2
 
     @pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
@@ -453,24 +490,24 @@ class TestSpecialization:
 
     def test_residue_of_t_twisted_generator(self):
         t = self.K5.t
-        xi = rp_gen(self.K5, self.K5.elem(3), gr_unit(self.K5, t))
+        xi = RPElem(self.K5, [(gr_unit(self.K5, t), self.K5.elem(3))])
         assert delta_t_rp(xi, t) == rp_tilde_gen(5, 3)
 
     def test_residue_of_constant_generator(self):
         t = self.K5.t
         for u in (2, 3, 4):
-            assert delta_t_rp(rp_gen(self.K5, self.K5.elem(u)), t).is_zero()
+            assert delta_t_rp(RPElem(self.K5, [(1, self.K5.elem(u))]), t).is_zero()
 
     def test_unit_part_of_constant(self):
         t = self.K5.t
-        m0, m1 = sv_apply(rp_gen(self.K5, self.K5.elem(3)), t)
+        m0, m1 = sv_apply(RPElem(self.K5, [(1, self.K5.elem(3))]), t)
         assert m0 == rp_tilde_gen(5, 3)
         assert m1.is_zero()
 
     def test_even_t_power_keeps_component(self):
         t = self.K5.t
         coeff = gr_unit(self.K5, t * t * self.K5.elem(3))
-        m0, m1 = sv_apply(rp_gen(self.K5, self.K5.elem(2), coeff), t)
+        m0, m1 = sv_apply(RPElem(self.K5, [(coeff, self.K5.elem(2))]), t)
         assert m1.is_zero()
         # 3 is a nonsquare in F_5, so the residue acts by the twist
         assert m0 == rp_tilde_gen(5, 2, twist=1)
@@ -538,20 +575,20 @@ class TestSpecialization:
     def test_non_unit_argument(self):
         t = self.K5.t
         with pytest.raises(NonUnitArgument):
-            sv_apply(rp_gen(self.K5, t), t)
+            sv_apply(RPElem(self.K5, [(1, t)]), t)
         with pytest.raises(NonUnitArgument):
-            sv_apply(rp_gen(self.K5, self.K5.one / t), t)
+            sv_apply(RPElem(self.K5, [(1, self.K5.one / t)]), t)
 
     def test_reduction_one_is_allowed(self):
         t = self.K5.t
-        xi = rp_gen(self.K5, t + self.K5.elem(1))
+        xi = RPElem(self.K5, [(1, t + self.K5.elem(1))])
         m0, m1 = sv_apply(xi, t)
         # [1] is the normalized generator, hence zero
         assert m0.is_zero() and m1.is_zero()
 
     def test_unsupported_places(self):
         t = self.K5.t
-        xi = rp_gen(self.K5, self.K5.elem(2))
+        xi = RPElem(self.K5, [(1, self.K5.elem(2))])
         with pytest.raises(UnsupportedPlace):
             sv_apply(xi, "inf")
         with pytest.raises(UnsupportedPlace):
@@ -560,7 +597,7 @@ class TestSpecialization:
     def test_rationals_unsupported(self):
         Kq = function_field(QQ)
         with pytest.raises(UnsupportedPlace):
-            sv_apply(rp_gen(Kq, Kq.elem(2)), Kq.t)
+            sv_apply(RPElem(Kq, [(1, Kq.elem(2))]), Kq.t)
 
     @pytest.mark.parametrize("x", [0.5, 1.0])
     def test_tilde_elem_rejects_floats(self, x):

@@ -28,7 +28,6 @@ from kmw.witt import (
     _signed_disc,
     VirtualForm,
     diagonal_form,
-    hyperbolic_form,
     i_square_is_zero,
     in_i_power,
     pfister_form,
@@ -89,7 +88,7 @@ class TestVirtualForms:
         assert pfister_form is pfister_elem
         F7 = finite_field(7)
         assert unit_form(F7, 3) == gr_unit(F7, 3)
-        assert hyperbolic_form(F7).rank() == hyperbolic_form(F7).augmentation() == 2
+        assert diagonal_form(F7, [1, -1]).rank() == diagonal_form(F7, [1, -1]).augmentation() == 2
 
     def test_repr_lists_classes_in_sort_key_order(self):
         f = unit_form(Q, -1) + 2 * unit_form(Q, 2) - unit_form(Q, 1)
@@ -125,18 +124,18 @@ class TestInvariants:
     def test_invariants_are_witt_invariants(self):
         # adding a hyperbolic plane changes no invariant the decisions read
         f = diagonal_form(Q, [2, 3, 5])
-        g = f + hyperbolic_form(Q) + zero_form(Q)
+        g = f + diagonal_form(Q, [1, -1]) + zero_form(Q)
         assert _signed_disc(Q, f.diag_rep()) == _signed_disc(Q, g.diag_rep())
         assert signature(f) == signature(g)
         assert witt_equal(f, g)
         for n in (1, 2, 3):
             assert in_i_power(f - unit_form(Q, 1), n) == in_i_power(g - unit_form(Q, 1), n)
-        assert witt_is_zero(zero_form(Q)) and witt_is_zero(hyperbolic_form(Q))
+        assert witt_is_zero(zero_form(Q)) and witt_is_zero(diagonal_form(Q, [1, -1]))
 
 
 class TestWittZeroRationals:
     def test_hyperbolic_is_zero(self):
-        assert witt_is_zero(hyperbolic_form(Q, 3))
+        assert witt_is_zero(3 * diagonal_form(Q, [1, -1]))
         assert witt_is_zero(zero_form(Q))
 
     def test_odd_rank_never_zero(self):
@@ -252,7 +251,7 @@ class TestFunctionFieldWitt:
         self.at_t = function_place(self.F5t, [0, 1])
 
     def test_hyperbolic_zero(self):
-        assert witt_is_zero(hyperbolic_form(self.F5t, 2))
+        assert witt_is_zero(2 * diagonal_form(self.F5t, [1, -1]))
 
     def test_nonsquare_constant_pfister(self):
         phi = pfister_form(self.F5t, [self.t, 2])

@@ -23,7 +23,6 @@ from kmw.fields import (
 from kmw.witt import (
     _local_hasse,
     diagonal_form,
-    hyperbolic_form,
     in_i_power,
     pfister_form,
     witt_is_zero,
@@ -118,7 +117,7 @@ def _corpus_form(field, rng):
     def unit():
         return _random_elem(field, rng)
 
-    form = hyperbolic_form(field, rng.randint(0, 2))
+    form = rng.randint(0, 2) * diagonal_form(field, [1, -1])
     for _ in range(rng.randint(1, 3)):
         a, b = unit(), unit()
         form = form + rng.randint(-2, 2) * pfister_form(field, [a, b])
