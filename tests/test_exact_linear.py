@@ -508,7 +508,7 @@ class TestIntMatrix:
 # -- one Hermite reduction per presentation --------------------------------
 #
 # AbGroupInfo reduces its relations once, to a Hermite basis, and reads
-# invariants, membership and element orders from that basis; the kernel
+# invariants and membership from that basis; the kernel
 # calculus stacks against it.  The SNF of the whole relation matrix,
 # stacks of the whole relation matrix and the Smith-coordinate reading of
 # smith_oracle are the oracles.  A group keeps no copy of its relation
