@@ -4,9 +4,9 @@
 previous library functions, verbatim: each takes the full rows x rows
 transform of a Hermite reduction, keeps the rows past the rank, and
 multiplies them back by hand.  Both paths run the same row operations
-in the same order, so their outputs must agree entry for entry.  ``hnf``,
-the previous public wrapper of ``_snf_py.hnf_kernel`` that returns the
-square transform U, serves them, and the tests of that kernel.
+in the same order, so their outputs must agree entry for entry.  ``hnf``
+is the previous public wrapper of ``_snf_py.hnf_kernel``, which returns
+the square transform U; these functions and the kernel's tests call it.
 
 ``_left_solver`` (with the coefficient-returning ``_member`` it reads)
 is also a previous library function, verbatim.  ``solver_derived`` uses

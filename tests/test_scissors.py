@@ -6,6 +6,7 @@ import time
 import kernel_oracle
 import pytest
 
+from kmw import _snf_py
 from kmw.errors import (
     BadBound,
     DegenerateArguments,
@@ -17,7 +18,6 @@ from kmw.errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from kmw import _snf_py
 from kmw.exact_linear import AbGroupInfo, AbMap, IntMatrix, fp_group, fp_kernel, odd_part
 from kmw.fields import finite_field, function_field, function_place, rationals
 from kmw.group_ring import gr_int, gr_mul, gr_unit, pfister_elem
