@@ -5,22 +5,29 @@ over Z, lattice membership, and the presentation calculus (kernels,
 images, cokernels of maps between finitely presented abelian groups).
 
 A presentation is its Hermite basis.  ``AbGroupInfo`` streams its
-relation rows, from any iterable, into a Hermite normal form (no
-transform) over the distinct rows up to sign, and keeps the nonzero
-rows as ``relation_basis``, a rank x n matrix spanning the same lattice;
-no copy of the relation rows is stored.  That basis is unique and
-generates the lattice (Cohen, GTM 138, section 2.4), so everything reads
-the presentation through it: membership by reduction against its
-pivots, the relation check of ``AbMap`` on its rows, and the invariant
-factors and free rank from a transform-free Smith form of it, taken
-when one of them is first read, so a group that is only stacked against
-takes none.  The kernel calculus stacks against ``relation_basis``
-rather than the tall, sparse relations, and reads each left kernel off
-unit columns carried beside one reduction (``_snf_py._carry``; Cohen,
-GTM 138, section 2.4), so no square transform is formed.  Kernels,
-cokernels and ``AbMap``'s relation check are the whole calculus: a
-solve, an intersection or a containment is asked of them as a kernel or
-a quotient map.
+relation rows, from any iterable, into their distinct rows up to sign,
+and keeps the Hermite basis (no transform) of their lattice as
+``relation_basis``, a rank x n matrix; no copy of the relation rows is
+stored.  That basis is unique and generates the lattice (Cohen, GTM 138,
+section 2.4), so it may come from any rows proved to span the lattice.
+Up to 4n distinct rows are reduced together.  A taller presentation,
+such as the five-term presentations of ``scissors``, reduces a sample
+(every k-th row, k = rows // 2n, and every row with fewer than 5
+nonzeros), certifies every row by membership against the sample's
+basis, and reduces again with the rows that fail, until none does; the
+basis is entry for entry that of all the rows reduced together.
+Everything reads the presentation through that basis: membership by
+reduction of a ``{column: value}`` vector against its pivots, the
+relation check of ``AbMap`` on its rows, and the invariant factors and
+free rank from a transform-free Smith form of it, taken when one of
+them is first read, so a group that is only stacked against takes none.
+The kernel calculus stacks against ``relation_basis`` rather than the
+tall, sparse relations, and reads each left kernel off unit columns
+carried beside one reduction (``_snf_py._carry``; Cohen, GTM 138,
+section 2.4), so no square transform is formed.  Kernels, cokernels and
+``AbMap``'s relation check are the whole calculus: a solve, an
+intersection or a containment is asked of them as a kernel or a
+quotient map.
 
 The kernels live in ``_snf_py``, in arbitrary precision: one Hermite
 elimination, and the Smith form built from its reductions.
@@ -139,30 +146,72 @@ def snf(
     )
 
 
-def _pivot_data(h_rows: list[tuple[int, ...]], rank: int):
-    # (row, pivot column, pivot value) for each nonzero HNF row
-    out = []
-    for i in range(rank):
-        row = h_rows[i]
-        for c, x in enumerate(row):
-            if x:
-                out.append((row, c, x))
-                break
+def _sparse(row: Sequence[int]) -> dict[int, int]:
+    # {column: value} of the nonzero entries, in column order
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _pivot_data(basis: IntMatrix) -> dict[int, tuple[dict[int, int], int]]:
+    # {pivot column: (row as {column: value}, pivot value)} of a Hermite basis
+    out = {}
+    for row in map(_sparse, basis.row_list()):
+        c = next(iter(row))
+        out[c] = (row, row[c])
     return out
 
 
-def _member(pivots, vec: Sequence[int]) -> bool:
-    """Whether vec lies in the lattice of the HNF basis rows."""
-    rem = list(vec)
-    for row, c, p in pivots:
-        x = rem[c]
-        if x:
-            q, r = divmod(x, p)
-            if r:
-                return False
-            for k in range(c, len(rem)):
-                rem[k] -= q * row[k]
-    return not any(rem)
+def _member(pivots, vec: dict[int, int]) -> bool:
+    """Whether the sparse vector ``vec`` lies in the lattice of a Hermite
+    basis, read through its ``_pivot_data``.  Its leftmost nonzero entry
+    must sit on a pivot and be a multiple of it; subtracting that
+    multiple of the pivot row clears it and changes only columns to its
+    right, and so on until nothing is left."""
+    rem = dict(vec)
+    while rem:
+        c = min(rem)
+        if c not in pivots:
+            return False
+        row, p = pivots[c]
+        q, r = divmod(rem[c], p)
+        if r:
+            return False
+        for k, y in row.items():
+            x = rem.get(k, 0) - q * y
+            if x:
+                rem[k] = x
+            else:
+                del rem[k]
+    return True
+
+
+def _hermite_basis(rows: list[tuple[int, ...]], n: int):
+    """(Hermite basis, its ``_pivot_data``) of the lattice of the
+    distinct ``rows`` of width ``n``.
+
+    Up to 4n rows are reduced together.  Of more, a sample is reduced
+    first: every k-th row, k = rows // 2n, and every row with fewer than
+    5 nonzeros.  Every row is then tested for membership against the
+    basis, and the rows that fail are stacked under it and reduced
+    again.  Each such round strictly enlarges the lattice, so the loop
+    ends, on the lattice of all the rows; its Hermite basis is unique
+    (Cohen, GTM 138, Thm 2.4.3), so it is the basis of all the rows
+    reduced together.  The incremental shape follows Micciancio &
+    Warinschi (ISSAC 2001)."""
+    stack = rows
+    if len(rows) > 4 * n:
+        k = len(rows) // (2 * n)
+        sparse = list(map(_sparse, rows))
+        stack = [row for i, (row, s) in enumerate(zip(rows, sparse)) if i % k == 0 or len(s) < 5]
+    while True:
+        h, _, rank = _snf_py.hnf_kernel([x for row in stack for x in row], len(stack), n, False)
+        basis = IntMatrix(rank, n, h[: rank * n])
+        pivots = _pivot_data(basis)
+        if stack is rows:  # every row was reduced
+            return basis, pivots
+        missing = [row for row, s in zip(rows, sparse) if not _member(pivots, s)]
+        if not missing:
+            return basis, pivots
+        stack = basis.row_list() + missing
 
 
 def _distinct_rows(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
@@ -193,10 +242,13 @@ class AbGroupInfo:
     """A finitely presented abelian group Z^n / (row lattice).
 
     The relation rows (any iterable of rows, or an ``IntMatrix``) are
-    reduced once, to their Hermite basis ``relation_basis`` (rank x n,
-    same row lattice), and not kept.  Only the distinct nonzero rows, a
-    row and its negation counting as one, enter that reduction: they
-    span the same lattice, and the Hermite basis of a lattice is unique.
+    read once, to their Hermite basis ``relation_basis`` (rank x n, same
+    row lattice), and not kept.  Only the distinct nonzero rows, a row
+    and its negation counting as one, are reduced: they span the same
+    lattice, and the Hermite basis of a lattice is unique.  Above 4n of
+    them, a sample is reduced and every row is certified to lie in the
+    lattice of the basis, which grows by the rows that fail until none
+    does (``_hermite_basis``).
     Every reading comes from the basis: ``is_zero`` from reduction
     against its pivots, and ``invariant_factors`` and ``free_rank`` from
     its Smith form, taken without transforms on the first read of either
@@ -211,10 +263,7 @@ class AbGroupInfo:
                 raise ValueError("relation width does not match generator count")
             relations = relations.row_list()
 
-        rows = _distinct_rows(relations, n)
-        h_flat, _, rank = _snf_py.hnf_kernel([x for row in rows for x in row], len(rows), n, False)
-        self.relation_basis = IntMatrix(rank, n, h_flat[: rank * n])
-        self._pivots = _pivot_data(self.relation_basis.row_list(), rank)
+        self.relation_basis, self._pivots = _hermite_basis(_distinct_rows(relations, n), n)
 
     @cached_property
     def _smith(self) -> tuple[tuple[int, ...], int]:
@@ -243,7 +292,7 @@ class AbGroupInfo:
         vec = list(map(index, vec))
         if len(vec) != self.ngens:
             raise ValueError("vector length does not match generator count")
-        return _member(self._pivots, vec)
+        return _member(self._pivots, _sparse(vec))
 
     def order(self) -> Optional[int]:
         """Group order; None when infinite."""

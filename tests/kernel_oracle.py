@@ -8,8 +8,9 @@ in the same order, so their outputs must agree entry for entry.  ``hnf``
 is the previous public wrapper of ``_snf_py.hnf_kernel``, which returns
 the square transform U; these functions and the kernel's tests call it.
 
-``_left_solver`` (with the coefficient-returning ``_member`` it reads)
-is also a previous library function, verbatim.  ``solver_derived`` uses
+``_left_solver`` (with the coefficient-returning ``_member`` and the
+dense ``_pivot_data`` it reads) is also a previous library function,
+verbatim.  ``solver_derived`` uses
 it and ``lattice_intersection`` to rebuild the parts of
 ``ScissorsContext.derived`` that now come from kernels and cokernels
 alone: the RB -> B map solved into B coordinates, and the exponent of
@@ -23,13 +24,13 @@ from typing import Callable, Optional, Sequence
 
 import smith_oracle
 
-from kmw import _snf_py
+from kmw import _snf_py, exact_linear
 from kmw.errors import IntegrityFailure
 from kmw.exact_linear import (
     AbGroupInfo,
     AbMap,
     IntMatrix,
-    _pivot_data,
+    _distinct_rows,
     _unit_rows,
     fp_cokernel,
 )
@@ -92,6 +93,36 @@ def fp_kernel(f: AbMap) -> tuple[AbGroupInfo, AbMap]:
     kern = AbGroupInfo(labels, (row[:k] for row in kb2.row_list()))
     incl = AbMap(kern, f.source, gens)
     return kern, incl
+
+
+def all_rows_basis(rows, n: int) -> IntMatrix:
+    """Hermite basis of the lattice of ``rows`` (width ``n``): the
+    distinct rows, all of them, in one reduction."""
+    rows = _distinct_rows(rows, n)
+    h, _, rank = _snf_py.hnf_kernel([x for row in rows for x in row], len(rows), n, False)
+    return IntMatrix(rank, n, h[: rank * n])
+
+
+def install_all_rows(monkeypatch):
+    """Build every group from now on on ``all_rows_basis``."""
+
+    def reduce_all(rows, n):
+        basis = all_rows_basis(rows, n)
+        return basis, exact_linear._pivot_data(basis)
+
+    monkeypatch.setattr(exact_linear, "_hermite_basis", reduce_all)
+
+
+def _pivot_data(h_rows: list[tuple[int, ...]], rank: int):
+    # (row, pivot column, pivot value) for each nonzero HNF row
+    out = []
+    for i in range(rank):
+        row = h_rows[i]
+        for c, x in enumerate(row):
+            if x:
+                out.append((row, c, x))
+                break
+    return out
 
 
 def _member(pivots, vec: Sequence[int]) -> Optional[list[int]]:

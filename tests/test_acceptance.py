@@ -23,6 +23,7 @@ from kmw.witt import i_square_is_zero, witt_group_structure
 SWEEP_QS = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
 KERNEL_QS = (5, 7, 9, 11, 13)
 SMALL_QS = (5, 7, 9)
+LARGE_QS = (81, 121, 125)
 
 
 def test_odd_part_of_scissors_group_is_cyclic_of_predicted_order():
@@ -37,6 +38,16 @@ def test_odd_part_of_scissors_group_is_cyclic_of_predicted_order():
         slowest = max(slowest, time.monotonic() - tick)
     assert slowest < 10.0
     assert time.monotonic() - start < 180.0
+
+
+def test_odd_part_of_scissors_group_beyond_the_sweep():
+    # Z/41, Z/61 and Z/63; the three take about 0.9 s on a 2-vCPU VM
+    start = time.monotonic()
+    for q in LARGE_QS:
+        half = pb_half(q)
+        assert half.free_rank == 0, f"q={q}"
+        assert half.invariant_factors == (odd_part_int(q + 1),), f"q={q}"
+    assert time.monotonic() - start < 4.0
 
 
 def test_refined_kernel_vanishes_integrally():

@@ -757,6 +757,132 @@ class TestLazySmithForm:
                 getattr(g, first)
 
 
+# -- sampled reductions of tall presentations ------------------------------
+#
+# Above 4n distinct rows, AbGroupInfo reduces a sample (every k-th row,
+# k = rows // 2n, and every row with fewer than 5 nonzeros), certifies
+# every row against the sample's basis, and reduces again with the rows
+# that fail.  kernel_oracle.all_rows_basis reduces every distinct row at
+# once.  The presentations below put column ``g`` outside the sample's
+# lattice: each sampled row has a zero there (step 0) or an even entry
+# (step 2), and each other row has +-1 there and no zero anywhere, so it
+# has n >= 5 nonzeros.  Some rows off the stride have at most 4 nonzeros,
+# so they are sampled too.
+
+
+def sample_short_rows(rng, n, count, g, step):
+    """``count`` rows of width ``n``, distinct up to sign, whose sample
+    spans a proper sublattice of theirs; ``count`` >= 4n, and row 1 is
+    off the stride and not sampled."""
+    k = count // (2 * n)
+    rows, seen = [], set()
+    while len(rows) < count:
+        i = len(rows)
+        if i % k == 0 or (i > 1 and rng.random() < 0.3):
+            row = [rng.choice(SPARSE_ENTRIES) for _ in range(n)]
+            row[g] = step * rng.randint(-1, 1)
+            if i % k:
+                keep = rng.sample(range(n), 4)
+                row = [x if j in keep else 0 for j, x in enumerate(row)]
+        else:
+            row = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+            row[g] = rng.choice((-1, 1))
+        key = min(tuple(row), tuple(-x for x in row))
+        if any(row) and key not in seen:
+            seen.add(key)
+            rows.append(row)
+    return rows
+
+
+def sample_height(rows, n):
+    """How many of the distinct ``rows`` the first reduction reads."""
+    k = len(rows) // (2 * n)
+    return sum(1 for i, row in enumerate(rows) if i % k == 0 or n - row.count(0) < 5)
+
+
+sample_short = st.integers(5, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(4 * n + 1, 6 * n),
+        st.integers(0, n - 1),
+        st.sampled_from((0, 2)),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+def hnf_heights(mp) -> list:
+    """The row count of each ``hnf_kernel`` call from now on."""
+    heights = []
+    hnf_kernel = _snf_py.hnf_kernel
+
+    def record(*args):
+        heights.append(args[1])
+        return hnf_kernel(*args)
+
+    mp.setattr(_snf_py, "hnf_kernel", record)
+    return heights
+
+
+def build_recording_heights(n, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        heights = hnf_heights(mp)
+        g = fp_group([f"g{i}" for i in range(n)], rows)
+    return g, heights
+
+
+class TestSampledReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(sample_short)
+    def test_repair_rounds_reach_the_all_rows_basis(self, case):
+        n, count, g, step, seed = case
+        rng = random.Random(seed)
+        rows = sample_short_rows(rng, n, count, g, step)
+        grp, heights = build_recording_heights(n, rows)
+        # the sample, then at least one repair round
+        assert len(heights) >= 2
+        assert heights[0] == sample_height(rows, n) < count
+        assert grp.relation_basis == kernel_oracle.all_rows_basis(rows, n)
+        assert invariants(grp) == full_snf_invariants(rows, n)
+        assert_zero_test_agrees(grp, rows, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sample_short)
+    def test_duplicated_and_negated_rows_change_nothing(self, case):
+        # each copy comes after its row, so the distinct rows, and with
+        # them the sample, keep their order
+        n, count, g, step, seed = case
+        rng = random.Random(seed)
+        rows = sample_short_rows(rng, n, count, g, step)
+        noisy = list(rows)
+        for _ in range(rng.randint(1, count)):
+            i = rng.randrange(len(rows))
+            row = rows[i] if rng.random() < 0.5 else [-x for x in rows[i]]
+            at = rng.randint(noisy.index(rows[i]) + 1, len(noisy))
+            noisy.insert(at, row)
+        want, want_heights = build_recording_heights(n, rows)
+        got, heights = build_recording_heights(n, noisy)
+        assert heights == want_heights and len(heights) >= 2
+        assert got.relation_basis == want.relation_basis
+        assert got.relation_basis == kernel_oracle.all_rows_basis(noisy, n)
+
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    @pytest.mark.parametrize("step", [0, 2])
+    def test_threshold_is_4n_distinct_rows(self, n, step):
+        rng = random.Random(n * 10 + step)
+        # 4n rows are reduced together, in one call
+        rows = sample_short_rows(rng, n, 4 * n, 0, step)
+        g, heights = build_recording_heights(n, rows + [rows[-1]])
+        assert heights == [4 * n]
+        assert g.relation_basis == kernel_oracle.all_rows_basis(rows, n)
+        # one row more, and only a sample is reduced first
+        rows = sample_short_rows(rng, n, 4 * n + 1, 0, step)
+        g, heights = build_recording_heights(n, rows)
+        assert heights[0] == sample_height(rows, n) < 4 * n + 1
+        assert len(heights) >= 2
+        assert g.relation_basis == kernel_oracle.all_rows_basis(rows, n)
+
+
 class TestStreamedRelations:
     """A presentation reads its relation rows once, from any iterable,
     and keeps only their Hermite basis."""

@@ -5,6 +5,7 @@ import time
 
 import kernel_oracle
 import pytest
+import smith_oracle
 
 from kmw import _snf_py
 from kmw.errors import (
@@ -18,7 +19,15 @@ from kmw.errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from kmw.exact_linear import AbGroupInfo, AbMap, IntMatrix, fp_group, fp_kernel, odd_part
+from kmw.exact_linear import (
+    AbGroupInfo,
+    AbMap,
+    IntMatrix,
+    _distinct_rows,
+    fp_group,
+    fp_kernel,
+    odd_part,
+)
 from kmw.fields import finite_field, function_field, function_place, rationals
 from kmw.group_ring import gr_int, gr_mul, gr_unit, pfister_elem
 from kmw.scissors import (
@@ -288,6 +297,63 @@ class TestDerivedAgainstSolver:
         ctx._maps = (lambda1, lambda2, lam_mixed, AbMap(p, p, IntMatrix.identity(p.ngens)), proj)
         with pytest.raises(IntegrityFailure, match="image of RB escapes the Bloch kernel"):
             ctx.derived()
+
+
+ODD_QS_TO_49 = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49)
+
+
+def group_reading(g: AbGroupInfo):
+    return g.generator_labels, g.relation_basis, g.invariant_factors, g.free_rank
+
+
+def derived_reading(ctx: ScissorsContext):
+    """RP, RP-tilde and every derived entry of a fresh context."""
+    derived = {
+        name: group_reading(g) if isinstance(g, AbGroupInfo) else g
+        for name, g in ctx.derived().items()
+    }
+    return group_reading(ctx.rp_group()), group_reading(ctx.rp_tilde()), derived
+
+
+class TestSampledReduction:
+    """Presentations with more than 4n distinct rows reduce a sample and
+    certify every row against its basis; ``kernel_oracle.all_rows_basis``
+    reduces every distinct row at once.  A Hermite basis is unique, so
+    the two agree entry for entry."""
+
+    def test_p_groups_match_all_rows(self, monkeypatch):
+        got = {q: group_reading(ScissorsContext(q).p_group()) for q in ODD_QS_TO_49}
+        kernel_oracle.install_all_rows(monkeypatch)
+        want = {q: group_reading(ScissorsContext(q).p_group()) for q in ODD_QS_TO_49}
+        assert got == want
+
+    def test_rp_and_derived_groups_match_all_rows(self, monkeypatch):
+        qs = [q for q in ODD_QS_TO_49 if q <= 25]
+        got = {q: derived_reading(ScissorsContext(q)) for q in qs}
+        kernel_oracle.install_all_rows(monkeypatch)
+        want = {q: derived_reading(ScissorsContext(q)) for q in qs}
+        assert got == want
+
+    def test_comparisons_reach_the_sampled_path(self, monkeypatch):
+        # the largest RP and P compared above have more than 4n rows
+        smith_oracle.record_inputs(monkeypatch)
+        for g in (ScissorsContext(25).rp_group(), ScissorsContext(49).p_group()):
+            assert len(_distinct_rows(smith_oracle.input_rows(g), g.ngens)) > 4 * g.ngens
+
+    def test_p49_reduces_no_stack_as_tall_as_its_rows(self, monkeypatch):
+        smith_oracle.record_inputs(monkeypatch)
+        hnf_kernel = _snf_py.hnf_kernel
+        heights = []
+
+        def record(*args):
+            heights.append(args[1])
+            return hnf_kernel(*args)
+
+        monkeypatch.setattr(_snf_py, "hnf_kernel", record)
+        p = ScissorsContext(49).p_group()
+        distinct = len(_distinct_rows(smith_oracle.input_rows(p), p.ngens))
+        assert distinct > 4 * p.ngens
+        assert heights and max(heights) < distinct
 
 
 class TestOneRowPerFact:
