@@ -10,12 +10,11 @@ the square transform U; these functions and the kernel's tests call it.
 
 ``_left_solver`` (with the coefficient-returning ``_member`` and the
 dense ``_pivot_data`` it reads) is also a previous library function,
-verbatim.  ``solver_derived`` uses
-it and ``lattice_intersection`` to rebuild the parts of
-``ScissorsContext.derived`` that now come from kernels and cokernels
-alone: the RB -> B map solved into B coordinates, and the exponent of
-RP1 meeting K1 as an lcm of element orders, read through
-``smith_oracle.element_order``.
+verbatim.  ``solver_derived`` uses it and ``lattice_intersection`` to
+rebuild the parts of ``ScissorsContext.derived`` that now come from
+kernels and cokernels alone: the RB -> B map solved into B coordinates,
+and the exponent of RP1 meeting K1 as an lcm of element orders, read
+through ``smith_oracle.element_order``.
 """
 
 from math import gcd
