@@ -25,6 +25,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from .descriptor import _group_text
 from .errors import BadBound, IntegrityFailure, KmwError, UnsupportedField
 from .exact_linear import IntMatrix, snf
 from .fields import RatFunField, field_make
@@ -121,21 +122,11 @@ def _ordered_map(fn: Callable, items: Sequence) -> list:
     return [fn(item) for item in items]
 
 
-# -- output helpers -----------------------------------------------------
+# -- output -------------------------------------------------------------
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _fmt_group(free: int, factors: Sequence[int]) -> str:
-    parts = []
-    if free == 1:
-        parts.append("Z")
-    elif free > 1:
-        parts.append(f"Z^{free}")
-    parts.extend(f"Z/{n}" for n in factors)
-    return " + ".join(parts) if parts else "0"
 
 
 def _join(values: Iterable) -> str:
@@ -150,13 +141,27 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> List[str]:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue().splitlines()
+def _render(ns: argparse.Namespace, payloads: Sequence[dict],
+            header: Sequence[str], rows: Callable[[dict], Iterable[Sequence]],
+            text: Callable[[dict], Iterable[str]], keep_q: bool = True) -> List[str]:
+    """Output lines for ``payloads`` in the format ``ns`` selects: one
+    compact JSON object per payload (without its ``"q"`` unless
+    ``keep_q``), CSV of ``header`` then every payload's ``rows``, or every
+    payload's ``text`` lines."""
+    if ns.json:
+        return [
+            _dump(p if keep_q else {k: v for k, v in p.items() if k != "q"})
+            for p in payloads
+        ]
+    if ns.csv:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for p in payloads:
+            for row in rows(p):
+                writer.writerow([_cell(v) for v in row])
+        return buf.getvalue().splitlines()
+    return [line for p in payloads for line in text(p)]
 
 
 def _write_lines(lines: List[str], ns: argparse.Namespace) -> None:
@@ -176,7 +181,14 @@ def _diagnostic(ns: argparse.Namespace, kind: str, detail: str) -> None:
         sys.stderr.write(f"kmw: error: {kind}: {detail}\n")
 
 
-# -- per-q workers (top level so sweeps can cross process boundaries) ---
+# -- workers (top level so sweeps can cross process boundaries) ---------
+
+
+def _group_payload(group) -> dict:
+    return {
+        "free_rank": group.free_rank,
+        "invariant_factors": list(group.invariant_factors),
+    }
 
 
 def _pb_payload(q: int) -> dict:
@@ -200,113 +212,76 @@ def _rp_payload(q: int) -> dict:
         "q": q,
         "generators": group.ngens,
         "relations": ctx._rp_row_count(),
-        "group": {
-            "free_rank": group.free_rank,
-            "invariant_factors": list(group.invariant_factors),
-        },
+        "group": _group_payload(group),
     }
 
 
 def _derived_payload(q: int) -> dict:
     payload: dict = {"q": q}
     for name, value in derived_groups(q).items():
-        if isinstance(value, int):
-            payload[name] = value
-        else:
-            payload[name] = {
-                "free_rank": value.free_rank,
-                "invariant_factors": list(value.invariant_factors),
-            }
+        payload[name] = value if isinstance(value, int) else _group_payload(value)
     return payload
 
 
-def _verify_payload(suite: str, scope: dict, samples: int, seed: int,
-                    checked: int, failures: List[str]) -> dict:
-    payload = {"suite": suite}
-    payload.update(scope)
-    payload.update(
-        {
-            "samples": samples,
-            "seed": seed,
-            "checked": checked,
-            "failures": len(failures),
-            "pass": not failures,
-            "witness": smallest_witness(failures) if failures else None,
-        }
-    )
-    return payload
-
-
-def _mw_worker(args: Tuple[str, int, int]) -> dict:
-    spec, samples, seed = args
-    checked, failures = run_mw_relations(parse_field_spec(spec), samples, seed)
-    return _verify_payload("mw-relations", {"field": spec}, samples, seed,
-                           checked, failures)
-
-
-def _delta_worker(args: Tuple[str, int, int]) -> dict:
-    spec, samples, seed = args
-    field = parse_field_spec(spec)
-    if isinstance(field, RatFunField):
-        raise UnsupportedField("delta-t runs over a base field: pass Q or F<q>")
-    checked, failures = run_residues(field, samples, seed)
-    return _verify_payload("delta-t", {"field": spec}, samples, seed,
-                           checked, failures)
-
-
-def _sv_worker(args: Tuple[int, int, int]) -> dict:
-    q, samples, seed = args
-    checked, failures = run_sv(q, samples, seed)
-    return _verify_payload("sv", {"q": q}, samples, seed, checked, failures)
-
-
-def _witt_worker(args: Tuple[int, int, int]) -> dict:
-    q, samples, seed = args
-    checked, failures = run_witt(q, samples, seed)
-    return _verify_payload("witt", {"q": q}, samples, seed, checked, failures)
-
-
-def _hilbert_worker(args: Tuple[int, int]) -> dict:
-    samples, seed = args
-    checked, failures = run_hilbert(samples, seed)
-    return _verify_payload("hilbert-product", {}, samples, seed,
-                           checked, failures)
+def _verify_worker(job: Tuple[str, dict, int, int]) -> dict:
+    """Payload of one suite run; the scope is ``{"field": spec}``,
+    ``{"q": q}`` or ``{}``."""
+    suite, scope, samples, seed = job
+    # the runners are read when the job runs, so that a rebinding of one
+    # of these names (a test's stand-in, the benchmark's tracer) runs
+    runner = {
+        "mw-relations": run_mw_relations,
+        "delta-t": run_residues,
+        "sv": run_sv,
+        "witt": run_witt,
+        "hilbert-product": run_hilbert,
+    }[suite]
+    if "field" in scope:
+        field = parse_field_spec(scope["field"])
+        if suite == "delta-t" and isinstance(field, RatFunField):
+            raise UnsupportedField("delta-t runs over a base field: pass Q or F<q>")
+        args = [field]
+    else:
+        args = list(scope.values())
+    checked, failures = runner(*args, samples, seed)
+    return {
+        "suite": suite,
+        **scope,
+        "samples": samples,
+        "seed": seed,
+        "checked": checked,
+        "failures": len(failures),
+        "pass": not failures,
+        "witness": smallest_witness(failures) if failures else None,
+    }
 
 
 # -- subcommand handlers ------------------------------------------------
 
 
+def _by_q(ns: argparse.Namespace, payload_fn: Callable[[int], dict], header,
+          rows, text) -> Tuple[List[dict], List[str]]:
+    """Payloads of ``payload_fn`` at each selected q, and their output
+    lines.  The JSON of a single ``--q`` omits ``"q"``, which the
+    arguments already name."""
+    payloads = _ordered_map(payload_fn, _expand_qs(ns, 5))
+    return payloads, _render(ns, payloads, header, rows, text, keep_q=ns.q is None)
+
+
 def _cmd_pb(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
-    payloads = _ordered_map(_pb_payload, _expand_qs(ns, 5))
-    sweep = ns.q is None
-    if ns.json:
-        lines = [
-            _dump(p if sweep else {k: v for k, v in p.items() if k != "q"})
-            for p in payloads
-        ]
-    elif ns.csv:
-        lines = _csv_lines(
-            ["q", "group", "half", "expected", "pass"],
-            [
-                [p["q"], _join(p["group"]["invariant_factors"]),
-                 _join(p["half"]["invariant_factors"]), p["expected"], p["pass"]]
-                for p in payloads
-            ],
-        )
-    else:
-        lines = []
-        for p in payloads:
-            expected = p["expected"]
-            want = [expected] if expected > 1 else []
-            lines.append(
-                f"q={p['q']}: P = {_fmt_group(0, p['group']['invariant_factors'])}, "
-                f"odd part = {_fmt_group(0, p['half']['invariant_factors'])}, "
-                f"expected {_fmt_group(0, want)} -> "
-                f"{'pass' if p['pass'] else 'FAIL'}"
-            )
-    bad = [p for p in payloads if not p["pass"]]
-    if bad:
-        worst = bad[0]
+    payloads, lines = _by_q(
+        ns, _pb_payload, ["q", "group", "half", "expected", "pass"],
+        lambda p: [[p["q"], _join(p["group"]["invariant_factors"]),
+                    _join(p["half"]["invariant_factors"]), p["expected"], p["pass"]]],
+        lambda p: [
+            f"q={p['q']}: P = {_group_text(0, p['group']['invariant_factors'])}, "
+            f"odd part = {_group_text(0, p['half']['invariant_factors'])}, "
+            f"expected {_group_text(0, [p['expected']])} -> "
+            f"{'pass' if p['pass'] else 'FAIL'}"
+        ],
+    )
+    worst = next((p for p in payloads if not p["pass"]), None)
+    if worst is not None:
         note = (
             f"q={worst['q']}: odd part {worst['half']['invariant_factors']} "
             f"!= expected Z/{worst['expected']}"
@@ -316,121 +291,78 @@ def _cmd_pb(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
 
 
 def _cmd_rp(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
-    payloads = _ordered_map(_rp_payload, _expand_qs(ns, 5))
-    sweep = ns.q is None
-    if ns.json:
-        lines = [
-            _dump(p if sweep else {k: v for k, v in p.items() if k != "q"})
-            for p in payloads
-        ]
-    elif ns.csv:
-        lines = _csv_lines(
-            ["q", "generators", "relations", "free_rank", "invariant_factors"],
-            [
-                [p["q"], p["generators"], p["relations"],
-                 p["group"]["free_rank"], _join(p["group"]["invariant_factors"])]
-                for p in payloads
-            ],
-        )
-    else:
-        lines = [
+    _, lines = _by_q(
+        ns, _rp_payload,
+        ["q", "generators", "relations", "free_rank", "invariant_factors"],
+        lambda p: [[p["q"], p["generators"], p["relations"],
+                    p["group"]["free_rank"], _join(p["group"]["invariant_factors"])]],
+        lambda p: [
             f"q={p['q']}: {p['generators']} generators, {p['relations']} relations, "
-            f"group {_fmt_group(p['group']['free_rank'], p['group']['invariant_factors'])}"
-            for p in payloads
-        ]
+            f"group {_group_text(p['group']['free_rank'], p['group']['invariant_factors'])}"
+        ],
+    )
     return 0, lines, None
 
 
 def _cmd_derived(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
-    payloads = _ordered_map(_derived_payload, _expand_qs(ns, 5))
-    sweep = ns.q is None
-    if ns.json:
-        lines = [
-            _dump(p if sweep else {k: v for k, v in p.items() if k != "q"})
-            for p in payloads
+    def entries(p: dict):
+        return ((name, value) for name, value in p.items() if name != "q")
+
+    def text(p: dict) -> List[str]:
+        return [f"q={p['q']}:"] + [
+            f"  {name}: {value}" if isinstance(value, int) else
+            f"  {name}: {_group_text(value['free_rank'], value['invariant_factors'])}"
+            for name, value in entries(p)
         ]
-    elif ns.csv:
-        rows = []
-        for p in payloads:
-            for name, value in p.items():
-                if name == "q":
-                    continue
-                if isinstance(value, int):
-                    rows.append([p["q"], name, "", str(value)])
-                else:
-                    rows.append([p["q"], name, value["free_rank"],
-                                 _join(value["invariant_factors"])])
-        lines = _csv_lines(["q", "name", "free_rank", "invariant_factors"], rows)
-    else:
-        lines = []
-        for p in payloads:
-            lines.append(f"q={p['q']}:")
-            for name, value in p.items():
-                if name == "q":
-                    continue
-                if isinstance(value, int):
-                    lines.append(f"  {name}: {value}")
-                else:
-                    lines.append(
-                        f"  {name}: "
-                        f"{_fmt_group(value['free_rank'], value['invariant_factors'])}"
-                    )
+
+    _, lines = _by_q(
+        ns, _derived_payload, ["q", "name", "free_rank", "invariant_factors"],
+        lambda p: [
+            [p["q"], name, None, value] if isinstance(value, int) else
+            [p["q"], name, value["free_rank"], _join(value["invariant_factors"])]
+            for name, value in entries(p)
+        ],
+        text,
+    )
     return 0, lines, None
 
 
+def _verify_head(p: dict) -> str:
+    """The suite and its scope, e.g. ``sv q=7``."""
+    for key in ("field", "q"):
+        if key in p:
+            return f"{p['suite']} {key}={p[key]}"
+    return p["suite"]
+
+
 def _cmd_verify(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
-    if ns.suite == "mw-relations":
-        payloads = _ordered_map(_mw_worker, [(ns.field, ns.samples, ns.seed)])
-    elif ns.suite == "delta-t":
-        payloads = _ordered_map(_delta_worker, [(ns.field, ns.samples, ns.seed)])
-    elif ns.suite == "sv":
-        payloads = _ordered_map(
-            _sv_worker, [(q, ns.samples, ns.seed) for q in _expand_qs(ns, 5)]
-        )
-    elif ns.suite == "witt":
-        payloads = _ordered_map(
-            _witt_worker, [(q, ns.samples, ns.seed) for q in _expand_qs(ns, 3)]
-        )
+    if ns.samples < 0:
+        raise BadBound(f"--samples must be >= 0, got {ns.samples}")
+    if ns.suite == "hilbert-product":
+        # one run over Q, no sweep: KMW_THREADS is never read
+        payloads = [_verify_worker((ns.suite, {}, ns.samples, ns.seed))]
     else:
-        payloads = [_hilbert_worker((ns.samples, ns.seed))]
-
-    def scope_of(p: dict) -> str:
-        if "field" in p:
-            return f"field={p['field']}"
-        if "q" in p:
-            return f"q={p['q']}"
-        return ""
-
-    if ns.json:
-        lines = [_dump(p) for p in payloads]
-    elif ns.csv:
-        lines = _csv_lines(
-            ["suite", "scope", "samples", "seed", "checked", "failures",
-             "pass", "witness"],
-            [
-                [p["suite"], p.get("field", p.get("q", "")), p["samples"],
-                 p["seed"], p["checked"], p["failures"], p["pass"], p["witness"]]
-                for p in payloads
-            ],
+        if ns.suite in ("mw-relations", "delta-t"):
+            scopes = [{"field": ns.field}]
+        else:
+            scopes = [{"q": q} for q in _expand_qs(ns, 5 if ns.suite == "sv" else 3)]
+        payloads = _ordered_map(
+            _verify_worker, [(ns.suite, s, ns.samples, ns.seed) for s in scopes]
         )
-    else:
-        lines = []
-        for p in payloads:
-            scope = scope_of(p)
-            head = f"{p['suite']}{' ' + scope if scope else ''}"
-            if p["pass"]:
-                lines.append(f"{head}: checked {p['checked']} instances, ok")
-            else:
-                lines.append(
-                    f"{head}: checked {p['checked']} instances, "
-                    f"{p['failures']} failures; smallest witness: {p['witness']}"
-                )
-    bad = [p for p in payloads if not p["pass"]]
-    if bad:
-        worst = bad[0]
-        scope = scope_of(worst)
-        note = f"{worst['suite']}{' ' + scope if scope else ''}: {worst['witness']}"
-        return 1, lines, note
+    lines = _render(
+        ns, payloads,
+        ["suite", "scope", "samples", "seed", "checked", "failures", "pass", "witness"],
+        lambda p: [[p["suite"], p.get("field", p.get("q", "")), p["samples"],
+                    p["seed"], p["checked"], p["failures"], p["pass"], p["witness"]]],
+        lambda p: [
+            f"{_verify_head(p)}: checked {p['checked']} instances, "
+            + ("ok" if p["pass"] else
+               f"{p['failures']} failures; smallest witness: {p['witness']}")
+        ],
+    )
+    worst = next((p for p in payloads if not p["pass"]), None)
+    if worst is not None:
+        return 1, lines, f"{_verify_head(worst)}: {worst['witness']}"
     return 0, lines, None
 
 
@@ -442,34 +374,38 @@ def _cmd_report(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
         desc = h3_laurent_report(field, ns.prime_bound)
     else:
         desc = stabilization_report(field, ns.degree)
-    if ns.json:
-        lines = [_dump(desc.to_json())]
-    elif ns.csv:
-        data = desc.to_json()
-        lines = _csv_lines(
-            ["label", "free_rank", "cyclic_factors", "symbolic", "bound"],
-            [[data["label"], data["free_rank"], _join(data["cyclic_factors"]),
-              _join(s["name"] for s in data["symbolic"]), data["bound"]]],
-        )
-    else:
-        lines = [desc.describe()]
+
+    def text(_: dict):
+        yield desc.describe()
         if desc.trunc_bound is not None:
-            lines.append(f"  truncation bound: {desc.trunc_bound}")
+            yield f"  truncation bound: {desc.trunc_bound}"
         for prov in desc.provenance:
-            lines.append(f"  computed by: {prov.op} {_dump(prov.args)}")
+            yield f"  computed by: {prov.op} {_dump(prov.args)}"
         for sym in desc.symbolic_factors:
-            lines.append(f"  cited: {sym.name} ({sym.cite})")
+            yield f"  cited: {sym.name} ({sym.cite})"
+
+    lines = _render(
+        ns, [desc.to_json()],
+        ["label", "free_rank", "cyclic_factors", "symbolic", "bound"],
+        lambda d: [[d["label"], d["free_rank"], _join(d["cyclic_factors"]),
+                    _join(s["name"] for s in d["symbolic"]), d["bound"]]],
+        text,
+    )
     return 0, lines, None
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _matrix_entry(value) -> int:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"matrix entries must be integers, got {value!r}")
-    if isinstance(value, int):
+    """A JSON integer, or a decimal string: an optional ``-`` and ASCII digits."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
-        return int(value, 10)
-    raise ValueError(f"matrix entries must be integers, got {value!r}")
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(
+        f"matrix entries must be integers or decimal strings, got {value!r}"
+    )
 
 
 def _matrix_from_json(data) -> Optional[IntMatrix]:
@@ -515,20 +451,14 @@ def _cmd_snf(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
             "rank": sum(1 for x in chain if x),
             "diagonal": [str(x) for x in chain],
         }
-    if ns.json:
-        lines = [_dump(payload)]
-    elif ns.csv:
-        lines = _csv_lines(
-            ["rows", "cols", "rank", "diagonal"],
-            [[payload["rows"], payload["cols"], payload["rank"],
-              _join(payload["diagonal"])]],
-        )
-    else:
-        shown = " ".join(payload["diagonal"]) if payload["diagonal"] else "(empty)"
-        lines = [
-            f"{payload['rows']}x{payload['cols']} matrix, "
-            f"rank {payload['rank']}, diagonal: {shown}"
-        ]
+    lines = _render(
+        ns, [payload], ["rows", "cols", "rank", "diagonal"],
+        lambda p: [[p["rows"], p["cols"], p["rank"], _join(p["diagonal"])]],
+        lambda p: [
+            f"{p['rows']}x{p['cols']} matrix, rank {p['rank']}, "
+            f"diagonal: {' '.join(p['diagonal']) or '(empty)'}"
+        ],
+    )
     return 0, lines, None
 
 

@@ -9,7 +9,21 @@ a verifier can re-execute them.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+
+def _group_text(free_rank: int, cyclic: Iterable[int], symbolic: Iterable[str] = ()) -> str:
+    """Text form of a group, such as ``Z^2 + Z/3 + V``: the free part, each
+    cyclic factor above 1, then the named symbolic factors; ``0`` when
+    there is none of these."""
+    parts = []
+    if free_rank == 1:
+        parts.append("Z")
+    elif free_rank:
+        parts.append(f"Z^{free_rank}")
+    parts.extend(f"Z/{c}" for c in cyclic if c > 1)
+    parts.extend(symbolic)
+    return " + ".join(parts) if parts else "0"
 
 
 class SymbolicFactor:
@@ -105,14 +119,9 @@ class GroupDescriptor:
         }
 
     def describe(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{c}" for c in self.cyclic_factors if c > 1)
-        parts.extend(s.name for s in self.symbolic_factors)
-        body = " + ".join(parts) if parts else "0"
+        body = _group_text(
+            self.free_rank, self.cyclic_factors, [s.name for s in self.symbolic_factors]
+        )
         return f"{self.label}: {body}"
 
     def __repr__(self):

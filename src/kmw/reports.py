@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .descriptor import GroupDescriptor, Provenance, SymbolicFactor
-from .errors import MissingBound, UnsupportedDegree, UnsupportedField
+from .errors import BadBound, MissingBound, UnsupportedDegree, UnsupportedField
 from .fields import FiniteField, RationalField, rationals
 from .milnor_witt import _primes_upto, k1_finite_order, k2_finite_vanishing, mw_descriptor
 from .scissors import derived_groups, odd_part_int
@@ -90,6 +90,8 @@ def h3_laurent_report(field, prime_bound: Optional[int] = None) -> GroupDescript
     if isinstance(field, RationalField):
         if prime_bound is None:
             raise MissingBound("the rational report needs a prime bound")
+        if not isinstance(prime_bound, int) or prime_bound < 2:
+            raise BadBound("the prime bound must be an integer >= 2")
         primes = _primes_upto(prime_bound)
         cyclic = []
         provenance = []

@@ -42,7 +42,79 @@ PINNED_STDOUT = {
         "36c58e3f7aa1b09ff95443b4d97c4d2b240b2631a3eb36e881a24706738defa5",
     "verify sv --q-range 5:11 --json":
         "f9d56d46910a89b6cbd6cd89c5cfd64ba6503efdc620afb335aabb9bede1fde0",
+    # every subcommand in every format, and the single-q JSON of pb, rp
+    # and derived, which omits "q"
+    "pb --q-range 5:13":
+        "026ca6f9bbb5e0c602e12b0c8997a814d1282e569630d993f74366fbce9445b3",
+    "pb --q-range 5:13 --csv":
+        "7b0d69180108e9d69f2c8ca98fe42b6a29c23d26a58694b4c8c3de26c9f01b87",
+    "pb --q 7 --json":
+        "f0a154770eb713ca7b67047da70525d6f0a2fd8b9387f32db23d99c7cb0fa277",
+    "rp --q-range 5:9":
+        "8055d0ed738b77a230e51ab060d27dfca1251106984f7827b09286da9af81190",
+    "rp --q-range 5:9 --json":
+        "3207c9d1e043d5a927f5403c1bb8691bd3d9e217e8e2ad98d1c28e7f30666620",
+    "rp --q 7 --json":
+        "4aeb49da8e7c87fc975631d60b2929ed5778bae8a5e275364b7db2f838471574",
+    "derived --q 7 --json":
+        "f2ee6f2c47d0b5e542f0e51d4712c9f1780b3011022a2a129e075b0863644d39",
+    "verify mw-relations --field F5 --samples 4":
+        "fb1595f9102728ac5ff5dc81cb236719d3033c95ac27d71f697d2362be1e6eba",
+    "verify mw-relations --field F5 --samples 4 --json":
+        "c494b8ba19d57d8471324772f7352eeb66ad12a1cca19ff250f38e68e80382c8",
+    "verify mw-relations --field F5 --samples 4 --csv":
+        "436a1726e0b810ee5ab9806487fec0dc92359096f4e22c03b6e3f1221f186291",
+    "verify delta-t --field F7 --samples 3":
+        "2395b9e2d999a4da73afdaa8363b51b75f31d9441c612e38c95d39f9edf12900",
+    "verify delta-t --field F7 --samples 3 --json":
+        "469bb521dd57d6a7848bc489d765cf2e67ad1efb1e5a8701419855bc6d50ca1e",
+    "verify delta-t --field F7 --samples 3 --csv":
+        "088944e9f8a65d95330024b2879f6f2503b92417f9726ecfe34a7c03d72f125c",
+    "verify sv --q 7 --samples 4":
+        "12d883a2b835bf52eb9ab7436744e5aca876a4f97388fd7aafb56718ae703116",
+    "verify sv --q 7 --samples 4 --json":
+        "2ade074cfc9a2f2cb86a7db9395a54580a7343538a987a99e010198f1df37166",
+    "verify sv --q 7 --samples 4 --csv":
+        "53c211bbb23571553ba2c30509a5c220e49851a46a7088de0480798ee3616691",
+    "verify witt --q-range 3:7 --samples 4":
+        "a7eaa2b0ae60b8662f8e9e4ec1e0e93260238ea3a1ddef6c4bab76816f8558d5",
+    "verify witt --q-range 3:7 --samples 4 --json":
+        "e714bac6eda8627574520c57debd48b17ded902e10a8b106595438f75e5d4140",
+    "verify witt --q-range 3:7 --samples 4 --csv":
+        "26aa2b7ee6ac1d75f5b0eef96f3ed2a30dc4fa69fcfe1cc5a9969e64a955ad9d",
+    "verify hilbert-product --samples 4":
+        "13a6cdd7038a49613b195701266f2a035e66eafac35741fec7e96138f9d2ea60",
+    "verify hilbert-product --samples 4 --json":
+        "6e8c484fef6203a7dd8c2399994686f289cb49a3df39ae5fce731690f2918693",
+    "verify hilbert-product --samples 4 --csv":
+        "ae69b3f1e01a25111a8db2f3e6e57cccf6038350ddf224cd172ae897c8b21e23",
+    "report h2-laurent --field Q --prime-bound 7":
+        "df79800a9706e7358973d035641f457994448ce7421f09c276cb7b36877f775c",
+    "report h2-laurent --field Q --prime-bound 7 --json":
+        "9aa22430cbac1242d867983e2ae12f47d1c27691ec2e3cefc6dc06f148905d25",
+    "report h2-laurent --field Q --prime-bound 7 --csv":
+        "e0329126675695d6b86d4dc5cf2fc8c85460bfb627894cbf4d2d053332c8c5b1",
+    "report h3-laurent --field Q --prime-bound 7":
+        "62c6e93839df6785e2946d9ee23cece3ef23b696282d6b8c915674d5ce1b92c4",
+    "report h3-laurent --field Q --prime-bound 7 --json":
+        "c2f7c48edc8ee3d73f484a3d43a67fca524c6827cf349239a86e7322ff8bcddc",
+    "report h3-laurent --field Q --prime-bound 7 --csv":
+        "f2e6949409d8aad0f9b6093ad8f1f95a28783c35b5f23b2fafa10ceae46cc11a",
+    "report stabilization --field F5 --degree 3":
+        "e8702555820999bab4c88ed27709e906fb73949eba320c697727d4ec558315e3",
+    "report stabilization --field F5 --degree 3 --json":
+        "e7a9d9cf0b139a146a570d7850bb59d2c99072503c2c667be7019792ffb9e223",
+    "report stabilization --field F5 --degree 3 --csv":
+        "0d79623d2077e576dd6d599ff386e3219322d6cf20ea3cfcbd95558626b8069f",
+    "snf":
+        "def117c7648dfde75841460e244a15d9a5c35781dd37d286de705f623bfdff52",
+    "snf --json":
+        "dfecdda277dd3256acc3dcd2566e04bb6c18914d35cc5b283bebd34f36d9e425",
+    "snf --csv":
+        "c0404d6acc129b51a538d1bd18a69a3d998243a452ac67672a460e8dac2e152f",
 }
+#: the matrix the snf entries above read from stdin
+PINNED_SNF_STDIN = "[[2,4,4],[-6,6,12],[10,4,16]]"
 
 
 def run_cli(capsys, argv):
@@ -303,6 +375,36 @@ class TestVerify:
         assert "verification failed" in err
         assert "pair (3, 5) disagrees" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["mw-relations", "--field", "Q"],
+        ["delta-t", "--field", "F5"],
+        ["sv", "--q", "5"],
+        ["witt", "--q", "3"],
+        ["hilbert-product"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_samples_are_invalid(self, capsys, argv):
+        code, out, err = run_cli(
+            capsys, ["verify", *argv, "--samples", "-3", "--json"]
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "BadBound", "detail": "--samples must be >= 0, got -3",
+        }
+
+    def test_zero_samples_still_run_structural_checks(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["verify", "witt", "--q", "9", "--samples", "0", "--json"]
+        )
+        assert code == 0
+        row = json.loads(out)
+        assert row["samples"] == 0 and row["checked"] > 0 and row["pass"]
+        code, out, _ = run_cli(
+            capsys, ["verify", "sv", "--q", "5", "--samples", "0", "--json"]
+        )
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_failure_witness_in_human_output(self, capsys, monkeypatch):
         monkeypatch.setattr("kmw.cli.run_hilbert", lambda s, z: (3, ["(2|3)"]))
         code, out, _ = run_cli(
@@ -353,6 +455,19 @@ class TestReport:
         assert code == 0
         assert "degree 2" in out
 
+    @pytest.mark.parametrize("bound", ["0", "1"])
+    def test_h3_rational_bound_below_two_is_invalid(self, capsys, bound):
+        code, out, err = run_cli(
+            capsys, ["report", "h3-laurent", "--field", "Q",
+                     "--prime-bound", bound, "--json"]
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "BadBound",
+            "detail": "the prime bound must be an integer >= 2",
+        }
+
     def test_h3_csv_single_row(self, capsys):
         code, out, _ = run_cli(
             capsys, ["report", "h3-laurent", "--field", "F5", "--csv"]
@@ -382,6 +497,24 @@ class TestSnf:
         assert code == 0
         row = json.loads(out)
         assert row["diagonal"] == ["2", str(3 * big)]
+
+    @pytest.mark.parametrize("entry", [" 7", "7\n", "+7", "1_000", "\u0663"],
+                             ids=["space", "newline", "plus", "underscore",
+                                  "arabic-indic"])
+    def test_rejects_loose_decimal_strings(self, capsys, monkeypatch, entry):
+        self.feed(monkeypatch, json.dumps([[entry]]))
+        code, out, err = run_cli(capsys, ["snf", "--json"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_negative_decimal_string(self, capsys, monkeypatch):
+        self.feed(monkeypatch, json.dumps(
+            {"rows": "1", "cols": "2", "entries": ["-12", "-0"]}
+        ))
+        code, out, _ = run_cli(capsys, ["snf", "--json"])
+        assert code == 0
+        assert json.loads(out)["diagonal"] == ["12"]
 
     def test_object_form(self, capsys, monkeypatch):
         self.feed(monkeypatch, json.dumps(
@@ -536,6 +669,7 @@ class TestPinnedStdout:
     @pytest.mark.parametrize("argv", PINNED_STDOUT)
     def test_stdout_digest(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("KMW_THREADS", raising=False)
+        monkeypatch.setattr("sys.stdin", io.StringIO(PINNED_SNF_STDIN))
         code, out, _ = run_cli(capsys, argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]

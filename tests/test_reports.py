@@ -11,7 +11,7 @@ import pytest
 import kmw
 
 from kmw.descriptor import GroupDescriptor, Provenance, SymbolicFactor
-from kmw.errors import MissingBound, UnsupportedDegree, UnsupportedField
+from kmw.errors import BadBound, MissingBound, UnsupportedDegree, UnsupportedField
 from kmw.fields import finite_field, function_field, rationals
 from kmw.milnor_witt import _primes_upto
 from kmw.reports import (
@@ -96,6 +96,16 @@ class TestH3Laurent:
     def test_rational_missing_bound(self):
         with pytest.raises(MissingBound):
             h3_laurent_report(QQ)
+
+    @pytest.mark.parametrize("bound", [1, 0, -5, 7.0, "7"])
+    def test_rational_bound_covers_a_prime(self, bound):
+        with pytest.raises(BadBound, match="integer >= 2"):
+            h3_laurent_report(QQ, bound)
+
+    def test_rational_smallest_bound(self):
+        d = h3_laurent_report(QQ, 2)
+        assert d.trunc_bound == 2
+        assert d.cyclic_factors == (3,)
 
 
 class TestStabilization:
