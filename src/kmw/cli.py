@@ -122,7 +122,7 @@ def _ordered_map(fn: Callable, items: Sequence) -> list:
     return [fn(item) for item in items]
 
 
-# -- output -------------------------------------------------------------
+# -- output helpers -----------------------------------------------------
 
 
 def _dump(obj) -> str:

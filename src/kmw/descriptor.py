@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 
-def _group_text(free_rank: int, cyclic: Iterable[int], symbolic: Iterable[str] = ()) -> str:
+def _group_text(free_rank: int, cyclic: Iterable[int],
+                symbolic: Iterable[str] = ()) -> str:
     """Text form of a group, such as ``Z^2 + Z/3 + V``: the free part, each
     cyclic factor above 1, then the named symbolic factors; ``0`` when
     there is none of these."""
