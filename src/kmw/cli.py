@@ -40,7 +40,21 @@ from .suites import (
     smallest_witness,
 )
 
-_FIELD_SPEC = re.compile(r"^F(\d+)(t?)$")
+_FIELD_SPEC = re.compile(r"^F([0-9]+)(t?)$")
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """The one integer grammar of the CLI: an optional ``-`` and ASCII
+    digits (``int()`` would also take ``" 7"``, ``"+7"``, ``"1_000"`` and
+    non-ASCII digits)."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"expected an optional - and ASCII digits, got {text!r}")
+    return int(text)
+
+
+# argparse names a type by its __name__ in "invalid <name> value: ..."
+_decimal.__name__ = "integer"
 
 
 def parse_field_spec(spec: str):
@@ -76,7 +90,7 @@ def _parse_range(text: str) -> Tuple[int, int]:
     if len(parts) != 2:
         raise BadBound(f"range must look like A:B, got {text!r}")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
+        lo, hi = map(_decimal, parts)
     except ValueError:
         raise BadBound(f"range endpoints must be integers, got {text!r}") from None
     if lo > hi:
@@ -105,7 +119,7 @@ def _thread_cap() -> int:
     if not raw:
         return 1
     try:
-        n = int(raw)
+        n = _decimal(raw)
     except ValueError:
         n = 0
     if n < 1:
@@ -339,16 +353,14 @@ def _cmd_verify(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
     if ns.samples < 0:
         raise BadBound(f"--samples must be >= 0, got {ns.samples}")
     if ns.suite == "hilbert-product":
-        # one run over Q, no sweep: KMW_THREADS is never read
-        payloads = [_verify_worker((ns.suite, {}, ns.samples, ns.seed))]
+        scopes = [{}]
+    elif ns.suite in ("mw-relations", "delta-t"):
+        scopes = [{"field": ns.field}]
     else:
-        if ns.suite in ("mw-relations", "delta-t"):
-            scopes = [{"field": ns.field}]
-        else:
-            scopes = [{"q": q} for q in _expand_qs(ns, 5 if ns.suite == "sv" else 3)]
-        payloads = _ordered_map(
-            _verify_worker, [(ns.suite, s, ns.samples, ns.seed) for s in scopes]
-        )
+        scopes = [{"q": q} for q in _expand_qs(ns, 5 if ns.suite == "sv" else 3)]
+    payloads = _ordered_map(
+        _verify_worker, [(ns.suite, s, ns.samples, ns.seed) for s in scopes]
+    )
     lines = _render(
         ns, payloads,
         ["suite", "scope", "samples", "seed", "checked", "failures", "pass", "witness"],
@@ -392,9 +404,6 @@ def _cmd_report(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
         text,
     )
     return 0, lines, None
-
-
-_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _matrix_entry(value) -> int:
@@ -486,14 +495,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     qsel = argparse.ArgumentParser(add_help=False)
     qgroup = qsel.add_mutually_exclusive_group(required=True)
-    qgroup.add_argument("--q", type=int, help="one odd prime power")
+    qgroup.add_argument("--q", type=_decimal, help="one odd prime power")
     qgroup.add_argument("--q-range", dest="q_range", metavar="A:B",
                         help="sweep every odd prime power with A <= q <= B")
 
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--samples", type=int, default=100,
+    sampling.add_argument("--samples", type=_decimal, default=100,
                           help="number of seeded random instances (default 100)")
-    sampling.add_argument("--seed", type=int, default=0,
+    sampling.add_argument("--seed", type=_decimal, default=0,
                           help="RNG seed (default 0)")
 
     sub.add_parser("pb", parents=[qsel, fmt],
@@ -527,21 +536,21 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="H_2 of SL_2 of the Laurent polynomial ring")
     r_h2.add_argument("--field", required=True, metavar="SPEC",
                       help="Q or F<q>")
-    r_h2.add_argument("--prime-bound", dest="prime_bound", type=int,
+    r_h2.add_argument("--prime-bound", dest="prime_bound", type=_decimal,
                       metavar="B", help="truncate places at primes <= B "
                       "(required over Q)")
     r_h3 = rsub.add_parser("h3-laurent", parents=[fmt],
                            help="H_3 of SL_2 of the Laurent polynomial ring")
     r_h3.add_argument("--field", required=True, metavar="SPEC",
                       help="Q or F<q>")
-    r_h3.add_argument("--prime-bound", dest="prime_bound", type=int,
+    r_h3.add_argument("--prime-bound", dest="prime_bound", type=_decimal,
                       metavar="B", help="truncate places at primes <= B "
                       "(required over Q)")
     r_st = rsub.add_parser("stabilization", parents=[fmt],
                            help="kernel of the stabilization map in degree 2 or 3")
     r_st.add_argument("--field", required=True, metavar="SPEC",
                       help="Q or F<q>")
-    r_st.add_argument("--degree", type=int, required=True, choices=(2, 3),
+    r_st.add_argument("--degree", type=_decimal, required=True, choices=(2, 3),
                       help="homology degree")
 
     p_snf = sub.add_parser("snf", parents=[fmt],

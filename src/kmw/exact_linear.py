@@ -41,6 +41,7 @@ from operator import index
 from typing import Iterable, Optional, Sequence
 
 from . import _snf_py
+from .descriptor import _group_text
 from .errors import BadBound, IntegrityFailure, RelationNotKilled
 
 
@@ -312,13 +313,7 @@ class AbGroupInfo:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def describe(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.invariant_factors)
-        return " x ".join(parts) if parts else "0"
+        return _group_text(self.free_rank, self.invariant_factors)
 
     def __repr__(self) -> str:
         return f"AbGroupInfo({self.describe()}, {self.ngens} gens)"

@@ -267,7 +267,9 @@ class FiniteField(Field):
         return pow(a, e, self.p)
 
     def _format(self, a) -> str:
-        return str(a)
+        # an extension's element prints as its coordinates over the prime
+        # field, the digit tuple that parse_elem reads
+        return str(_flat_key(self, a) if self.degree > 1 else a)
 
     @cached_property
     def _tables(self) -> tuple[list, list, list]:
@@ -470,19 +472,6 @@ class _PolyExtension(FiniteField):
                 return n
             acc = self._mul(acc, g)
         raise IndexError("element outside the generated group")  # unreachable
-
-    def _format(self, a) -> str:
-        parts = []
-        for i, c in enumerate(self._coeffs(a)):
-            if not c:
-                continue
-            cs = self.base._format(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                parts.append(xs if cs == "1" else f"{cs}*{xs}")
-        return " + ".join(parts) if parts else "0"
 
     def elem(self, x) -> FieldElem:
         if isinstance(x, FieldElem):
@@ -939,6 +928,7 @@ class Poly:
         return bool(self.coeffs)
 
     def __repr__(self):
+        # highest degree first, in the grammar parse_elem reads
         if not self.coeffs:
             return "0"
         parts = []
@@ -953,7 +943,7 @@ class Poly:
                 parts.append("t" if cs == "1" else f"{cs}*t")
             else:
                 parts.append(f"t^{i}" if cs == "1" else f"{cs}*t^{i}")
-        return " + ".join(parts)
+        return "+".join(parts).replace("+-", "-")
 
 
 def polynomial(field: Field, coeffs: Sequence) -> Poly:

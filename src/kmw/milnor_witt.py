@@ -41,10 +41,8 @@ from .fields import (
     FieldElem,
     FiniteField,
     Place,
-    Poly,
     RatFunField,
     RationalField,
-    _flat_key,
     _place_order,
     finite_field,
     hilbert,
@@ -671,46 +669,6 @@ def parse_mw(field, text: str) -> MWElem:
     return _make(field, degree, monomials)
 
 
-def _format_const(c: FieldElem) -> str:
-    """An F_q element: its value, or over an extension its coordinates
-    over the prime field (``_flat_key``), which ``parse_elem`` reads."""
-    field = c.field
-    return str(_flat_key(field, c.val) if field.degree > 1 else c.val)
-
-
-def _format_poly_in_t(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    bits = []
-    for d in range(p.degree(), -1, -1):
-        c = p.coeff(d)
-        if not c:
-            continue
-        cs = _format_const(c) if isinstance(p.field, FiniteField) else str(c.val)
-        if d == 0:
-            bits.append(cs)
-        elif d == 1:
-            bits.append("t" if cs == "1" else f"{cs}*t")
-        else:
-            bits.append(f"t^{d}" if cs == "1" else f"{cs}*t^{d}")
-    return "+".join(bits).replace("+-", "-")
-
-
-def _format_elem(e: FieldElem) -> str:
-    field = e.field
-    if isinstance(field, RationalField):
-        return str(e.val)
-    if isinstance(field, FiniteField):
-        return _format_const(e)
-    if isinstance(field, RatFunField):
-        num, den = field.num_den(e)
-        ns = _format_poly_in_t(num)
-        if den == Poly.constant(field.base, 1):
-            return ns
-        return f"({ns})/({_format_poly_in_t(den)})"
-    raise UnsupportedField("no printable form over this field")
-
-
 def format_mw(x: MWElem) -> str:
     """Render a monomial-backed element as a bracket expression."""
     if x.monomials is None:
@@ -718,7 +676,7 @@ def format_mw(x: MWElem) -> str:
     if not x.monomials:
         return "0"
     keys = sorted(
-        x.monomials, key=lambda mono: (mono[0], len(mono[1]), [str(s.val) for s in mono[1]])
+        x.monomials, key=lambda mono: (mono[0], len(mono[1]), [repr(s) for s in mono[1]])
     )
     parts = []
     for k, syms in keys:
@@ -728,7 +686,7 @@ def format_mw(x: MWElem) -> str:
             body.append("eta")
         elif k > 1:
             body.append(f"eta^{k}")
-        body.extend(f"[{_format_elem(s)}]" for s in syms)
+        body.extend(f"[{s!r}]" for s in syms)
         if not body:
             term = str(abs(c))
         else:

@@ -31,7 +31,8 @@ def _group_factors(g) -> dict:
 
 def h2_laurent_report(field, prime_bound: Optional[int] = None) -> GroupDescriptor:
     """Degree-2 homology of SL_2 of the Laurent ring over the field,
-    truncated at a prime bound when the field is Q."""
+    truncated at a prime bound when the field is Q; over F_q a bound is
+    invalid input."""
     if isinstance(field, RationalField):
         if prime_bound is None:
             raise MissingBound("the rational report needs a prime bound")
@@ -50,6 +51,8 @@ def h2_laurent_report(field, prime_bound: Optional[int] = None) -> GroupDescript
             trunc_bound=prime_bound,
         )
     if isinstance(field, FiniteField):
+        if prime_bound is not None:
+            raise BadBound("a prime bound applies over Q only")
         q = field.order
         return GroupDescriptor(
             label=f"H_2(SL_2(F_{q}[t,1/t])) [{FORMAL_TAG}]",
@@ -69,6 +72,8 @@ def h3_laurent_report(field, prime_bound: Optional[int] = None) -> GroupDescript
     refined scissors kernel; over Q the kernel part is known only
     through per-prime lower bounds."""
     if isinstance(field, FiniteField):
+        if prime_bound is not None:
+            raise BadBound("a prime bound applies over Q only")
         q = field.order
         d = derived_groups(q)
         half = d["half_RP1"]

@@ -137,7 +137,9 @@ class TestFieldSpec:
         assert isinstance(field, RatFunField)
         assert field.base.order == 7
 
-    @pytest.mark.parametrize("spec", ["Qt", "G5", "F", "f5", "F5tt", "F4", "F15"])
+    @pytest.mark.parametrize(
+        "spec", ["Qt", "G5", "F", "f5", "F5tt", "F4", "F15", "F\u0665", "F\u0665t"]
+    )
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(UnsupportedField):
             parse_field_spec(spec)
@@ -164,7 +166,9 @@ class TestQSelection:
         diag = json.loads(err)
         assert diag["error"] == "BadBound"
 
-    @pytest.mark.parametrize("text", ["5-9", "a:b", "9:5", "5:7:9"])
+    @pytest.mark.parametrize(
+        "text", ["5-9", "a:b", "9:5", "5:7:9", " 5:+9", "+5:9", "5:1_1", "5:\u0669"]
+    )
     def test_bad_ranges(self, capsys, text):
         code, _, err = run_cli(capsys, ["pb", "--q-range", text])
         assert code == 2
@@ -174,6 +178,29 @@ class TestQSelection:
         code, _, err = run_cli(capsys, ["pb", "--q-range", "14:16"])
         assert code == 2
         assert "no admissible q" in err
+
+
+# every integer option reads an optional - and ASCII digits, nothing
+# else; int() reads each of these as 3, a valid value of every option below
+LOOSE_INTEGERS = ["+3", " 3", "0_3", "\u0663"]
+
+
+@pytest.mark.parametrize("text", LOOSE_INTEGERS)
+@pytest.mark.parametrize("argv", [
+    ["verify", "witt", "--q", "{}"],
+    ["verify", "witt", "--q", "3", "--samples", "{}"],
+    ["verify", "witt", "--q", "3", "--seed", "{}"],
+    ["report", "h2-laurent", "--field", "Q", "--prime-bound", "{}"],
+    ["report", "h3-laurent", "--field", "Q", "--prime-bound", "{}"],
+    ["report", "stabilization", "--field", "F5", "--degree", "{}"],
+], ids=["q", "samples", "seed", "h2-prime-bound", "h3-prime-bound", "degree"])
+def test_loose_integer_options_are_rejected(capsys, argv, text):
+    with pytest.raises(SystemExit) as info:
+        main([a.format(text) for a in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "invalid integer value" in captured.err
 
 
 class TestPb:
@@ -215,7 +242,7 @@ class TestPb:
         _, threaded, _ = run_cli(capsys, ["pb", "--q-range", "5:13", "--json"])
         assert threaded == serial
 
-    @pytest.mark.parametrize("value", ["lots", "0", "-2", "2.5"])
+    @pytest.mark.parametrize("value", ["lots", "0", "-2", "2.5", " 2", "+2", "1_0", "\u0662"])
     def test_thread_env_garbage_is_rejected(self, capsys, monkeypatch, value):
         monkeypatch.setenv("KMW_THREADS", value)
         code, out, err = run_cli(capsys, ["pb", "--q", "5", "--json"])
@@ -298,6 +325,15 @@ class TestVerify:
         assert row["pass"] is True
         assert row["checked"] > 0
         assert row["witness"] is None
+
+    def test_hilbert_product_reads_thread_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("KMW_THREADS", "lots")
+        code, out, err = run_cli(
+            capsys, ["verify", "hilbert-product", "--samples", "2", "--json"]
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "BadBound"
 
     def test_hilbert_product_passes(self, capsys):
         code, out, _ = run_cli(
@@ -467,6 +503,27 @@ class TestReport:
             "error": "BadBound",
             "detail": "the prime bound must be an integer >= 2",
         }
+
+    @pytest.mark.parametrize("topic, bound", [
+        ("h2-laurent", "0"), ("h3-laurent", "-4"), ("h2-laurent", "7"),
+    ])
+    def test_prime_bound_over_finite_field_is_invalid(self, capsys, topic, bound):
+        code, out, err = run_cli(
+            capsys, ["report", topic, "--field", "F5", "--prime-bound", bound, "--json"]
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "BadBound", "detail": "a prime bound applies over Q only",
+        }
+
+    def test_unicode_digit_field_spec_is_invalid(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["report", "h2-laurent", "--field", "F\u0665"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "UnsupportedField" in err
 
     def test_h3_csv_single_row(self, capsys):
         code, out, _ = run_cli(

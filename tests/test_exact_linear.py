@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from kmw import _snf_py
 from kmw._snf_py import _nearest_quo
+from kmw.descriptor import _group_text
 from kmw.errors import IntegrityFailure, RelationNotKilled
 from kmw.exact_linear import (
     AbMap,
@@ -261,6 +262,12 @@ class TestFpGroup:
         assert g.describe() == "0"
         g = fp_group(["a", "b"], [[1, 0], [0, 1]])
         assert g.describe() == "0"
+
+    def test_describe_is_the_group_text(self):
+        # the text of a group is written once, in descriptor._group_text
+        g = fp_group(["a", "b", "c", "d", "e"], [[2, 0, 0, 0, 0], [0, 4, 6, 0, 0]])
+        assert (g.free_rank, g.invariant_factors) == (3, (2, 2))
+        assert g.describe() == _group_text(3, (2, 2)) == "Z^3 + Z/2 + Z/2"
 
     def test_coordinate_map_and_is_zero_agree(self):
         rng = random.Random(23)
@@ -720,7 +727,7 @@ class TestLazySmithForm:
         assert calls.count("snf_kernel") == 1
         calls.clear()
         assert (g.invariant_factors, g.free_rank) == ((6,), 1)
-        assert g.describe() == "Z x Z/6"
+        assert g.describe() == "Z + Z/6"
         assert calls == []
 
     def test_stacking_takes_none(self, monkeypatch):

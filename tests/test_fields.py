@@ -677,21 +677,6 @@ class Tower:
             e >>= 1
         return out
 
-    def _format(self, a):
-        if self.base is None:
-            return str(a)
-        parts = []
-        for i, c in enumerate(a):
-            if c == self.base._zero_raw():
-                continue
-            cs = self.base._format(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                parts.append(xs if cs == "1" else f"{cs}*{xs}")
-        return " + ".join(parts) if parts else "0"
-
     def elements(self):
         """All raw values, constant coefficient varying fastest."""
         if self.base is None:
@@ -739,8 +724,10 @@ def tower(field) -> Tower:
 def assert_unary_ops_agree(F, T, a, with_dlog=True):
     ta = T.lift(a)
     assert T.lift(F._neg(a)) == T._neg(ta)
-    assert F._format(a) == T._format(ta) == repr(fl.FieldElem(F, a))
     assert fl._flat_key(F, a) == T.flat(ta)
+    x = fl.FieldElem(F, a)
+    assert repr(x) == str(fl._flat_key(F, a))
+    assert fl.parse_elem(F, repr(x)) == x
     if a:
         assert T.lift(F._inv(a)) == T._inv(ta)
         assert F.is_square_raw(a) == T.is_square(ta)
@@ -900,6 +887,64 @@ class TestTableChoice:
             assert zech[n] == (log[b] if b else -1)
             acc = kappa._poly_mul(acc, g)
         assert acc == 1
+
+
+# -- printed form -----------------------------------------------------------
+#
+# repr of every element is the one printed form, and parse_elem reads it
+# back: extension constants as their _flat_key digit tuples, polynomials
+# in t highest degree first.
+
+PRINTED = ("Q", "F5", "F9", "F25", "F9[x]/(x^2-s)", "cubic residue F125",
+           "F5(t)", "F9(t)", "Q(t)")
+
+
+@functools.lru_cache(maxsize=None)
+def printed_fields() -> dict:
+    Q, F5, F9 = fl.rationals(), fl.finite_field(5), fl.finite_field(9)
+    nested = fl.extension_field(F9, fl.Poly.from_elems(F9, [-F9.nonsquare(), 0, 1]))
+    return dict(zip(PRINTED, (
+        Q, F5, F9, fl.finite_field(25), nested, TestTableChoice.cubic_residue_field(),
+        fl.function_field(F5), fl.function_field(F9), fl.function_field(Q),
+    )))
+
+
+def draw_constant(data, field):
+    if isinstance(field, fl.RationalField):
+        return field.elem(Fraction(data.draw(st.integers(-40, 40)),
+                                   data.draw(st.integers(1, 40))))
+    return fl.FieldElem(field, data.draw(st.integers(0, field.order - 1)))
+
+
+def draw_poly(data, base, max_size):
+    size = data.draw(st.integers(0, max_size))
+    return fl.Poly.from_elems(base, [draw_constant(data, base) for _ in range(size)])
+
+
+class TestPrintedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PRINTED), st.data())
+    def test_parse_reads_repr_back(self, name, data):
+        F = printed_fields()[name]
+        if isinstance(F, fl.RatFunField):
+            den = draw_poly(data, F.base, 3)
+            if den.is_zero():
+                den = fl.Poly.constant(F.base, 1)
+            x = F.elem((draw_poly(data, F.base, 4), den))
+        else:
+            x = draw_constant(data, F)
+        assert fl.parse_elem(F, repr(x)) == x
+
+    def test_examples(self):
+        fields = printed_fields()
+        F9t = fields["F9(t)"]
+        x = F9t.elem(F9t.base.elem((0, 1)))
+        assert repr((1 + 2 * x) * F9t.t + x) == "(1, 2)*t+(0, 1)"
+        assert repr(fields["F9[x]/(x^2-s)"].elem((2, 1))) == "(2, 0, 1, 0)"
+        Qt = fields["Q(t)"]
+        assert repr((Qt.t**2 - Qt.elem(Fraction(1, 2)) * Qt.t - 3) / (Qt.t + 1)) == (
+            "(t^2-1/2*t-3)/(t+1)")
+        assert repr(fields["F5"].elem(3)) == "3" and repr(fields["Q"].elem(-2)) == "-2"
 
 
 # -- square and multiply ---------------------------------------------------

@@ -74,6 +74,14 @@ class TestH2Laurent:
             h2_laurent_report(function_field(F5), 7)
 
 
+@pytest.mark.parametrize("report", [h2_laurent_report, h3_laurent_report])
+@pytest.mark.parametrize("bound", [7, 0, -4])
+def test_prime_bound_over_finite_field_is_invalid(report, bound):
+    # a bound truncates the places of Q; over F_q it would be dropped unread
+    with pytest.raises(BadBound, match="over Q only"):
+        report(F5, bound)
+
+
 class TestH3Laurent:
     def test_finite_fields_pinned(self):
         assert h3_laurent_report(F5).cyclic_factors == (3,)
