@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import os
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -28,7 +27,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from .descriptor import _group_text
 from .errors import BadBound, IntegrityFailure, KmwError, UnsupportedField
 from .exact_linear import IntMatrix, snf
-from .fields import RatFunField, field_make
+from .fields import _DECIMAL, RatFunField, field_make
 from .reports import h2_laurent_report, h3_laurent_report, stabilization_report
 from .scissors import derived_groups, odd_part_int, pb_group, pb_half, scissors_context
 from .suites import (
@@ -40,14 +39,11 @@ from .suites import (
     smallest_witness,
 )
 
-_FIELD_SPEC = re.compile(r"^F([0-9]+)(t?)$")
-_DECIMAL = re.compile(r"-?[0-9]+")
-
 
 def _decimal(text: str) -> int:
-    """The one integer grammar of the CLI: an optional ``-`` and ASCII
-    digits (``int()`` would also take ``" 7"``, ``"+7"``, ``"1_000"`` and
-    non-ASCII digits)."""
+    """The one integer grammar, ``kmw.fields._DECIMAL``: an optional
+    ``-`` and ASCII digits (``int()`` would also take ``" 7"``, ``"+7"``,
+    ``"1_000"`` and non-ASCII digits)."""
     if not _DECIMAL.fullmatch(text):
         raise ValueError(f"expected an optional - and ASCII digits, got {text!r}")
     return int(text)
@@ -58,15 +54,14 @@ _decimal.__name__ = "integer"
 
 
 def parse_field_spec(spec: str):
-    """Field from a CLI spec string: ``Q``, ``F<q>``, or ``F<q>t``."""
-    if spec != "Q" and not _FIELD_SPEC.match(spec):
-        raise UnsupportedField(
-            f"unknown field spec {spec!r}: expected Q, F<q>, or F<q>t"
-        )
+    """Field from a CLI spec string, ``Q``, ``F<q>``, or ``F<q>t``, read by
+    ``field_make``; no command computes over ``Qt``."""
     try:
+        if spec == "Qt":
+            raise ValueError(f"unknown field spec {spec!r}")
         return field_make(spec)
     except ValueError as exc:
-        raise UnsupportedField(str(exc)) from None
+        raise UnsupportedField(f"{exc}: expected Q, F<q>, or F<q>t") from None
 
 
 # -- q selection --------------------------------------------------------

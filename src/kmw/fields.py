@@ -26,12 +26,16 @@ Conventions that the rest of the library leans on:
   local square classes of its arguments (``_local_class``) through
   ``_symbol_bit``, which ``kmw.witt`` reads as well; both take the field
   of their first element argument, or Q for plain numbers;
-* all constructors are cached, so field handles compare by identity.
+* all constructors are cached, so field handles compare by identity;
+* text has one reader per grammar, its integers ASCII digits only:
+  field specs (``field_make``, the CLI's too), elements (``parse_elem``)
+  and their tokens (``_next_token``, shared by bracket expressions).
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd as int_gcd
@@ -48,6 +52,15 @@ from .errors import (
     ZeroInversion,
     ZeroPolynomial,
 )
+
+# ---------------------------------------------------------------------------
+# text grammars
+
+# every integer kmw reads from text is ASCII digits; int() would also take
+# other scripts' digits, "+7", "1_000" or " 7", and str.isdigit the first
+_DIGITS = "[0-9]+"
+_DECIMAL = re.compile(f"-?{_DIGITS}")
+_FIELD_SPEC = re.compile(f"(Q|F(?P<q>{_DIGITS}))(?P<t>t?)")
 
 # ---------------------------------------------------------------------------
 # integer helpers
@@ -696,8 +709,6 @@ class RationalField(Field):
             raise MixedFields(f"cannot coerce element of {x.field} into Q")
         if isinstance(x, (int, Fraction)):
             return FieldElem(self, Fraction(x))
-        if isinstance(x, str):
-            return FieldElem(self, Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def __repr__(self):
@@ -1202,9 +1213,6 @@ class RatFunField(Field):
             return FieldElem(self, (Poly.constant(self.base, x), one))
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
-    def num_den(self, x: FieldElem) -> tuple[Poly, Poly]:
-        return x.val
-
     def __repr__(self):
         return f"{self.base}(t)"
 
@@ -1217,21 +1225,13 @@ def function_field(base: Field) -> RatFunField:
 
 
 def field_make(spec: str) -> Field:
-    """Field from a compact spec string: ``Q``, ``Qt``, ``F9``, ``F7t``."""
-    s = spec.strip()
-    if s == "Q":
-        return rationals()
-    if s == "Qt":
-        return function_field(rationals())
-    if s.startswith("F"):
-        body = s[1:]
-        ratfun = body.endswith("t")
-        if ratfun:
-            body = body[:-1]
-        if body.isdigit():
-            base = finite_field(int(body))
-            return function_field(base) if ratfun else base
-    raise ValueError(f"unrecognized field spec {spec!r}")
+    """Field from a spec string, exactly ``Q``, ``Qt``, ``F<q>`` or
+    ``F<q>t`` with q in ASCII digits: ``F9``, ``F7t``."""
+    m = _FIELD_SPEC.fullmatch(spec)
+    if m is None:
+        raise ValueError(f"unknown field spec {spec!r}")
+    base = rationals() if m["q"] is None else finite_field(int(m["q"]))
+    return function_field(base) if m["t"] else base
 
 
 # ---------------------------------------------------------------------------
@@ -1841,30 +1841,34 @@ def parse_elem(field: Field, text: str) -> FieldElem:
     return elem
 
 
-def _tokenize(text: str) -> list[str]:
+def _tokenize(text: str) -> list:
     out = []
     i = 0
     while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif c in "+-*/^()t,":
-            out.append(c)
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {c!r}")
+        tok, i = _next_token(text, i, "+-*/^()t,")
+        if tok is not None:
+            out.append(tok)
     return out
+
+
+def _next_token(text: str, i: int, symbols: str):
+    """The token at ``text[i]`` and the index after it: a one-character
+    symbol (``-`` is always one, never a sign), an int of ASCII digits,
+    or None for whitespace."""
+    c = text[i]
+    if c.isspace():
+        return None, i + 1
+    if c in symbols:
+        return c, i + 1
+    m = _DECIMAL.match(text, i)
+    if m is None:
+        raise ValueError(f"unexpected character {c!r}")
+    return int(m[0]), m.end()
 
 
 def _parse_expr(field, toks, pos):
     elem, pos = _parse_term(field, toks, pos)
-    while pos < len(toks) and toks[pos] in "+-":
+    while pos < len(toks) and toks[pos] in ("+", "-"):
         op = toks[pos]
         rhs, pos = _parse_term(field, toks, pos + 1)
         elem = elem + rhs if op == "+" else elem - rhs
@@ -1873,7 +1877,7 @@ def _parse_expr(field, toks, pos):
 
 def _parse_term(field, toks, pos):
     elem, pos = _parse_factor(field, toks, pos)
-    while pos < len(toks) and toks[pos] in "*/":
+    while pos < len(toks) and toks[pos] in ("*", "/"):
         op = toks[pos]
         rhs, pos = _parse_factor(field, toks, pos + 1)
         elem = elem * rhs if op == "*" else elem / rhs
@@ -1882,15 +1886,15 @@ def _parse_term(field, toks, pos):
 
 def _parse_factor(field, toks, pos):
     neg = False
-    while pos < len(toks) and toks[pos] in "+-":
+    while pos < len(toks) and toks[pos] in ("+", "-"):
         if toks[pos] == "-":
             neg = not neg
         pos += 1
     elem, pos = _parse_atom(field, toks, pos)
     if pos < len(toks) and toks[pos] == "^":
-        if pos + 1 >= len(toks) or not toks[pos + 1].isdigit():
+        if pos + 1 >= len(toks) or not isinstance(toks[pos + 1], int):
             raise ValueError("exponent must be a literal integer")
-        elem = elem ** int(toks[pos + 1])
+        elem = elem ** toks[pos + 1]
         pos += 2
     return (-elem if neg else elem), pos
 
@@ -1910,8 +1914,8 @@ def _parse_atom(field, toks, pos):
         if not isinstance(field, RatFunField):
             raise ValueError(f"no variable t in {field}")
         return field.t, pos + 1
-    if tok.isdigit():
-        return field.elem(int(tok)), pos + 1
+    if isinstance(tok, int):
+        return field.elem(tok), pos + 1
     raise ValueError(f"unexpected token {tok!r}")
 
 
@@ -1920,9 +1924,9 @@ def _parse_digit_tuple(field, toks, pos):
     digits = []
     while True:
         sep = toks[pos + 1 : pos + 2]
-        if not toks[pos].isdigit() or sep not in ([","], [")"]):
+        if not isinstance(toks[pos], int) or sep not in ([","], [")"]):
             raise ValueError("a coordinate tuple holds integers separated by commas")
-        digits.append(int(toks[pos]))
+        digits.append(toks[pos])
         pos += 2
         if sep == [")"]:
             break

@@ -43,6 +43,7 @@ from .fields import (
     Place,
     RatFunField,
     RationalField,
+    _next_token,
     _place_order,
     finite_field,
     hilbert,
@@ -571,32 +572,27 @@ def k1_finite_order(q: int) -> int:
 
 
 def _tokenize_brackets(text: str) -> List:
+    """Tokens of a bracket expression: ``("sym", text)`` for ``[text]``,
+    ``"eta"``, and otherwise the tokens of element text."""
     tokens: List = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*^":
-            tokens.append(c)
-            i += 1
-        elif c == "[":
+    i = 0
+    while i < len(text):
+        if text[i] == "[":
             j = text.find("]", i + 1)
             if j < 0:
                 raise KmwError("unbalanced bracket in element expression")
             tokens.append(("sym", text[i + 1 : j]))
             i = j + 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
         elif text.startswith("eta", i):
             tokens.append("eta")
             i += 3
         else:
-            raise KmwError(f"unexpected character {c!r} in element expression")
+            try:
+                tok, i = _next_token(text, i, "+-*^")
+            except ValueError as exc:
+                raise KmwError(f"{exc} in element expression") from None
+            if tok is not None:
+                tokens.append(tok)
     return tokens
 
 
@@ -635,14 +631,14 @@ def parse_mw(field, text: str) -> MWElem:
             i += 1
         elif tok == "eta":
             power = 1
-            if i + 2 < len(tokens) and tokens[i + 1] == "^" and isinstance(tokens[i + 2], tuple) and tokens[i + 2][0] == "int":
-                power = tokens[i + 2][1]
+            if i + 2 < len(tokens) and tokens[i + 1] == "^" and isinstance(tokens[i + 2], int):
+                power = tokens[i + 2]
                 i += 2
             k += power
             started = True
             i += 1
-        elif isinstance(tok, tuple) and tok[0] == "int":
-            coeff = tok[1] if coeff is None else coeff * tok[1]
+        elif isinstance(tok, int):
+            coeff = tok if coeff is None else coeff * tok
             started = True
             i += 1
         elif isinstance(tok, tuple) and tok[0] == "sym":

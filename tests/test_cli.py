@@ -138,11 +138,18 @@ class TestFieldSpec:
         assert field.base.order == 7
 
     @pytest.mark.parametrize(
-        "spec", ["Qt", "G5", "F", "f5", "F5tt", "F4", "F15", "F\u0665", "F\u0665t"]
+        "spec", ["Qt", "G5", "F", "f5", "F5tt", "F4", "F15", "F\u0665", "F\u0665t",
+                 "F5t\n", " F5"]
     )
     def test_rejects_bad_specs(self, spec):
-        with pytest.raises(UnsupportedField):
+        with pytest.raises(UnsupportedField, match=r": expected Q, F<q>, or F<q>t$"):
             parse_field_spec(spec)
+
+    def test_qt_message(self, capsys):
+        # field_make reads Qt, but no command computes over Q(t)
+        code, out, err = run_cli(capsys, ["report", "h2-laurent", "--field", "Qt"])
+        assert (code, out) == (2, "")
+        assert err == "kmw: error: UnsupportedField: unknown field spec 'Qt': expected Q, F<q>, or F<q>t\n"
 
 
 class TestQSelection:
@@ -740,6 +747,21 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == PB5_JSON
+
+    @pytest.mark.parametrize("argv", [
+        ["pb", "--q-range", "5:25", "--json"],
+        ["verify", "witt", "--q-range", "3:5", "--samples", "5", "--json"],
+    ], ids=" ".join)
+    def test_stdout_is_independent_of_hash_seed(self, argv):
+        def stdout(seed):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            env.pop("KMW_THREADS", None)
+            result = subprocess.run([sys.executable, "-m", "kmw.cli", *argv],
+                                    env=env, capture_output=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            return result.stdout
+
+        assert stdout("0") == stdout("12345")
 
     def test_module_invocation(self):
         result = subprocess.run(

@@ -6,20 +6,23 @@ exists (squares mod p for Legendre, congruence solvability for the
 import functools
 import itertools
 import random
+import unicodedata
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kmw.fields as fl
 from kmw.errors import (
     InfinitePlace,
+    KmwError,
     MixedFields,
     NonIrreducibleModulus,
     ZeroArgument,
     ZeroInversion,
 )
+from kmw.milnor_witt import eta_mul, format_mw, mw_symbol, mw_zero, parse_mw
 
 
 class TestFiniteFields:
@@ -921,19 +924,36 @@ def draw_poly(data, base, max_size):
     return fl.Poly.from_elems(base, [draw_constant(data, base) for _ in range(size)])
 
 
+def draw_elem(data, field):
+    if not isinstance(field, fl.RatFunField):
+        return draw_constant(data, field)
+    den = draw_poly(data, field.base, 3)
+    if den.is_zero():
+        den = fl.Poly.constant(field.base, 1)
+    return field.elem((draw_poly(data, field.base, 4), den))
+
+
 class TestPrintedForm:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(PRINTED), st.data())
     def test_parse_reads_repr_back(self, name, data):
         F = printed_fields()[name]
-        if isinstance(F, fl.RatFunField):
-            den = draw_poly(data, F.base, 3)
-            if den.is_zero():
-                den = fl.Poly.constant(F.base, 1)
-            x = F.elem((draw_poly(data, F.base, 4), den))
-        else:
-            x = draw_constant(data, F)
+        x = draw_elem(data, F)
         assert fl.parse_elem(F, repr(x)) == x
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(("Q", "F9", "F25", "F5(t)", "F9(t)", "Q(t)")), st.data())
+    def test_parse_mw_reads_format_mw_back(self, name, data):
+        # sums of c * eta^k [a_1]...[a_m] of one degree m - k
+        F = printed_fields()[name]
+        degree = data.draw(st.integers(0, 2))
+        x = mw_zero(F, degree)
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(0, 1))
+            term = mw_symbol(F, [draw_elem(data, F) or F.one for _ in range(degree + k)])
+            x = x + data.draw(st.integers(-3, 3)) * (eta_mul(term) if k else term)
+        # monomials, since Q(t) has no equality oracle
+        assert parse_mw(F, format_mw(x)).monomials == x.monomials
 
     def test_examples(self):
         fields = printed_fields()
@@ -945,6 +965,66 @@ class TestPrintedForm:
         assert repr((Qt.t**2 - Qt.elem(Fraction(1, 2)) * Qt.t - 3) / (Qt.t + 1)) == (
             "(t^2-1/2*t-3)/(t+1)")
         assert repr(fields["F5"].elem(3)) == "3" and repr(fields["Q"].elem(-2)) == "-2"
+
+
+# -- text grammars ----------------------------------------------------------
+#
+# Every integer kmw reads from text is ASCII digits.  int() and str.isdigit
+# also take the digits of other scripts, so each text below is valid input
+# with some ASCII digits swapped for another script's digits of the same
+# value; such text was read as the number it spells.
+
+
+def other_script_digits(data, text):
+    zero = data.draw(st.characters(categories=("Nd",), exclude_characters="0123456789"))
+    zero = ord(zero) - unicodedata.digit(zero)
+    spots = [i for i, c in enumerate(text) if c.isascii() and c.isdigit()]
+    swap = data.draw(st.sets(st.sampled_from(spots), min_size=1))
+    return "".join(chr(zero + int(c)) if i in swap else c for i, c in enumerate(text))
+
+
+# every ASCII or Unicode whitespace character that str.strip removes
+WHITESPACE = st.sampled_from([c for c in map(chr, range(0x3001)) if c.isspace()])
+
+
+class TestTextGrammar:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["F5", "F7t", "F9", "F25t", "F49", "F121"]), st.data())
+    def test_field_make_rejects_other_script_digits(self, spec, data):
+        text = other_script_digits(data, spec)
+        with pytest.raises(ValueError):
+            fl.field_make(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["Q", "Qt", "F5", "F7t", "F9"]),
+           st.lists(WHITESPACE, max_size=2), st.lists(WHITESPACE, max_size=2))
+    def test_field_make_rejects_stray_whitespace(self, spec, before, after):
+        assume(before or after)
+        with pytest.raises(ValueError):
+            fl.field_make("".join(before) + spec + "".join(after))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([("F5", "3"), ("Q", "3/4"), ("Q", "-12"), ("F5(t)", "t^2+4*t"),
+                            ("F9", "(1, 2)"), ("Q(t)", "(t+1)/(2*t-7)")]), st.data())
+    def test_parse_elem_rejects_other_script_digits(self, case, data):
+        name, text = case
+        with pytest.raises(ValueError):
+            fl.parse_elem(printed_fields()[name], other_script_digits(data, text))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([("Q", "2*[3]"), ("Q", "eta^2[2][3]"), ("Q", "[1/2][-5]"),
+                            ("F5(t)", "[t+1][2]-3*[t]")]), st.data())
+    def test_parse_mw_rejects_other_script_digits(self, case, data):
+        name, text = case
+        # a coefficient or exponent is a KmwError, a symbol entry parse_elem's ValueError
+        with pytest.raises((KmwError, ValueError)):
+            parse_mw(printed_fields()[name], other_script_digits(data, text))
+
+    @pytest.mark.parametrize("text", ["0.5", "1e3", "1_000", " 3/4 ", "3/4", "\u0663/\u0664"])
+    def test_rationals_take_no_text(self, text):
+        # text is read by parse_elem alone, not by Fraction's grammar
+        with pytest.raises(TypeError):
+            fl.rationals().elem(text)
 
 
 # -- square and multiply ---------------------------------------------------

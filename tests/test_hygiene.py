@@ -1,8 +1,9 @@
 """Static hygiene of the library sources and of the tests: no module
 imports a name it never uses.  The package root is exempt, since it
 imports names only to re-export them; instead, what it imports is
-exactly what ``kmw.__all__`` lists.  Also the kernel signatures that
-the benchmark's tracer reads by position."""
+exactly what ``kmw.__all__`` lists.  No library module reads digits
+with the str predicates.  Also the kernel signatures that the
+benchmark's tracer reads by position."""
 
 from __future__ import annotations
 
@@ -73,6 +74,18 @@ def test_package_root_exports_what_it_imports():
     assert len(set(kmw.__all__)) == len(kmw.__all__)
     for name in kmw.__all__:
         assert getattr(kmw, name, None) is not None, name
+
+
+def test_library_reads_ascii_digits_only():
+    # integers in text are ASCII digits (kmw.fields._DIGITS); isdigit,
+    # isdecimal and isnumeric also take the digits of other scripts
+    calls = sorted(
+        f"kmw.{path.stem} line {node.lineno}: {node.attr}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in {"isdigit", "isdecimal", "isnumeric"}
+    )
+    assert not calls, calls
 
 
 def _traced_kernels():
