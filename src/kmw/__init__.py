@@ -30,7 +30,7 @@ from .fields import (
     tame_symbol,
     valuation,
 )
-from .group_ring import gr_class, gr_int, gr_unit, pfister_elem
+from .group_ring import gr_int, gr_unit, pfister_form
 from .milnor_witt import (
     eta_mul,
     format_mw,
@@ -50,17 +50,14 @@ from .reports import (
     verify_descriptor,
 )
 from .scissors import (
-    delta_t_rp,
     derived_groups,
     pb_group,
     pb_half,
     refined_five_term,
-    rp_presentation,
     sv_apply,
 )
 from .witt import (
     in_i_power,
-    pfister_form,
     second_residue,
     signature,
     witt_group_structure,
@@ -77,7 +74,6 @@ __all__ = [
     "KmwError",
     "Provenance",
     "SymbolicFactor",
-    "delta_t_rp",
     "derived_groups",
     "eta_mul",
     "finite_field",
@@ -86,7 +82,6 @@ __all__ = [
     "fp_group",
     "fp_kernel",
     "function_field",
-    "gr_class",
     "gr_int",
     "gr_unit",
     "h2_laurent_report",
@@ -104,11 +99,9 @@ __all__ = [
     "parse_mw",
     "pb_group",
     "pb_half",
-    "pfister_elem",
     "pfister_form",
     "rationals",
     "refined_five_term",
-    "rp_presentation",
     "second_residue",
     "signature",
     "snf",

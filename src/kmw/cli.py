@@ -26,10 +26,10 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .descriptor import _group_text
 from .errors import BadBound, IntegrityFailure, KmwError, UnsupportedField
-from .exact_linear import IntMatrix, snf
-from .fields import _DECIMAL, RatFunField, field_make
+from .exact_linear import IntMatrix, odd_part_int, snf
+from .fields import _DECIMAL, RatFunField, _prime_power, field_make
 from .reports import h2_laurent_report, h3_laurent_report, stabilization_report
-from .scissors import derived_groups, odd_part_int, pb_group, pb_half, scissors_context
+from .scissors import derived_groups, pb_group, pb_half, scissors_context
 from .suites import (
     run_hilbert,
     run_mw_relations,
@@ -68,16 +68,13 @@ def parse_field_spec(spec: str):
 
 
 def _is_odd_prime_power(n: int) -> bool:
-    if n < 3 or n % 2 == 0:
+    """Whether ``n`` is p^e with p an odd prime and e >= 1, by the
+    library's one prime-power rule, ``kmw.fields._prime_power``."""
+    try:
+        p, _ = _prime_power(n)
+    except ValueError:
         return False
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 2
-    return True
+    return p != 2
 
 
 def _parse_range(text: str) -> Tuple[int, int]:

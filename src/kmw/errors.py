@@ -10,6 +10,12 @@ class KmwError(Exception):
     """Base class for all library-level errors."""
 
 
+class BadText(KmwError, ValueError):
+    """Text the library's readers do not accept: a field spec, element
+    or bracket text, or a field order that is not an odd prime power.
+    Also a ``ValueError``, so that callers catching that still do."""
+
+
 # --- field arithmetic ---------------------------------------------------
 
 

@@ -43,6 +43,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    BadText,
     InfinitePlace,
     MixedFields,
     NonIrreducibleModulus,
@@ -113,7 +114,7 @@ def squarefree_part(n: int) -> int:
 def _prime_power(q: int) -> tuple[int, int]:
     fac = factor_int(q) if q >= 2 else ()
     if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
+        raise BadText(f"{q} is not a prime power")
     return fac[0]
 
 
@@ -361,22 +362,6 @@ class FiniteField(Field):
     def _generator(self) -> int:
         return self._first_generator(self._pow_raw)
 
-    def dlog(self, x: FieldElem) -> int:
-        """Discrete log of a nonzero element with respect to the fixed
-        generator: a table lookup, except in fields without tables
-        (``_PolyExtension``), where every call walks the powers of the
-        generator."""
-        if isinstance(x, FieldElem):
-            if x.field is not self:
-                raise MixedFields("discrete log in the wrong field")
-            x = x.val
-        if not x:
-            raise ZeroArgument("discrete log of zero")
-        return self._dlog_raw(x)
-
-    def _dlog_raw(self, a) -> int:
-        return self._tables[1][a]
-
     def __repr__(self):
         return f"F{self.order}"
 
@@ -387,8 +372,7 @@ class _PolyExtension(FiniteField):
     fields, of nested extensions and of extensions above 2^16 elements,
     where tables would not pay, and of the table build.  Squares are
     decided by quadratic reciprocity in base[x], a few Euclid steps.
-    ``dlog`` walks the powers of the generator on every call;
-    ``_tables``, built only when asked for, comes from polynomial powers
+    ``_tables``, built only when asked for, come from polynomial powers
     of the generator."""
 
     def __init__(self, p, base, modulus, _token=None):
@@ -476,16 +460,6 @@ class _PolyExtension(FiniteField):
                 odd = not odd
             a, m = _pl_rem(base, m, a), a
 
-    def _dlog_raw(self, a) -> int:
-        # no tables here: every call walks the powers of the generator
-        g = self._generator
-        acc = 1
-        for n in range(self.order - 1):
-            if acc == a:
-                return n
-            acc = self._mul(acc, g)
-        raise IndexError("element outside the generated group")  # unreachable
-
     def elem(self, x) -> FieldElem:
         if isinstance(x, FieldElem):
             if x.field is self:
@@ -504,8 +478,8 @@ class _PolyExtension(FiniteField):
 
 class _TabledExtension(_PolyExtension):
     """A ``finite_field(q)`` extension with at most 2^16 elements:
-    multiplication, inverse, negation, squareness and discrete logs are
-    lookups in ``_tables``, and addition goes through the Zech table
+    multiplication, inverse, negation and squareness are lookups in
+    ``_tables``, and addition goes through the Zech table
     (Lidl & Niederreiter, *Finite Fields*, ch. 9):
     g^a + g^b = g^(a + zech[b - a])."""
 
@@ -547,9 +521,6 @@ class _TabledExtension(_PolyExtension):
         if not a:
             raise ZeroArgument("square class of zero")
         return not self._tables[1][a] & 1
-
-    def _dlog_raw(self, a) -> int:
-        return self._tables[1][a]
 
     def _generator_powers(self) -> list:
         # g^0, ..., g^(q-2).  Multiplication by g is linear over F_p, and
@@ -630,7 +601,7 @@ def finite_field(q: int) -> FiniteField:
     lexicographic coefficient order, so the construction is canonical."""
     p, e = _prime_power(q)
     if p == 2:
-        raise ValueError("finite fields of characteristic 2 are not supported")
+        raise BadText("finite fields of characteristic 2 are not supported")
     base = _prime_field(p)
     if e == 1:
         return base
@@ -957,11 +928,6 @@ class Poly:
         return "+".join(parts).replace("+-", "-")
 
 
-def polynomial(field: Field, coeffs: Sequence) -> Poly:
-    """Polynomial from low-to-high coefficients coercible into ``field``."""
-    return Poly.from_elems(field, coeffs)
-
-
 def _flat_key(field: Field, raw) -> tuple[int, ...]:
     """Stable integer key for a raw field value (sorting, seeds).  Over
     F_q it is the element's coordinates over the prime field, constant
@@ -1229,7 +1195,7 @@ def field_make(spec: str) -> Field:
     ``F<q>t`` with q in ASCII digits: ``F9``, ``F7t``."""
     m = _FIELD_SPEC.fullmatch(spec)
     if m is None:
-        raise ValueError(f"unknown field spec {spec!r}")
+        raise BadText(f"unknown field spec {spec!r}")
     base = rationals() if m["q"] is None else finite_field(int(m["q"]))
     return function_field(base) if m["t"] else base
 
@@ -1837,7 +1803,7 @@ def parse_elem(field: Field, text: str) -> FieldElem:
     tokens = _tokenize(text)
     elem, pos = _parse_expr(field, tokens, 0)
     if pos != len(tokens):
-        raise ValueError(f"trailing input in {text!r}")
+        raise BadText(f"trailing input in {text!r}")
     return elem
 
 
@@ -1862,7 +1828,7 @@ def _next_token(text: str, i: int, symbols: str):
         return c, i + 1
     m = _DECIMAL.match(text, i)
     if m is None:
-        raise ValueError(f"unexpected character {c!r}")
+        raise BadText(f"unexpected character {c!r}")
     return int(m[0]), m.end()
 
 
@@ -1893,7 +1859,7 @@ def _parse_factor(field, toks, pos):
     elem, pos = _parse_atom(field, toks, pos)
     if pos < len(toks) and toks[pos] == "^":
         if pos + 1 >= len(toks) or not isinstance(toks[pos + 1], int):
-            raise ValueError("exponent must be a literal integer")
+            raise BadText("exponent must be a literal integer")
         elem = elem ** toks[pos + 1]
         pos += 2
     return (-elem if neg else elem), pos
@@ -1901,22 +1867,22 @@ def _parse_factor(field, toks, pos):
 
 def _parse_atom(field, toks, pos):
     if pos >= len(toks):
-        raise ValueError("unexpected end of input")
+        raise BadText("unexpected end of input")
     tok = toks[pos]
     if tok == "(" and toks[pos + 2 : pos + 3] == [","]:
         return _parse_digit_tuple(field, toks, pos + 1)
     if tok == "(":
         elem, pos = _parse_expr(field, toks, pos + 1)
         if pos >= len(toks) or toks[pos] != ")":
-            raise ValueError("unbalanced parentheses")
+            raise BadText("unbalanced parentheses")
         return elem, pos + 1
     if tok == "t":
         if not isinstance(field, RatFunField):
-            raise ValueError(f"no variable t in {field}")
+            raise BadText(f"no variable t in {field}")
         return field.t, pos + 1
     if isinstance(tok, int):
         return field.elem(tok), pos + 1
-    raise ValueError(f"unexpected token {tok!r}")
+    raise BadText(f"unexpected token {tok!r}")
 
 
 def _parse_digit_tuple(field, toks, pos):
@@ -1925,16 +1891,16 @@ def _parse_digit_tuple(field, toks, pos):
     while True:
         sep = toks[pos + 1 : pos + 2]
         if not isinstance(toks[pos], int) or sep not in ([","], [")"]):
-            raise ValueError("a coordinate tuple holds integers separated by commas")
+            raise BadText("a coordinate tuple holds integers separated by commas")
         digits.append(toks[pos])
         pos += 2
         if sep == [")"]:
             break
         if pos >= len(toks):
-            raise ValueError("unbalanced parentheses")
+            raise BadText("unbalanced parentheses")
     consts = field.base if isinstance(field, RatFunField) else field
     if (not isinstance(consts, FiniteField) or len(digits) != consts.degree
             or any(d >= consts.p for d in digits)):
-        raise ValueError(f"{tuple(digits)} is not an element of {consts} over its prime field")
+        raise BadText(f"{tuple(digits)} is not an element of {consts} over its prime field")
     raw = sum(d * consts.p**i for i, d in enumerate(digits))
     return field.elem(FieldElem(consts, raw)), pos

@@ -8,7 +8,10 @@ square of the augmentation ideal.
 
 The same ring carries the Grothendieck-Witt side: an element is a
 virtual diagonal form, its augmentation is the virtual rank, and
-``kmw.witt`` builds its forms here and decides their Witt classes.
+``kmw.witt`` decides the Witt classes of the forms built here.  Each
+form has one constructor: ``gr_zero``, ``gr_int(F, n)`` (n copies of
+⟨1⟩), ``gr_unit(F, a)`` (⟨a⟩) and ``pfister_form``; sums, negatives and
+products are the ring operators.
 """
 
 from __future__ import annotations
@@ -98,8 +101,6 @@ class GroupRingElem:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    is_formally_zero = is_zero
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -176,18 +177,9 @@ def gr_unit(field: Field, a) -> GroupRingElem:
     return GroupRingElem(field, {_unit_class(field, a): 1})
 
 
-def gr_class(cls: SquareClass) -> GroupRingElem:
-    return GroupRingElem(cls.field, {cls: 1})
-
-
-def gr_mul(x: GroupRingElem, y: GroupRingElem) -> GroupRingElem:
-    return x * y
-
-
-def pfister_elem(field: Field, slots: Iterable) -> GroupRingElem:
+def pfister_form(field: Field, slots: Iterable) -> GroupRingElem:
     """The product of the forms ⟪a⟫ = ⟨a⟩ - 1 over the given nonzero
-    slots: multiplicative in each slot against addition of slots.  Also
-    bound as ``kmw.witt.pfister_form``."""
+    slots: multiplicative in each slot against addition of slots."""
     coeffs = {_trivial_class(field): 1}
     for a in slots:
         cls = _unit_class(field, a)

@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .descriptor import GroupDescriptor, Provenance
 from .errors import (
     BadBound,
+    BadText,
     DegreeOverflow,
     IntegrityFailure,
-    KmwError,
     MixedFields,
     UnsupportedDegree,
     UnsupportedField,
@@ -52,17 +52,14 @@ from .fields import (
     support_places,
     tame_symbol,
 )
-from .group_ring import GroupRingElem
+from .group_ring import GroupRingElem, gr_zero, pfister_form
 from .witt import (
     _has_witt_decisions,
     _hasse_defects,
     _in_i_power,
     _signed_disc,
-    pfister_form,
     second_residue,
-    unit_form,
     witt_equal,
-    zero_form,
 )
 
 
@@ -112,15 +109,6 @@ class MilnorCoords:
             and self.degree == other.degree
             and self.data == other.data
         )
-
-    def is_trivial(self) -> bool:
-        if self.degree == 0:
-            return self.data == 0
-        if self.degree == 1:
-            return self.data == self.field.one
-        if self.degree == 2:
-            return not self.data
-        raise UnsupportedDegree("no normal form in degree 3")
 
     def __repr__(self):
         return f"MilnorCoords(degree={self.degree}, data={self.data!r})"
@@ -174,7 +162,7 @@ def _milnor_coords(field, degree: int, monomials: Dict[Monomial, int]) -> Milnor
 
 
 def _witt_component(field, monomials: Dict[Monomial, int]) -> GroupRingElem:
-    total = zero_form(field)
+    total = gr_zero(field)
     for (k, syms), c in monomials.items():
         total = total + c * pfister_form(field, syms)
     return total
@@ -327,49 +315,40 @@ def _require_same(x: MWElem, y: MWElem):
         raise DegreeOverflow("elements have different degrees")
 
 
+def _monomials(x: MWElem) -> Dict[Monomial, int]:
+    """The monomials that arithmetic runs on.  A pair-backed element (a
+    residue, from ``_pair_elem``) has none: it is only compared."""
+    if x.monomials is None:
+        raise UnsupportedDegree("arithmetic requires monomial-backed elements")
+    return x.monomials
+
+
 def mw_add(x: MWElem, y: MWElem) -> MWElem:
     _require_same(x, y)
-    if x.monomials is not None and y.monomials is not None:
-        out = dict(x.monomials)
-        for mono, c in y.monomials.items():
-            out[mono] = out.get(mono, 0) + c
-        return _make(x.field, x.degree, out)
-    # pair-backed addition
-    xm, xw = x.pair()
-    ym, yw = y.pair()
-    return _pair_elem(x.field, x.degree, _coords_add(xm, ym), xw + yw)
+    out = dict(_monomials(x))
+    for mono, c in _monomials(y).items():
+        out[mono] = out.get(mono, 0) + c
+    return _make(x.field, x.degree, out)
 
 
 def mw_neg(x: MWElem) -> MWElem:
-    if x.monomials is not None:
-        return _make(x.field, x.degree, {m: -c for m, c in x.monomials.items()})
-    m, w = x.pair()
-    return _pair_elem(x.field, x.degree, _coords_neg(m), -w)
+    return _make(x.field, x.degree, {m: -c for m, c in _monomials(x).items()})
 
 
 def mw_scale(x: MWElem, c: int) -> MWElem:
-    if x.monomials is not None:
-        return _make(x.field, x.degree, {m: c * v for m, v in x.monomials.items()})
-    if c == 0:
-        return mw_zero(x.field, x.degree)
-    step = x if c > 0 else mw_neg(x)
-    acc = step
-    for _ in range(abs(c) - 1):
-        acc = mw_add(acc, step)
-    return acc
+    return _make(x.field, x.degree, {m: c * v for m, v in _monomials(x).items()})
 
 
 def mw_mul(x: MWElem, y: MWElem) -> MWElem:
     if x.field is not y.field:
         raise MixedFields("elements live over different fields")
-    if x.monomials is None or y.monomials is None:
-        raise UnsupportedDegree("products require monomial-backed elements")
+    xs, ys = _monomials(x), _monomials(y)
     degree = x.degree + y.degree
     if degree > 3:
         raise DegreeOverflow("product degree exceeds 3")
     out: Dict[Monomial, int] = {}
-    for (k1, s1), c1 in x.monomials.items():
-        for (k2, s2), c2 in y.monomials.items():
+    for (k1, s1), c1 in xs.items():
+        for (k2, s2), c2 in ys.items():
             mono = (k1 + k2, s1 + s2)
             out[mono] = out.get(mono, 0) + c1 * c2
     return _make(x.field, degree, out)
@@ -379,13 +358,10 @@ def eta_mul(x: MWElem) -> MWElem:
     """Multiplication by eta: lowers the degree by one."""
     if x.degree == 0:
         raise DegreeOverflow("eta would leave the supported degree range")
-    if x.monomials is not None:
-        out: Dict[Monomial, int] = {}
-        for (k, syms), c in x.monomials.items():
-            out[(k + 1, syms)] = out.get((k + 1, syms), 0) + c
-        return _make(x.field, x.degree - 1, out)
-    m, w = x.pair()
-    return _pair_elem(x.field, x.degree - 1, _milnor_coords(x.field, x.degree - 1, {}), w)
+    out: Dict[Monomial, int] = {}
+    for (k, syms), c in _monomials(x).items():
+        out[(k + 1, syms)] = out.get((k + 1, syms), 0) + c
+    return _make(x.field, x.degree - 1, out)
 
 
 def gw_scale(x: MWElem, u) -> MWElem:
@@ -393,35 +369,15 @@ def gw_scale(x: MWElem, u) -> MWElem:
     e = x.field.elem(u)
     if not e:
         raise ZeroArgument("the scaling unit must be nonzero")
-    if x.monomials is not None:
-        out = dict(x.monomials)
-        for (k, syms), c in x.monomials.items():
-            mono = (k + 1, (e,) + syms)
-            out[mono] = out.get(mono, 0) + c
-        return _make(x.field, x.degree, out)
-    m, w = x.pair()
-    return _pair_elem(x.field, x.degree, m, unit_form(x.field, e) * w)
+    monomials = _monomials(x)
+    out = dict(monomials)
+    for (k, syms), c in monomials.items():
+        mono = (k + 1, (e,) + syms)
+        out[mono] = out.get(mono, 0) + c
+    return _make(x.field, x.degree, out)
 
 
 # -- pair-backed construction ------------------------------------------
-
-
-def _coords_add(a: MilnorCoords, b: MilnorCoords) -> MilnorCoords:
-    if a.field is not b.field or a.degree != b.degree:
-        raise MixedFields("coordinate mismatch")
-    if a.degree == 0:
-        return MilnorCoords(a.field, 0, a.data + b.data)
-    if a.degree == 1:
-        return MilnorCoords(a.field, 1, a.data * b.data)
-    raise UnsupportedDegree("pair-backed addition is limited to degrees 0-1")
-
-
-def _coords_neg(a: MilnorCoords) -> MilnorCoords:
-    if a.degree == 0:
-        return MilnorCoords(a.field, 0, -a.data)
-    if a.degree == 1:
-        return MilnorCoords(a.field, 1, a.data ** -1)
-    raise UnsupportedDegree("pair-backed negation is limited to degrees 0-1")
 
 
 def _pair_elem(field, degree: int, milnor: MilnorCoords, witt: GroupRingElem) -> MWElem:
@@ -580,17 +536,14 @@ def _tokenize_brackets(text: str) -> List:
         if text[i] == "[":
             j = text.find("]", i + 1)
             if j < 0:
-                raise KmwError("unbalanced bracket in element expression")
+                raise BadText("unbalanced bracket in element expression")
             tokens.append(("sym", text[i + 1 : j]))
             i = j + 1
         elif text.startswith("eta", i):
             tokens.append("eta")
             i += 3
         else:
-            try:
-                tok, i = _next_token(text, i, "+-*^")
-            except ValueError as exc:
-                raise KmwError(f"{exc} in element expression") from None
+            tok, i = _next_token(text, i, "+-*^")
             if tok is not None:
                 tokens.append(tok)
     return tokens
@@ -601,7 +554,7 @@ def parse_mw(field, text: str) -> MWElem:
     ``eta*[-1][2][t]`` into an element over the given field."""
     tokens = _tokenize_brackets(text)
     if not tokens:
-        raise KmwError("empty element expression")
+        raise BadText("empty element expression")
     terms: List[Tuple[int, int, Tuple[FieldElem, ...]]] = []
     i = 0
     sign = 1
@@ -613,7 +566,7 @@ def parse_mw(field, text: str) -> MWElem:
     def flush():
         nonlocal coeff, k, syms, started, sign
         if not started:
-            raise KmwError("empty term in element expression")
+            raise BadText("empty term in element expression")
         c = sign * (1 if coeff is None else coeff)
         terms.append((c, k, tuple(syms)))
         coeff, k, syms, started, sign = None, 0, [], False, 1
@@ -649,7 +602,7 @@ def parse_mw(field, text: str) -> MWElem:
             started = True
             i += 1
         else:
-            raise KmwError("malformed element expression")
+            raise BadText("malformed element expression")
     flush()
 
     degrees = {len(s) - kk for _, kk, s in terms}

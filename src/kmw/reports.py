@@ -17,10 +17,12 @@ from typing import Optional
 
 from .descriptor import GroupDescriptor, Provenance, SymbolicFactor
 from .errors import BadBound, MissingBound, UnsupportedDegree, UnsupportedField
+from .exact_linear import odd_part_int
 from .fields import FiniteField, RationalField, rationals
+from .group_ring import pfister_form
 from .milnor_witt import _primes_upto, k1_finite_order, k2_finite_vanishing, mw_descriptor
-from .scissors import derived_groups, odd_part_int
-from .witt import i_square_is_zero, in_i_power, pfister_form, signature, witt_group_structure
+from .scissors import derived_groups
+from .witt import i_square_is_zero, in_i_power, signature, witt_group_structure
 
 FORMAL_TAG = "formal functor evaluation"
 

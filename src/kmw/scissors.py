@@ -13,9 +13,9 @@ maps are index arithmetic on discrete logs: a unit is g^a, its square
 class is a mod 2, and 1 - g^a is a Zech-table lookup in the field's
 exp/log/Zech tables.  The relation rows are generated on demand and
 streamed into each group's Hermite reduction; no list of them is kept.
-The element path (``refined_five_term``, ``rp_vector``,
-``psi1_vector``) is their row-for-row oracle and serves the
-specialization maps.
+``refined_five_term`` and ``RPElem`` serve the specialization maps; the
+element path that flattens them into rows is the row-for-row oracle of
+the tests (``tests/scissors_oracle.py``).
 
 Derived objects are kernels and cokernels computed with the integer
 linear algebra layer, and nothing else: the Bloch-type kernels B, RB,
@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from .exact_linear import AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_group, fp_kernel, odd_part, odd_part_int
+from .exact_linear import AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_group, fp_kernel, odd_part
 from .fields import (
     FieldElem,
     FiniteField,
@@ -55,7 +55,7 @@ from .fields import (
     finite_field,
     valuation,
 )
-from .group_ring import GroupRingElem, gr_int, gr_mul, gr_unit
+from .group_ring import GroupRingElem, gr_int, gr_unit
 
 
 # -- formal refined elements --------------------------------------------
@@ -86,12 +86,6 @@ class RPElem:
     def __setattr__(self, name, value):
         raise AttributeError("RPElem is immutable")
 
-    def refined(self) -> bool:
-        """Whether any coefficient involves a nontrivial square class."""
-        return any(
-            any(not cls.is_trivial() for cls in coeff.coeffs) for coeff, _ in self.terms
-        )
-
     def __add__(self, other):
         if not isinstance(other, RPElem):
             return NotImplemented
@@ -111,7 +105,7 @@ class RPElem:
         """Left multiplication by a group-ring element."""
         if isinstance(coeff, int):
             coeff = gr_int(self.field, coeff)
-        return RPElem(self.field, [(gr_mul(coeff, c), arg) for c, arg in self.terms])
+        return RPElem(self.field, [(coeff * c, arg) for c, arg in self.terms])
 
     def __repr__(self):
         if not self.terms:
@@ -142,15 +136,6 @@ def refined_five_term(field, x, y) -> RPElem:
             (gr_unit(field, one - x), (one - x) / (one - y)),
         ],
     )
-
-
-def plain_five_term(field, x, y) -> RPElem:
-    """The same five terms with all coefficients equal to +-1."""
-    refined = refined_five_term(field, x, y)
-    out = []
-    for coeff, arg in refined.terms:
-        out.append((gr_int(field, coeff.augmentation()), arg))
-    return RPElem(field, out)
 
 
 def five_term_admissible(field, x, y, place) -> bool:
@@ -211,14 +196,6 @@ class ScissorsContext:
         self._derived = None
         self._rp_tilde: Optional[AbGroupInfo] = None
 
-    def _pairs(self):
-        one = self.field.one
-        pool = [e for e in self.units if e != one]
-        for x in pool:
-            for y in pool:
-                if x != y:
-                    yield x, y
-
     def _logs(self):
         """Discrete-log data of the units, from the field's exp/log/Zech
         tables: ``col[k]`` is the unit column of g^k for -2(q-1) <= k <
@@ -233,17 +210,17 @@ class ScissorsContext:
         return col, log, one_minus
 
     def _five_term_rows(self):
-        """The untwisted flat row of the refined five-term at each pair,
-        in ``_pairs()`` order, by index arithmetic on discrete logs:
-        for x = g^a and y = g^b the terms are [x], -[y], <x>[g^(b-a)],
+        """The untwisted flat row of the refined five-term at each ordered
+        pair x != y of units other than 1, x outer and both in ``units``
+        order, by index arithmetic on discrete logs: for x = g^a and
+        y = g^b the terms are [x], -[y], <x>[g^(b-a)],
         -<x^-1 - 1>[(1 - x^-1)/(1 - y^-1)] and <1 - x>[(1 - x)/(1 - y)],
-        with x^-1 - 1 = -(1 - x^-1).  ``rp_vector(refined_five_term(...))``
-        is the row-for-row oracle."""
+        with x^-1 - 1 = -(1 - x^-1)."""
         col, log, one_minus = self._logs()
         n = self.n_units
         h = n // 2
         # (column of [x], log x, log(1 - x), log(1 - x^-1)) for x != 1, in
-        # _pairs() order
+        # units order
         pool = []
         for e in self.units:
             a = log[e.val]
@@ -266,11 +243,6 @@ class ScissorsContext:
 
     # -- plain presentation --------------------------------------------
 
-    def p_vector(self, elem: RPElem) -> List[int]:
-        """Coordinates of an element pushed to P (coefficients replaced
-        by their augmentations)."""
-        return _fold_halves(self.rp_vector(elem))
-
     def p_group(self) -> AbGroupInfo:
         if self._p_group is None:
             labels = [f"[{e!r}]" for e in self.units]
@@ -285,15 +257,6 @@ class ScissorsContext:
     def flat_index(self, g: int, arg: FieldElem) -> int:
         return g * self.n_units + self.unit_index[arg.val]
 
-    def rp_vector(self, elem: RPElem, twist: int = 0) -> List[int]:
-        """Flat coordinates of a refined element, optionally multiplied
-        through by the nontrivial square class."""
-        vec = [0] * (2 * self.n_units)
-        for coeff, arg in elem.terms:
-            for cls, n in coeff.coeffs.items():
-                vec[self.flat_index(cls.key, arg)] += n
-        return _swap_halves(vec) if twist % 2 else vec
-
     def _rp_row_iter(self):
         """The normalization [1] = 0 and each untwisted five-term row,
         each followed by its s-translate."""
@@ -303,13 +266,10 @@ class ScissorsContext:
             yield v
             yield _swap_halves(v)
 
-    def rp_rows(self) -> List[List[int]]:
-        return list(self._rp_row_iter())
-
     def _rp_row_count(self) -> int:
-        """``len(rp_rows())`` without building the rows: the
-        normalization and the five-term row of each pair of distinct
-        units other than 1, each with its s-translate."""
+        """The number of rows ``_rp_row_iter`` yields, without building
+        them: the normalization and the five-term row of each pair of
+        distinct units other than 1, each with its s-translate."""
         pool = self.n_units - 1
         return 2 * (1 + pool * (pool - 1))
 
@@ -325,7 +285,7 @@ class ScissorsContext:
 
     def _lambda_images(self):
         """For each unit a, in ``units`` order: the pair (on 1, on s) of
-        <<a>><<1-a>> and the lambda_2 bit dlog(a) dlog(1-a) mod 2, both 0
+        <<a>><<1-a>> and the lambda_2 bit log(a) log(1-a) mod 2, both 0
         at a = 1.  Collected by class parity, <<a>><<1-a>> = <a(1-a)> -
         <a> - <1-a> + 1 vanishes unless a and 1 - a are both nonsquares,
         where it is 2 - 2s, and the bit is 1 exactly there."""
@@ -334,7 +294,9 @@ class ScissorsContext:
         return [(2 * b, -2 * b) for b in both], both
 
     def maps(self):
-        """(lambda_1, lambda_2, Lambda, lambda on P, projection RP->P)."""
+        """(lambda_1, Lambda, lambda on P, projection RP->P).  Lambda is
+        (lambda_1, lambda_2) into Z[s] + Z/2, so it carries lambda_2's
+        bit as its third column."""
         if self._maps is None:
             z2 = fp_group(["w"], [[2]])
             zz = fp_group(["c1", "cs"], [])
@@ -347,30 +309,18 @@ class ScissorsContext:
             bits += bits
             eye = IntMatrix.identity(self.n_units)
             lambda1 = AbMap(rp, zz, pairs)
-            lambda2 = AbMap(rp, z2, [[bit] for bit in bits])
             lam_mixed = AbMap(rp, mixed, [[c1, cs, bit] for (c1, cs), bit in zip(pairs, bits)])
             lambda_p = AbMap(p, z2, [[bit] for bit in bits[: self.n_units]])
             proj = AbMap(rp, p, eye.stack(eye))
-            self._maps = (lambda1, lambda2, lam_mixed, lambda_p, proj)
+            self._maps = (lambda1, lam_mixed, lambda_p, proj)
         return self._maps
 
     # -- K1 submodule ---------------------------------------------------
 
-    def psi1_vector(self, x: FieldElem, twist: int = 0) -> List[int]:
-        """[x] + <-1>[1/x], flattened, optionally s-translated."""
-        elem = RPElem(
-            self.field,
-            [
-                (gr_int(self.field, 1), x),
-                (gr_unit(self.field, self.field.elem(-1)), self.field.one / x),
-            ],
-        )
-        return self.rp_vector(elem, twist)
-
     def _k1_row_iter(self):
-        """``psi1_vector(x)`` and its s-translate for every unit x, from
-        discrete logs: [x] + <-1>[g^-a] for x = g^a, where <-1> has
-        class (q-1)/2 mod 2."""
+        """The flat row of psi_1(x) = [x] + <-1>[1/x] and its s-translate
+        for every unit x, from discrete logs: [x] + <-1>[g^-a] for
+        x = g^a, where <-1> has class (q-1)/2 mod 2."""
         col, log, _ = self._logs()
         n = self.n_units
         cls_minus_one = ((n // 2) & 1) * n
@@ -381,9 +331,6 @@ class ScissorsContext:
             v[cls_minus_one + col[-a]] += 1
             yield v
             yield _swap_halves(v)
-
-    def k1_rows(self) -> List[List[int]]:
-        return list(self._k1_row_iter())
 
     def rp_tilde(self) -> AbGroupInfo:
         """RP modulo the K1 submodule: the K1 rows adjoined to RP's
@@ -399,7 +346,7 @@ class ScissorsContext:
         """The derived groups, computed once; every call checks that
         RB -> B is an isomorphism."""
         if self._derived is None:
-            lambda1, _, lam_mixed, lambda_p, proj = self.maps()
+            lambda1, lam_mixed, lambda_p, proj = self.maps()
             p = self.p_group()
             rp = self.rp_group()
             b_grp, b_incl = fp_kernel(lambda_p)
@@ -463,12 +410,6 @@ def pb_half(q: int) -> AbGroupInfo:
     return odd_part(pb_group(q))
 
 
-def rp_presentation(q: int):
-    """(flat generator labels, relation rows, flattened group)."""
-    ctx = scissors_context(q)
-    return ctx.rp_labels(), ctx.rp_rows(), ctx.rp_group()
-
-
 def derived_groups(q: int):
     return scissors_context(q).derived()
 
@@ -515,10 +456,6 @@ class RPTildeElem:
             return NotImplemented
         return self + (-other)
 
-    def twist(self) -> "RPTildeElem":
-        """Action of the nontrivial square class: swap the translates."""
-        return RPTildeElem(self.q, _swap_halves(self.vector))
-
     def __repr__(self):
         return f"RPTildeElem(q={self.q}, vector={self.vector})"
 
@@ -551,9 +488,3 @@ def sv_apply(xi: RPElem, place) -> Tuple[RPTildeElem, RPTildeElem]:
             w, g = _local_class(cls, place)
             comps[w][ctx.flat_index(g, red)] += n
     return RPTildeElem(q, comps[0]), RPTildeElem(q, comps[1])
-
-
-def delta_t_rp(xi: RPElem, place) -> RPTildeElem:
-    """Second component of the specialization: the residue landing in
-    RP-tilde of the residue field."""
-    return sv_apply(xi, place)[1]

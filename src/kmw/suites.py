@@ -204,7 +204,7 @@ def run_sv(q: int, samples: int, seed: int) -> Tuple[int, List[str]]:
             failures.append(f"five-term x={x!r} y={y!r}")
 
     from .exact_linear import fp_kernel
-    from .group_ring import gr_int, gr_mul
+    from .group_ring import gr_int
 
     rp1, rp1_incl = fp_kernel(ctx.maps()[0])
     s_const = ctx.field.nonsquare()
@@ -217,7 +217,7 @@ def run_sv(q: int, samples: int, seed: int) -> Tuple[int, List[str]]:
             g, idx = divmod(j, ctx.n_units)
             coeff = gr_int(field, n)
             if g:
-                coeff = gr_mul(coeff, gr_unit(field, field.elem(s_const)))
+                coeff = coeff * gr_unit(field, field.elem(s_const))
             terms.append((coeff, field.elem(ctx.units[idx])))
         lifted = RPElem(field, terms)
         if not sv_apply(lifted, t)[1].is_zero():

@@ -4,8 +4,9 @@ A virtual form is a formal integer combination of rank-one diagonal
 classes ``<a>`` indexed by square classes, i.e. an element of the
 Grothendieck-Witt presentation with only the square-class relation
 applied.  That is the group ring Z[k^x / (k^x)^2], so forms are
-``kmw.group_ring.GroupRingElem`` values (``VirtualForm`` is the same
-class) and ``pfister_form`` is ``pfister_elem``.  Witt-group questions
+``kmw.group_ring.GroupRingElem`` values, built by that module's
+constructors (``gr_unit`` for ``<a>``, ``gr_int`` and
+``pfister_form``).  Witt-group questions
 (``witt_is_zero``, ``witt_equal``, and ``in_i_power`` for the powers of
 the fundamental ideal) are decided by complete invariant sets per field
 kind, computed inside each decision rather than returned:
@@ -43,7 +44,7 @@ provenance handles through it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     MixedFields,
@@ -65,31 +66,7 @@ from .fields import (
     _trivial_class,
     finite_field,
 )
-from .group_ring import GroupRingElem, _unit_class, gr_unit, gr_zero, pfister_elem
-
-
-VirtualForm = GroupRingElem
-
-
-def diagonal_form(field, entries: Iterable) -> GroupRingElem:
-    """Form ``<a_1, ..., a_n>`` from nonzero entries."""
-    coeffs: Dict[SquareClass, int] = {}
-    for x in entries:
-        cls = _unit_class(field, x)
-        coeffs[cls] = coeffs.get(cls, 0) + 1
-    return GroupRingElem(field, coeffs)
-
-
-def unit_form(field, x) -> GroupRingElem:
-    """The rank-one form ``<x>``."""
-    return gr_unit(field, x)
-
-
-def zero_form(field) -> GroupRingElem:
-    return gr_zero(field)
-
-
-pfister_form = pfister_elem
+from .group_ring import GroupRingElem, pfister_form
 
 
 # -- invariants ---------------------------------------------------------

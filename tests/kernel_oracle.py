@@ -174,7 +174,7 @@ def solver_derived(ctx) -> tuple[AbGroupInfo, AbGroupInfo, int]:
     generator solved into B coordinates, then the kernel and cokernel
     of that map; and the lcm of the RP orders of the rows generating
     RP1 ∩ K1."""
-    lambda1, _, lam_mixed, lambda_p, proj = ctx.maps()
+    lambda1, lam_mixed, lambda_p, proj = ctx.maps()
     p = ctx.p_group()
     rp = ctx.rp_group()
     b_grp, b_incl = carried_fp_kernel(lambda_p)

@@ -6,11 +6,11 @@ Run with ``pytest -v`` to get one pass/fail line per criterion."""
 import time
 from collections import Counter
 
-from kmw.exact_linear import odd_part
+from kmw.exact_linear import odd_part, odd_part_int
 from kmw.fields import finite_field, function_field, rationals
 from kmw.milnor_witt import _primes_upto
 from kmw.reports import h2_laurent_report
-from kmw.scissors import derived_groups, odd_part_int, pb_half
+from kmw.scissors import derived_groups, pb_half
 from kmw.suites import (
     run_hilbert,
     run_mw_relations,

@@ -1,5 +1,6 @@
 """Command-line surface: shapes, determinism, exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -10,12 +11,13 @@ import sys
 import pytest
 import smith_oracle
 import square_class_oracle
+from scissors_oracle import rp_rows
 from witt_oracle import _hasse_product
 
 import kmw.fields
 import kmw.scissors
 import kmw.witt
-from kmw.cli import _is_odd_prime_power, _thread_cap, main, parse_field_spec
+from kmw.cli import _expand_qs, _is_odd_prime_power, _thread_cap, main, parse_field_spec
 from kmw.errors import UnsupportedField
 from kmw.fields import FiniteField, RatFunField, RationalField
 
@@ -161,6 +163,15 @@ class TestQSelection:
     def test_non_prime_powers(self, n):
         assert not _is_odd_prime_power(n)
 
+    @pytest.mark.parametrize("minimum", [3, 5])
+    def test_range_selects_every_odd_prime_power(self, minimum):
+        # brute force: the powers p^e <= 2000 of the odd primes p, the
+        # primes found by trial division by every smaller integer
+        primes = [p for p in range(3, 2001) if all(p % d for d in range(2, p))]
+        want = sorted({p**e for p in primes for e in range(1, 8) if minimum <= p**e <= 2000})
+        ns = argparse.Namespace(q=None, q_range="1:2000")
+        assert _expand_qs(ns, minimum) == want
+
     def test_even_q_rejected(self, capsys):
         code, out, err = run_cli(capsys, ["pb", "--q", "6"])
         assert code == 2
@@ -295,7 +306,7 @@ class TestRpDerived:
         monkeypatch.delenv("KMW_THREADS", raising=False)
         ctx = kmw.scissors.scissors_context(7)
         ctx.rp_group()
-        want = len(ctx.rp_rows())
+        want = len(rp_rows(ctx))
 
         def no_rows(self):
             raise AssertionError("relation rows built")

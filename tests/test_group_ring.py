@@ -13,12 +13,12 @@ from kmw.errors import MixedFields, ZeroArgument
 class TestBasics:
     def test_pfister_of_square_vanishes(self):
         F5 = fl.finite_field(5)
-        assert gr.pfister_elem(F5, [4]).is_zero()  # 4 is a square mod 5
-        assert not gr.pfister_elem(F5, [2]).is_zero()
+        assert gr.pfister_form(F5, [4]).is_zero()  # 4 is a square mod 5
+        assert not gr.pfister_form(F5, [2]).is_zero()
 
     def test_pfister_square_identity(self):
         F7 = fl.finite_field(7)
-        x = gr.pfister_elem(F7, [3]) * gr.pfister_elem(F7, [3])
+        x = gr.pfister_form(F7, [3]) * gr.pfister_form(F7, [3])
         expected = gr.gr_int(F7, 2) - gr.gr_unit(F7, 3) * 2
         assert x == expected  # ⟪3⟫^2 = 2 - 2⟨3⟩
 
@@ -27,7 +27,7 @@ class TestBasics:
         with pytest.raises(ZeroArgument):
             gr.gr_unit(F5, 0)
         with pytest.raises(ZeroArgument):
-            gr.pfister_elem(F5, [1, 0])
+            gr.pfister_form(F5, [1, 0])
 
     def test_mixed_fields(self):
         a = gr.gr_unit(fl.finite_field(5), 2)
@@ -82,11 +82,11 @@ class TestIdentities:
             units = list(F.units())
             for a in units:
                 for b in units:
-                    lhs = gr.pfister_elem(F, [a * b])
+                    lhs = gr.pfister_form(F, [a * b])
                     rhs = (
-                        gr.pfister_elem(F, [a])
-                        + gr.pfister_elem(F, [b])
-                        + gr.pfister_elem(F, [a]) * gr.pfister_elem(F, [b])
+                        gr.pfister_form(F, [a])
+                        + gr.pfister_form(F, [b])
+                        + gr.pfister_form(F, [a]) * gr.pfister_form(F, [b])
                     )
                     assert lhs == rhs
 
@@ -106,14 +106,14 @@ class TestIdentities:
             for a in F.units():
                 if a == F.one:
                     continue
-                assert in_aug_square(gr.pfister_elem(F, [a, F.one - a]))
+                assert in_aug_square(gr.pfister_form(F, [a, F.one - a]))
         Q = fl.rationals()
         rng = random.Random(3)
         for _ in range(20):
             a = Fraction(rng.randint(-30, 30) or 2, rng.randint(1, 20))
             if a in (0, 1):
                 continue
-            assert in_aug_square(gr.pfister_elem(Q, [a, 1 - a]))
+            assert in_aug_square(gr.pfister_form(Q, [a, 1 - a]))
 
     def test_commutative_associative_sampled(self):
         rng = random.Random(8)

@@ -1,14 +1,16 @@
 """Static hygiene of the library sources and of the tests: no module
 imports a name it never uses.  The package root is exempt, since it
 imports names only to re-export them; instead, what it imports is
-exactly what ``kmw.__all__`` lists.  No library module reads digits
-with the str predicates.  Also the kernel signatures that the
+exactly what ``kmw.__all__`` lists, and each of those names is used by
+a README example or by the library itself.  No library module reads
+digits with the str predicates.  Also the kernel signatures that the
 benchmark's tracer reads by position."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -20,13 +22,12 @@ from kmw.scissors import ScissorsContext
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "kmw"
 TRACING = TESTS.parent / "perfbench" / "tracing.py"
+README = TESTS.parent / "README.md"
 
 # kmw.suites never calls derived_groups, but the benchmark's tracer test
 # (perfbench/tests, test_install_rebinds_reexported_bindings) asserts that
 # the binding exists there and is rebound along with the others.
-# odd_part_int lives in kmw.exact_linear beside odd_part; kmw.scissors
-# re-exports it for the CLI, the reports and the tests.
-ALLOWED_UNUSED = {("suites", "derived_groups"), ("scissors", "odd_part_int")}
+ALLOWED_UNUSED = {("suites", "derived_groups")}
 
 
 def _modules():
@@ -74,6 +75,39 @@ def test_package_root_exports_what_it_imports():
     assert len(set(kmw.__all__)) == len(kmw.__all__)
     for name in kmw.__all__:
         assert getattr(kmw, name, None) is not None, name
+
+
+def _readme_example_names() -> set[str]:
+    """Every identifier in the README's ``pycon`` examples."""
+    blocks = re.findall(r"```pycon\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", "".join(blocks)))
+
+
+def _library_references() -> set[str]:
+    """Every name a library module outside the package root reads, as a
+    name or an attribute, except inside a definition of that name."""
+    found: set[str] = set()
+
+    def visit(node, defining: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name not in defining:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
+def test_every_export_is_reached():
+    # an exported name that neither an example nor the library uses is
+    # reached by tests alone (ROADMAP aim 2: one code path per fact)
+    reached = _readme_example_names() | _library_references()
+    assert sorted(set(kmw.__all__) - reached) == []
 
 
 def test_library_reads_ascii_digits_only():

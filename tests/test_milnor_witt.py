@@ -54,16 +54,13 @@ from kmw.milnor_witt import (
     mw_zero,
     parse_mw,
 )
-from kmw.group_ring import pfister_elem
+from kmw.group_ring import gr_unit, gr_zero, pfister_form
 from kmw.witt import (
     _signed_disc,
     in_i_power,
-    pfister_form,
     signature,
-    unit_form,
     witt_equal,
     witt_is_zero,
-    zero_form,
 )
 from symbol_oracle import hilbert, tame_symbol
 from witt_oracle import _ehat_matches_hyperbolic, _rep_elems
@@ -103,7 +100,7 @@ class TestConstruction:
             if a == F.one:
                 continue
             x = mw_symbol(F, [a, F.one - a])
-            assert mw_witt_part(x) == pfister_elem(F, [a, F.one - a])
+            assert mw_witt_part(x) == pfister_form(F, [a, F.one - a])
 
     def test_function_field_constructor(self):
         x = sym(Qt, 5, Qt.t)
@@ -286,14 +283,21 @@ class TestResidues:
             mw_delta(sym(Q, 2, 3), 3)
 
     def test_pair_backed_arithmetic(self):
+        # a residue is a checked pair with no monomials: it is compared,
+        # and every arithmetic operation refuses it, as products do
         place = function_place(F5t, [0, 1])
         out = mw_delta(sym(F5t, 2, F5t.t), place)
         # [2] over F_5
+        assert out.monomials is None
         assert mw_equal(out, sym(F5, 2))
-        assert mw_equal(out + out, mw_scale(sym(F5, 2), 2))
-        assert mw_equal(-out, mw_scale(sym(F5, 2), -1))
-        lowered = eta_mul(out)
-        assert lowered.degree == 0
+        assert not mw_is_zero(out)
+        two = sym(F5, 2)
+        for op in (lambda: out + out, lambda: out + two, lambda: two + out,
+                   lambda: -out, lambda: out - two, lambda: mw_scale(out, 2),
+                   lambda: 3 * out, lambda: eta_mul(out), lambda: gw_scale(out, 2),
+                   lambda: mw_mul(out, two), lambda: mw_mul(two, out)):
+            with pytest.raises(UnsupportedDegree, match="monomial-backed"):
+                op()
 
     def test_broken_pair_is_rejected(self):
         with pytest.raises(IntegrityFailure):
@@ -653,31 +657,31 @@ class TestFiberCheck:
         # has no support, so only the recorded places can catch it
         coords = sym(F5t, F5t.t, 2).milnor
         with pytest.raises(IntegrityFailure, match="local symbol data"):
-            _pair_elem(F5t, 2, coords, zero_form(F5t))
+            _pair_elem(F5t, 2, coords, gr_zero(F5t))
 
     def test_corrupt_pair_at_infinity_alone(self):
         inf = function_place(F5t, "inf")
         coords = MilnorCoords(F5t, 2, ((inf, F5.elem(2)),))
         with pytest.raises(IntegrityFailure, match="local symbol data"):
-            _pair_elem(F5t, 2, coords, zero_form(F5t))
+            _pair_elem(F5t, 2, coords, gr_zero(F5t))
 
     def test_corrupt_pair_over_q(self):
         coords = sym(Q, -1, -1).milnor
         with pytest.raises(IntegrityFailure, match="local symbol data"):
-            _pair_elem(Q, 2, coords, zero_form(Q))
+            _pair_elem(Q, 2, coords, gr_zero(Q))
 
     def test_two_trivial_symbol_pairs_with_zero_form(self):
         # over F_5(t), [t][t+1] has tame symbol -1 at t + 1 and at
         # infinity, a square in F_5: a nonzero Milnor class whose Pfister
         # form is hyperbolic, so (coordinates, 0) lies in the fiber product
         x = sym(F5t, F5t.t, F5t.t + 1)
-        assert not x.milnor.is_trivial()
+        assert x.milnor.data
         assert witt_is_zero(x.witt)
-        _pair_elem(F5t, 2, x.milnor, zero_form(F5t))
+        _pair_elem(F5t, 2, x.milnor, gr_zero(F5t))
 
     def test_pair_elem_degree_one_shares_message(self):
         with pytest.raises(IntegrityFailure, match="expected ideal power"):
-            _pair_elem(Q, 1, MilnorCoords(Q, 1, Q.one), unit_form(Q, 2))
+            _pair_elem(Q, 1, MilnorCoords(Q, 1, Q.one), gr_unit(Q, 2))
 
     def test_degree_two_coordinates_are_exact(self):
         for entries in ([-1, -1], [-3, 6], [2, -5], [-7, -1]):

@@ -20,14 +20,9 @@ from kmw.fields import (
     square_class,
     support_places,
 )
-from kmw.witt import (
-    _local_hasse,
-    diagonal_form,
-    in_i_power,
-    pfister_form,
-    witt_is_zero,
-)
-from witt_oracle import _hasse_product, oracle_in_i_cube, oracle_witt_is_zero
+from kmw.group_ring import pfister_form
+from kmw.witt import _local_hasse, in_i_power, witt_is_zero
+from witt_oracle import _hasse_product, diagonal, oracle_in_i_cube, oracle_witt_is_zero
 
 Q = rationals()
 FIELDS = {
@@ -90,7 +85,7 @@ class TestLocalHasseAgainstPairwise:
             high = 0
             for _ in range(60):
                 elems = [_random_elem(field, rng) for _ in range(rng.randint(1, 7))]
-                form_elems = [cls.rep() for cls in diagonal_form(field, elems).diag_rep()]
+                form_elems = [cls.rep() for cls in diagonal(field, elems).diag_rep()]
                 for entries in (elems, form_elems):
                     for place in support_places(field, entries):
                         h = _local_hasse(_classes(entries), place)
@@ -117,7 +112,7 @@ def _corpus_form(field, rng):
     def unit():
         return _random_elem(field, rng)
 
-    form = rng.randint(0, 2) * diagonal_form(field, [1, -1])
+    form = rng.randint(0, 2) * diagonal(field, [1, -1])
     for _ in range(rng.randint(1, 3)):
         a, b = unit(), unit()
         form = form + rng.randint(-2, 2) * pfister_form(field, [a, b])
@@ -128,7 +123,7 @@ def _corpus_form(field, rng):
         pfister_form(field, [a, b]) - pfister_form(field, [a, -a * b])
     )
     if rng.random() < 0.2:
-        form = form + diagonal_form(field, [unit()])
+        form = form + diagonal(field, [unit()])
     return form
 
 

@@ -2,7 +2,8 @@
 of ``kmw.witt``: the Hasse product of a diagonal form as r(r-1)/2
 Hilbert symbols of ``symbol_oracle`` (the library's own symbols read
 the same local classes as ``kmw.witt``), and ``in_i_power(., 3)`` /
-``witt_is_zero`` built on it."""
+``witt_is_zero`` built on it.  Also ``diagonal``, the diagonal forms
+the Witt tests are written in."""
 
 from typing import Sequence
 
@@ -10,6 +11,13 @@ from symbol_oracle import hilbert
 
 from kmw.fields import FieldElem, FiniteField, RationalField, support_places
 from kmw.witt import _check_decidable, _signed_disc, signature
+from kmw.group_ring import GroupRingElem, gr_unit, gr_zero
+
+
+def diagonal(field, entries) -> GroupRingElem:
+    """The form <a_1, ..., a_n>: the sum of the rank-one forms of the
+    nonzero entries."""
+    return sum((gr_unit(field, a) for a in entries), gr_zero(field))
 
 
 def _rep_elems(rep) -> list:
