@@ -11,17 +11,23 @@ Sweeps (``--q-range A:B``) fan out one worker per q when the
 ``KMW_THREADS`` environment variable allows more than one process (at
 most one per CPU; a value that is not a positive integer is invalid
 input); output order always follows input order.
+
+A call pays only for its own work: the argument parser is built on the
+first ``main`` call and kept for the life of the process, and the process
+pool machinery (``concurrent.futures``, which pulls in
+``multiprocessing``) is imported only when ``KMW_THREADS`` allows more
+than one worker.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .descriptor import _group_text
@@ -123,6 +129,8 @@ def _ordered_map(fn: Callable, items: Sequence) -> list:
     items = list(items)
     workers = min(_thread_cap(), len(items))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -466,7 +474,10 @@ def _cmd_snf(ns: argparse.Namespace) -> Tuple[int, List[str], Optional[str]]:
 # -- parser -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing leaves
+    it unchanged, and building it costs more than a parse."""
     parser = argparse.ArgumentParser(
         prog="kmw",
         description=(

@@ -14,6 +14,11 @@ Conventions that the rest of the library leans on:
   elements compute by log/Zech table lookups built on first use, other
   extensions (residue fields among them) by polynomial arithmetic over
   their base, deciding squares by quadratic reciprocity;
+* the generator g of F_q is the first unit in counting order (past the
+  base field's raws, for an extension) of order q - 1: a nonsquare, for
+  an extension decided by reciprocity rather than by a power, with
+  g^((q-1)/r) != 1 for each odd prime r | q - 1; the log tables are
+  indexed by its powers;
 * square-class keys carry squarefree representatives, so a place divides
   a key with multiplicity 0 or 1 and residue maps never see squares;
   over F_q(t) the key is a base bit and the set of places of odd
@@ -37,7 +42,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import gcd as int_gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -309,13 +314,23 @@ class FiniteField(Field):
         return (a + 1) % self.p
 
     def _first_generator(self, pow_raw) -> int:
+        """The first unit in counting order with a^((q-1)/r) != 1 for
+        every prime r | q - 1.  For r = 2 that says a is a nonsquare,
+        which an extension decides by reciprocity, a few Euclid steps in
+        base[x], rather than by a power; the tabled subclass's
+        ``is_square_raw`` reads the tables being built, so the polynomial
+        one is called by name.  ``pow_raw`` serves the odd r."""
         target = self.order - 1
-        primes = [r for r, _ in factor_int(target)] if target > 1 else []
-        # an extension's base elements, raws below |base|, have orders
-        # dividing |base| - 1 < q - 1, so the scan starts past them
-        start = 1 if self.base is None else self.base.order
+        odd = [r for r, _ in factor_int(target) if r != 2]
+        if self.base is None:
+            is_square, start = self.is_square_raw, 1
+        else:
+            # an extension's base elements, raws below |base|, have orders
+            # dividing |base| - 1 < q - 1, so the scan starts past them
+            is_square = partial(_PolyExtension.is_square_raw, self)
+            start = self.base.order
         for a in range(start, self.order):
-            if all(pow_raw(a, target // r) != 1 for r in primes):
+            if not is_square(a) and all(pow_raw(a, target // r) != 1 for r in odd):
                 return a
         raise IndexError("no generator found")  # unreachable
 

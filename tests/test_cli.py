@@ -17,7 +17,14 @@ from witt_oracle import _hasse_product
 import kmw.fields
 import kmw.scissors
 import kmw.witt
-from kmw.cli import _expand_qs, _is_odd_prime_power, _thread_cap, main, parse_field_spec
+from kmw.cli import (
+    _build_parser,
+    _expand_qs,
+    _is_odd_prime_power,
+    _thread_cap,
+    main,
+    parse_field_spec,
+)
 from kmw.errors import UnsupportedField
 from kmw.fields import FiniteField, RatFunField, RationalField
 
@@ -255,10 +262,19 @@ class TestPb:
         assert first == second
 
     def test_threaded_sweep_matches_serial(self, capsys, monkeypatch):
-        _, serial, _ = run_cli(capsys, ["pb", "--q-range", "5:13", "--json"])
-        monkeypatch.setenv("KMW_THREADS", "3")
-        _, threaded, _ = run_cli(capsys, ["pb", "--q-range", "5:13", "--json"])
-        assert threaded == serial
+        # every sweeping command, so each reaches the pool's import
+        for argv in (["pb", "--q-range", "5:13", "--json"],
+                     ["rp", "--q-range", "5:9", "--json"],
+                     ["derived", "--q-range", "5:9", "--json"],
+                     ["verify", "sv", "--q-range", "5:9", "--samples", "4", "--json"],
+                     ["verify", "witt", "--q-range", "3:7", "--samples", "4", "--json"]):
+            monkeypatch.delenv("KMW_THREADS", raising=False)
+            code, serial, _ = run_cli(capsys, argv)
+            assert code == 0 and serial.count("\n") > 1
+            monkeypatch.setenv("KMW_THREADS", "2")
+            code, threaded, _ = run_cli(capsys, argv)
+            assert code == 0
+            assert threaded == serial, argv
 
     @pytest.mark.parametrize("value", ["lots", "0", "-2", "2.5", " 2", "+2", "1_0", "\u0662"])
     def test_thread_env_garbage_is_rejected(self, capsys, monkeypatch, value):
@@ -748,6 +764,43 @@ class TestPinnedStdout:
         code, out, _ = run_cli(capsys, argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+class TestSetupCost:
+    """A call pays only for its own work: one parser per process, and no
+    process pool machinery unless ``KMW_THREADS`` asks for workers."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_parser_survives_an_argparse_error(self, capsys):
+        argv = ["pb", "--q", "5", "--json"]
+        first = run_cli(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["pb", "--q", "x"])
+        assert exc.value.code == 2
+        assert "invalid integer value" in capsys.readouterr().err
+        assert run_cli(capsys, argv) == first == (0, PB5_JSON, "")
+
+    def test_import_leaves_pool_and_caches_cold(self):
+        # a fresh interpreter: this one has long imported both
+        probe = (
+            "import json, sys\n"
+            "import kmw.cli\n"
+            "warm = [f'{m.__name__}.{n}' for m in list(sys.modules.values())\n"
+            "        if m.__name__.startswith('kmw')\n"
+            "        for n, f in vars(m).items()\n"
+            "        if callable(getattr(f, 'cache_info', None))\n"
+            "        and f.cache_info().currsize]\n"
+            "print(json.dumps({'pool': 'concurrent.futures' in sys.modules,\n"
+            "                  'warm': warm}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(kmw.fields.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"pool": False, "warm": []}
 
 
 class TestEntryPoint:

@@ -903,6 +903,40 @@ class TestTableChoice:
         assert acc == 1
 
 
+def power_scan_generator(F) -> int:
+    """The generator search as it was before the nonsquare test went to
+    reciprocity: every prime r | q - 1, the r = 2 included, by a
+    polynomial power a^((q-1)/r)."""
+    target = F.order - 1
+    primes = [r for r, _ in fl.factor_int(target)]
+    for a in range(F.base.order, F.order):
+        if all(F._poly_pow(a, target // r) != 1 for r in primes):
+            return a
+
+
+#: the prime powers 9 <= q <= 6561 of degree at least 2
+EXTENSION_Q = tuple(q for q in range(9, 6562, 2)
+                    if len(f := fl.factor_int(q)) == 1 and f[0][1] >= 2)
+
+
+@pytest.mark.parametrize("q", EXTENSION_Q)
+def test_generator_search_matches_power_scan(q):
+    F = fl.finite_field(q)
+    g = power_scan_generator(F)
+    assert F._generator == g
+    # the tables are the polynomial powers of that generator
+    exp, log, _ = F._tables
+    acc = 1
+    for n in range(q - 1):
+        assert exp[n] == acc and log[acc] == n
+        acc = F._poly_mul(acc, g)
+
+
+def test_extension_q_are_the_tabled_extensions():
+    assert len(EXTENSION_Q) == 35 and EXTENSION_Q[-1] == 6561
+    assert all(isinstance(fl.finite_field(q), fl._TabledExtension) for q in EXTENSION_Q)
+
+
 # -- printed form -----------------------------------------------------------
 #
 # repr of every element is the one printed form, and parse_elem reads it
