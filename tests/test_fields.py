@@ -932,11 +932,6 @@ def test_generator_search_matches_power_scan(q):
         acc = F._poly_mul(acc, g)
 
 
-def test_extension_q_are_the_tabled_extensions():
-    assert len(EXTENSION_Q) == 35 and EXTENSION_Q[-1] == 6561
-    assert all(isinstance(fl.finite_field(q), fl._TabledExtension) for q in EXTENSION_Q)
-
-
 # -- printed form -----------------------------------------------------------
 #
 # repr of every element is the one printed form, and parse_elem reads it
