@@ -16,7 +16,6 @@ from .exact_linear import (
     AbMap,
     IntMatrix,
     fp_cokernel,
-    fp_group,
     fp_kernel,
     odd_part,
     snf,
@@ -79,7 +78,6 @@ __all__ = [
     "finite_field",
     "format_mw",
     "fp_cokernel",
-    "fp_group",
     "fp_kernel",
     "function_field",
     "gr_int",

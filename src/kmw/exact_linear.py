@@ -83,7 +83,7 @@ class IntMatrix:
     def row_list(self) -> list[tuple[int, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
         out = [0] * (self.rows * other.cols)
@@ -97,8 +97,6 @@ class IntMatrix:
                     for j in range(other.cols):
                         out[tb + j] += x * other.entries[ob + j]
         return IntMatrix(self.rows, other.cols, out)
-
-    __matmul__ = mul
 
     def stack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
@@ -235,11 +233,11 @@ def _unit_rows(k: int, rows: int) -> list[list[int]]:
 class AbGroupInfo:
     """A finitely presented abelian group Z^n / (row lattice).
 
-    The relation rows (any iterable of rows, or an ``IntMatrix``) are
-    read once, to their Hermite basis ``relation_basis`` (rank x n, same
-    row lattice), and not kept.  Only the distinct nonzero rows, a row
-    and its negation counting as one, are reduced: they span the same
-    lattice, and the Hermite basis of a lattice is unique.  Above 4n of
+    The relation rows (any iterable of rows) are read once, to their
+    Hermite basis ``relation_basis`` (rank x n, same row lattice), and
+    not kept.  Only the distinct nonzero rows, a row and its negation
+    counting as one, are reduced: they span the same lattice, and the
+    Hermite basis of a lattice is unique.  Above 4n of
     them, a sample is reduced and every row is certified to lie in the
     lattice of the basis, which grows by the rows that fail until none
     does (``_hermite_basis``).
@@ -252,11 +250,6 @@ class AbGroupInfo:
         labels = tuple(str(s) for s in labels)
         self.generator_labels = labels
         n = len(labels)
-        if isinstance(relations, IntMatrix):
-            if relations.cols != n:
-                raise ValueError("relation width does not match generator count")
-            relations = relations.row_list()
-
         self.relation_basis, self._pivots = _hermite_basis(_distinct_rows(relations, n), n)
 
     @cached_property
@@ -310,12 +303,6 @@ class AbGroupInfo:
 
     def __repr__(self) -> str:
         return f"AbGroupInfo({self.describe()}, {self.ngens} gens)"
-
-
-def fp_group(labels: Sequence[str], relations) -> AbGroupInfo:
-    """Finitely presented abelian group on ``labels`` modulo the rows of
-    ``relations`` (an IntMatrix or any iterable of rows)."""
-    return AbGroupInfo(labels, relations)
 
 
 class AbMap:

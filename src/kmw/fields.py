@@ -142,8 +142,6 @@ class Field:
     """Common surface of all field handles.  ``_zero_raw`` and
     ``_one_raw`` are the raw values of zero and one."""
 
-    kind: str = ""
-
     def elem(self, x) -> "FieldElem":
         raise NotImplementedError
 
@@ -248,7 +246,6 @@ class FiniteField(Field):
     ``_TabledExtension`` (log/Zech lookups); all others are
     ``_PolyExtension`` (polynomials over the base); see ``_TABLE_LIMIT``."""
 
-    kind = "finite"
     _zero_raw = 0
     _one_raw = 1
 
@@ -484,10 +481,6 @@ class _PolyExtension(FiniteField):
             raise MixedFields(f"cannot coerce element of {x.field} into {self}")
         if isinstance(x, int):
             return FieldElem(self, self.base.elem(x).val)
-        if isinstance(x, tuple):
-            if len(x) > self._d:
-                raise ValueError(f"{x!r} has more than {self._d} coefficients for {self}")
-            return FieldElem(self, self._encode([self.base.elem(c).val for c in x]))
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
 
@@ -667,7 +660,6 @@ def _first_irreducible(base: FiniteField, degree: int) -> "Poly":
 class RationalField(Field):
     """The rationals; raw values are ``Fraction`` in lowest terms."""
 
-    kind = "rational"
     _zero_raw = Fraction(0)
     _one_raw = Fraction(1)
 
@@ -1127,8 +1119,6 @@ def _ratfun_poly_num(x: FieldElem) -> Poly:
 class RatFunField(Field):
     """k(t): raw values are reduced pairs (num, den) of polynomials over
     the base with den monic."""
-
-    kind = "ratfun"
 
     def __init__(self, base: Field, _token=None):
         if _token is not _FF_TOKEN:

@@ -126,8 +126,6 @@ class GroupRingElem:
     def augmentation(self) -> int:
         return sum(self.coeffs.values())
 
-    rank = augmentation  # the virtual rank of the form
-
     def diag_rep(self) -> list[SquareClass]:
         """Diagonal representative of the same Witt class: negative
         multiples of ``<a>`` are replaced by copies of ``<-a>``."""

@@ -23,6 +23,7 @@ consumed by ``eta_mul``, which lowers them into testable degree 2.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .descriptor import GroupDescriptor, Provenance
@@ -64,16 +65,6 @@ from .witt import (
 
 
 Monomial = Tuple[int, Tuple[FieldElem, ...]]
-
-
-def _field_kind(field) -> str:
-    if isinstance(field, FiniteField):
-        return "finite"
-    if isinstance(field, RationalField):
-        return "rational"
-    if isinstance(field, RatFunField):
-        return "ratfun-finite" if isinstance(field.base, FiniteField) else "ratfun-rational"
-    return "other"
 
 
 class MilnorCoords:
@@ -128,7 +119,7 @@ def _k1_coords(field, monomials: Dict[Monomial, int]) -> MilnorCoords:
 
 
 def _k2_coords(field, monomials: Dict[Monomial, int]) -> MilnorCoords:
-    if _field_kind(field) == "finite":
+    if isinstance(field, FiniteField):
         return MilnorCoords(field, 2, ())
     if not _has_witt_decisions(field):
         raise UnsupportedField("no degree-2 Milnor coordinates for this field")
@@ -200,32 +191,6 @@ class MWElem:
             raise UnsupportedField("no normalized pair over this field")
         return self.milnor, self.witt
 
-    # arithmetic lives in module functions; operators delegate
-    def __add__(self, other):
-        if not isinstance(other, MWElem):
-            return NotImplemented
-        return mw_add(self, other)
-
-    def __sub__(self, other):
-        if not isinstance(other, MWElem):
-            return NotImplemented
-        return mw_add(self, mw_neg(other))
-
-    def __neg__(self):
-        return mw_neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return mw_scale(self, other)
-        if isinstance(other, MWElem):
-            return mw_mul(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return mw_scale(self, other)
-        return NotImplemented
-
     def __repr__(self):
         if self.monomials is None:
             return f"MWElem(degree={self.degree}, pair-backed)"
@@ -244,7 +209,7 @@ def _check_fiber(field, degree: int, milnor: MilnorCoords, witt: GroupRingElem):
     """Mod-2 agreement of the two fiber components, checked on every
     construction."""
     if degree == 0:
-        if (milnor.data - witt.rank()) % 2:
+        if (milnor.data - witt.augmentation()) % 2:
             raise IntegrityFailure("rank parity disagrees with the K_0 part")
         return
     rep = witt.diag_rep()
@@ -256,7 +221,7 @@ def _check_fiber(field, degree: int, milnor: MilnorCoords, witt: GroupRingElem):
         return
     # over a finite field the Witt class is decided by rank parity and
     # signed discriminant, which _in_i_power has just found trivial
-    if _field_kind(field) == "finite":
+    if isinstance(field, FiniteField):
         return
     # degree 2: the places where the Hilbert sign the Milnor coordinates
     # record is -1 against those where the Hasse comparison of the form
@@ -549,61 +514,38 @@ def _tokenize_brackets(text: str) -> List:
     return tokens
 
 
+# One term over the token kinds (n an integer, e ``eta``, s a ``[..]``
+# symbol): signs, then an optional integer, an optional eta or eta^k and
+# the symbols, in that order, with a ``*`` allowed only between two parts.
+_TERM = re.compile(r"([+-]*)(?:(n)(?:\*(?=[es]))?)?(?:(e)(?:\^(n))?(?:\*(?=s))?)?(s*)")
+
+
 def parse_mw(field, text: str) -> MWElem:
     """Parse a bracket expression such as ``[2][3]`` or
-    ``eta*[-1][2][t]`` into an element over the given field."""
+    ``eta*[-1][2][t]`` into an element over the given field.  Terms are
+    read in the order ``format_mw`` writes them."""
     tokens = _tokenize_brackets(text)
     if not tokens:
         raise BadText("empty element expression")
+    kinds = "".join(
+        "n" if isinstance(t, int) else "s" if isinstance(t, tuple) else "e" if t == "eta" else t
+        for t in tokens
+    )
     terms: List[Tuple[int, int, Tuple[FieldElem, ...]]] = []
-    i = 0
-    sign = 1
-    coeff: Optional[int] = None
-    k = 0
-    syms: List[FieldElem] = []
-    started = False
-
-    def flush():
-        nonlocal coeff, k, syms, started, sign
-        if not started:
+    pos = 0
+    while pos < len(kinds):
+        m = _TERM.match(kinds, pos)
+        if not any(m.group(2, 3, 5)):
             raise BadText("empty term in element expression")
-        c = sign * (1 if coeff is None else coeff)
-        terms.append((c, k, tuple(syms)))
-        coeff, k, syms, started, sign = None, 0, [], False, 1
-
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in ("+", "-"):
-            if started:
-                flush()
-                sign = 1 if tok == "+" else -1
-            elif not syms and coeff is None and k == 0:
-                sign = -sign if tok == "-" else sign
-            i += 1
-        elif tok == "*":
-            i += 1
-        elif tok == "eta":
-            power = 1
-            if i + 2 < len(tokens) and tokens[i + 1] == "^" and isinstance(tokens[i + 2], int):
-                power = tokens[i + 2]
-                i += 2
-            k += power
-            started = True
-            i += 1
-        elif isinstance(tok, int):
-            coeff = tok if coeff is None else coeff * tok
-            started = True
-            i += 1
-        elif isinstance(tok, tuple) and tok[0] == "sym":
-            e = parse_elem(field, tok[1])
-            if not e:
-                raise ZeroArgument("symbol entries must be nonzero")
-            syms.append(e)
-            started = True
-            i += 1
-        else:
+        if m.end() < len(kinds) and kinds[m.end()] not in "+-":
             raise BadText("malformed element expression")
-    flush()
+        c = (-1) ** m[1].count("-") * (tokens[m.start(2)] if m[2] else 1)
+        k = tokens[m.start(4)] if m[4] else int(bool(m[3]))
+        syms = tuple(parse_elem(field, tok[1]) for tok in tokens[m.start(5) : m.end(5)])
+        if not all(syms):
+            raise ZeroArgument("symbol entries must be nonzero")
+        terms.append((c, k, syms))
+        pos = m.end()
 
     degrees = {len(s) - kk for _, kk, s in terms}
     if len(degrees) > 1:

@@ -22,7 +22,7 @@ from .fields import FiniteField, RationalField, rationals
 from .group_ring import pfister_form
 from .milnor_witt import _primes_upto, k1_finite_order, k2_finite_vanishing, mw_descriptor
 from .scissors import derived_groups
-from .witt import i_square_is_zero, in_i_power, signature, witt_group_structure
+from .witt import i_square_is_zero, in_i_power, signature
 
 FORMAL_TAG = "formal functor evaluation"
 
@@ -209,9 +209,6 @@ def _factors_match(p: Provenance, free: int, cyclic) -> bool:
 
 def _verify_provenance(p: Provenance) -> bool:
     op, args = p.op, p.args
-    if op == "witt_structure":
-        got = witt_group_structure(args["q"])["invariant_factors"]
-        return _factors_match(p, 0, got)
     if op == "half_rp1":
         g = derived_groups(args["q"])["half_RP1"]
         return _factors_match(p, g.free_rank, g.invariant_factors)

@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from .exact_linear import AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_group, fp_kernel, odd_part
+from .exact_linear import AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_kernel, odd_part
 from .fields import (
     FieldElem,
     FiniteField,
@@ -85,21 +85,6 @@ class RPElem:
 
     def __setattr__(self, name, value):
         raise AttributeError("RPElem is immutable")
-
-    def __add__(self, other):
-        if not isinstance(other, RPElem):
-            return NotImplemented
-        if self.field is not other.field:
-            raise MixedFields("cannot combine over different fields")
-        return RPElem(self.field, self.terms + other.terms)
-
-    def __neg__(self):
-        return RPElem(self.field, [(-coeff, arg) for coeff, arg in self.terms])
-
-    def __sub__(self, other):
-        if not isinstance(other, RPElem):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, coeff: GroupRingElem) -> "RPElem":
         """Left multiplication by a group-ring element."""
@@ -187,8 +172,8 @@ class ScissorsContext:
         _check_q(q)
         self.q = q
         self.field = finite_field(q)
-        self.units = [e for e in self.field.elements() if e]
-        self.unit_index = {e.val: i for i, e in enumerate(self.units)}
+        # the raws 1 .. q-1 in counting order: a unit's index is its raw - 1
+        self.units = list(self.field.units())
         self.n_units = len(self.units)
         self._p_group: Optional[AbGroupInfo] = None
         self._rp_group: Optional[AbGroupInfo] = None
@@ -205,7 +190,7 @@ class ScissorsContext:
         1 - g^k = 0.  A unit's square class is its log mod 2."""
         exp, log, zech = self.field._tables
         n = self.n_units
-        col = [self.unit_index[r] for r in exp]
+        col = [r - 1 for r in exp]
         one_minus = [zech[(k + n // 2) % n] for k in range(n)]
         return col, log, one_minus
 
@@ -247,15 +232,15 @@ class ScissorsContext:
         if self._p_group is None:
             labels = [f"[{e!r}]" for e in self.units]
             one_row = [0] * self.n_units
-            one_row[self.unit_index[self.field.one.val]] = 1
+            one_row[self.field.one.val - 1] = 1
             rows = chain([one_row], map(_fold_halves, self._five_term_rows()))
-            self._p_group = fp_group(labels, rows)
+            self._p_group = AbGroupInfo(labels, rows)
         return self._p_group
 
     # -- refined flat presentation -------------------------------------
 
     def flat_index(self, g: int, arg: FieldElem) -> int:
-        return g * self.n_units + self.unit_index[arg.val]
+        return g * self.n_units + arg.val - 1
 
     def _rp_row_iter(self):
         """The normalization [1] = 0 and each untwisted five-term row,
@@ -278,7 +263,7 @@ class ScissorsContext:
 
     def rp_group(self) -> AbGroupInfo:
         if self._rp_group is None:
-            self._rp_group = fp_group(self.rp_labels(), self._rp_row_iter())
+            self._rp_group = AbGroupInfo(self.rp_labels(), self._rp_row_iter())
         return self._rp_group
 
     # -- lambda maps ----------------------------------------------------
@@ -298,9 +283,9 @@ class ScissorsContext:
         (lambda_1, lambda_2) into Z[s] + Z/2, so it carries lambda_2's
         bit as its third column."""
         if self._maps is None:
-            z2 = fp_group(["w"], [[2]])
-            zz = fp_group(["c1", "cs"], [])
-            mixed = fp_group(["c1", "cs", "w"], [[0, 0, 2]])
+            z2 = AbGroupInfo(["w"], [[2]])
+            zz = AbGroupInfo(["c1", "cs"], [])
+            mixed = AbGroupInfo(["c1", "cs", "w"], [[0, 0, 2]])
             rp = self.rp_group()
             p = self.p_group()
             pairs, bits = self._lambda_images()
@@ -337,7 +322,7 @@ class ScissorsContext:
         Hermite basis, which spans the same lattice as its relations."""
         if self._rp_tilde is None:
             rows = chain(self.rp_group().relation_basis.row_list(), self._k1_row_iter())
-            self._rp_tilde = fp_group(self.rp_labels(), rows)
+            self._rp_tilde = AbGroupInfo(self.rp_labels(), rows)
         return self._rp_tilde
 
     # -- derived groups -------------------------------------------------
@@ -442,19 +427,6 @@ class RPTildeElem:
             return False
         diff = [a - b for a, b in zip(self.vector, other.vector)]
         return scissors_context(self.q).rp_tilde().is_zero(diff)
-
-    def __add__(self, other):
-        if not isinstance(other, RPTildeElem) or self.q != other.q:
-            return NotImplemented
-        return RPTildeElem(self.q, [a + b for a, b in zip(self.vector, other.vector)])
-
-    def __neg__(self):
-        return RPTildeElem(self.q, [-a for a in self.vector])
-
-    def __sub__(self, other):
-        if not isinstance(other, RPTildeElem) or self.q != other.q:
-            return NotImplemented
-        return self + (-other)
 
     def __repr__(self):
         return f"RPTildeElem(q={self.q}, vector={self.vector})"

@@ -36,9 +36,7 @@ each class of odd valuation contributes its residue class.
 
 An independent brute-force route (`CountingTable`) classifies diagonal
 forms over a finite field by their value-count fingerprints;
-``witt_group_structure`` derives the Witt group of F_q from it alone,
-and ``kmw.reports.verify_descriptor`` re-executes ``witt_structure``
-provenance handles through it.
+``witt_group_structure`` derives the Witt group of F_q from it alone.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ column of the mixed map Lambda, is rebuilt here as its own map.
 
 from __future__ import annotations
 
-from kmw.exact_linear import AbMap, fp_group
+from kmw.exact_linear import AbGroupInfo, AbMap
 from kmw.group_ring import gr_int, gr_unit
 from kmw.scissors import (
     RPElem,
@@ -91,7 +91,7 @@ def rp_presentation(q: int):
 def lambda2(ctx) -> AbMap:
     """lambda_2 : RP -> Z/2, on both translates of every generator."""
     _, bits = ctx._lambda_images()
-    return AbMap(ctx.rp_group(), fp_group(["w"], [[2]]), [[bit] for bit in bits + bits])
+    return AbMap(ctx.rp_group(), AbGroupInfo(["w"], [[2]]), [[bit] for bit in bits + bits])
 
 
 def twist(a: RPTildeElem) -> RPTildeElem:

@@ -3,14 +3,17 @@ imports a name it never uses.  The package root is exempt, since it
 imports names only to re-export them; instead, what it imports is
 exactly what ``kmw.__all__`` lists, and each of those names is used by
 a README example or by the library itself.  No library module reads
-digits with the str predicates.  Also the kernel signatures that the
+digits with the str predicates, and no module or class binds one
+function under two public names.  Also the kernel signatures that the
 benchmark's tracer reads by position."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -120,6 +123,44 @@ def test_library_reads_ascii_digits_only():
         if isinstance(node, ast.Attribute) and node.attr in {"isdigit", "isdecimal", "isnumeric"}
     )
     assert not calls, calls
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def _aliases(scope, module: str) -> list[list[str]]:
+    """The public names of each function defined in ``module`` and bound
+    under more than one of them in ``scope``, a module or a class.  A
+    reflected operator (``__radd__ = __add__``) is not a second name."""
+    names: dict = {}
+    for name, obj in vars(scope).items():
+        func = getattr(obj, "__func__", obj)  # staticmethod, classmethod
+        if isinstance(func, types.FunctionType) and func.__module__ == module and _public(name):
+            names.setdefault(func, []).append(name)
+    found = []
+    for group in names.values():
+        group = [n for n in group if not (n.startswith("__r") and f"__{n[3:]}" in group)]
+        if len(group) > 1:
+            found.append(group)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_one_public_name_per_function(path):
+    # a second spelling of an operation is a second path for tests and
+    # docs to cover (ROADMAP aim 2); private helpers may alias freely
+    name = "kmw" if path.stem == "__init__" else f"kmw.{path.stem}"
+    module = importlib.import_module(name)
+    scopes = [module] + [
+        obj for obj in vars(module).values() if isinstance(obj, type) and obj.__module__ == name
+    ]
+    found = [
+        f"{getattr(scope, '__qualname__', name)}: {' = '.join(group)}"
+        for scope in scopes
+        for group in _aliases(scope, name)
+    ]
+    assert not found, found
 
 
 def _traced_kernels():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kmw.errors import (
     BadBound,
+    BadText,
     DegreeOverflow,
     IntegrityFailure,
     KmwError,
@@ -22,6 +23,9 @@ from kmw.errors import (
 )
 from kmw.fields import (
     FieldElem,
+    FiniteField,
+    RatFunField,
+    RationalField,
     _poly_key,
     finite_field,
     function_field,
@@ -33,7 +37,6 @@ from kmw.fields import (
 from kmw.milnor_witt import (
     MilnorCoords,
     _check_fiber,
-    _field_kind,
     _pair_elem,
     eta_mul,
     format_mw,
@@ -120,7 +123,7 @@ class TestRelations:
     def test_relation_a_pinned(self):
         a, b = 2, 3
         lhs = sym(Q, a * b)
-        rhs = sym(Q, a) + sym(Q, b) + eta_mul(sym(Q, a, b))
+        rhs = mw_add(mw_add(sym(Q, a), sym(Q, b)), eta_mul(sym(Q, a, b)))
         assert mw_equal(lhs, rhs)
 
     def test_relation_b_random(self):
@@ -139,11 +142,11 @@ class TestRelations:
 
     def test_relation_d_through_products(self):
         h = h_elem(Q)
-        assert mw_is_zero(eta_mul(h * sym(Q, 7)))
-        assert mw_is_zero(eta_mul(h * sym(Q, 2, 3)))
+        assert mw_is_zero(eta_mul(mw_mul(h, sym(Q, 7))))
+        assert mw_is_zero(eta_mul(mw_mul(h, sym(Q, 2, 3))))
 
     def test_h_times_symbol_squares_first_slot(self):
-        lhs = h_elem(Q) * sym(Q, 2, 9)
+        lhs = mw_mul(h_elem(Q), sym(Q, 2, 9))
         assert mw_equal(lhs, sym(Q, 4, 9))
 
     def test_square_slot_identity(self):
@@ -159,7 +162,7 @@ class TestRelations:
         for _ in range(20):
             a, b = rng.choice(pool), rng.choice(pool)
             lhs = sym(F5t, a * b)
-            rhs = sym(F5t, a) + sym(F5t, b) + eta_mul(sym(F5t, a, b))
+            rhs = mw_add(mw_add(sym(F5t, a), sym(F5t, b)), eta_mul(sym(F5t, a, b)))
             assert mw_equal(lhs, rhs)
             one_minus = F5t.one - a
             if one_minus and a != F5t.one:
@@ -170,7 +173,7 @@ class TestRelations:
         for _ in range(15):
             a, b, c = (rng.choice([2, 3, 5, -7, 10, -14]) for _ in range(3))
             whole = sym(Q, a * c, b)
-            parts = sym(Q, a, b) + sym(Q, c, b)
+            parts = mw_add(sym(Q, a, b), sym(Q, c, b))
             assert whole.pair()[0] == parts.pair()[0]
 
     def test_eta_h_direct_is_out_of_range(self):
@@ -230,13 +233,13 @@ class TestProductsAndScaling:
 
     def test_scaling_matches_repeated_addition(self):
         x = sym(Q, 2, 3)
-        assert mw_equal(mw_scale(x, 3), x + x + x)
+        assert mw_equal(mw_scale(x, 3), mw_add(mw_add(x, x), x))
         assert mw_is_zero(mw_scale(x, 0))
 
     def test_gw_scale_expansion(self):
         x = sym(Q, 2, 3)
         twisted = gw_scale(x, 5)
-        expected = x + eta_mul(mw_mul(sym(Q, 5), x))
+        expected = mw_add(x, eta_mul(mw_mul(sym(Q, 5), x)))
         assert mw_equal(twisted, expected)
 
     def test_unit_of_ring(self):
@@ -292,9 +295,9 @@ class TestResidues:
         assert mw_equal(out, sym(F5, 2))
         assert not mw_is_zero(out)
         two = sym(F5, 2)
-        for op in (lambda: out + out, lambda: out + two, lambda: two + out,
-                   lambda: -out, lambda: out - two, lambda: mw_scale(out, 2),
-                   lambda: 3 * out, lambda: eta_mul(out), lambda: gw_scale(out, 2),
+        for op in (lambda: mw_add(out, out), lambda: mw_add(out, two),
+                   lambda: mw_add(two, out), lambda: mw_neg(out), lambda: mw_scale(out, 2),
+                   lambda: eta_mul(out), lambda: gw_scale(out, 2),
                    lambda: mw_mul(out, two), lambda: mw_mul(two, out)):
             with pytest.raises(UnsupportedDegree, match="monomial-backed"):
                 op()
@@ -319,7 +322,7 @@ class TestSigma:
         for _ in range(20):
             x = sym(Q, rng.choice(pool), rng.choice(pool))
             y = sym(Q, rng.choice(pool), rng.choice(pool))
-            assert signature(mw_witt_part(x + y)) == (
+            assert signature(mw_witt_part(mw_add(x, y))) == (
                 signature(mw_witt_part(x)) + signature(mw_witt_part(y))
             )
 
@@ -365,7 +368,17 @@ class TestBracketExpressions:
         x = parse_mw(Q, "eta*[-1][2][3]")
         assert x.monomials == {(1, (Q.elem(-1), Q.elem(2), Q.elem(3))): 1}
         y = parse_mw(Q, "2*[5]-[3]")
-        assert mw_equal(y, mw_scale(sym(Q, 5), 2) - sym(Q, 3))
+        assert mw_equal(y, mw_add(mw_scale(sym(Q, 5), 2), mw_neg(sym(Q, 3))))
+
+    # a term is an integer, eta or eta^k, then symbols, in that order, with
+    # a * only between two of these parts
+    @pytest.mark.parametrize("text", [
+        "[2]3", "2 3 [5]", "eta2[3][5]", "[2]eta[3][5]", "*[3]", "[3]**[5]",
+        "[3]*[5]", "etaeta[2][3][4]", "2*",
+    ])
+    def test_rejects_text_format_mw_never_writes(self, text):
+        with pytest.raises(BadText):
+            parse_mw(Q, text)
 
     def test_parse_eta_power(self):
         x = parse_mw(Q, "eta^2[2][3]")
@@ -384,9 +397,9 @@ class TestBracketExpressions:
     def test_roundtrip(self):
         samples = [
             sym(Q, 2, 3),
-            mw_scale(sym(Q, -5), 3) + eta_mul(sym(Q, 2, 7)),
+            mw_add(mw_scale(sym(Q, -5), 3), eta_mul(sym(Q, 2, 7))),
             h_elem(Q),
-            sym(F5t, F5t.t, 2) + mw_scale(sym(F5t, F5t.t + 1, 3), -2),
+            mw_add(sym(F5t, F5t.t, 2), mw_scale(sym(F5t, F5t.t + 1, 3), -2)),
         ]
         for x in samples:
             back = parse_mw(x.field, format_mw(x))
@@ -400,7 +413,7 @@ class TestBracketExpressions:
         samples = [
             sym(K, t + x),
             sym(K, x * t**2 + x * x, t + 1),
-            mw_scale(sym(K, (x * t + 1) / (t**2 + x)), 3) + eta_mul(sym(K, t, t + x)),
+            mw_add(mw_scale(sym(K, (x * t + 1) / (t**2 + x)), 3), eta_mul(sym(K, t, t + x))),
         ]
         for elem in samples:
             text = format_mw(elem)
@@ -439,6 +452,16 @@ class TestBracketExpressions:
 # Hilbert symbol for every monomial pair at every place.  The two
 # functions below are that implementation, unchanged but for their names
 # and for reading the element-level symbols of ``symbol_oracle``.
+
+
+def _field_kind(field) -> str:
+    if isinstance(field, FiniteField):
+        return "finite"
+    if isinstance(field, RationalField):
+        return "rational"
+    if isinstance(field, RatFunField):
+        return "ratfun-finite" if isinstance(field.base, FiniteField) else "ratfun-rational"
+    return "other"
 
 
 def oracle_k2_coords(field, monomials) -> MilnorCoords:
@@ -490,7 +513,7 @@ def oracle_check_fiber(field, degree: int, monomials,
     construction."""
     kind = _field_kind(field)
     if degree == 0:
-        if (milnor.data - witt.rank()) % 2:
+        if (milnor.data - witt.augmentation()) % 2:
             raise IntegrityFailure("rank parity disagrees with the K_0 part")
         return
     if not in_i_power(witt, degree):
@@ -634,8 +657,8 @@ class TestFiberCheckDifferential:
                     for _ in range(3)
                 )
                 pairs = [
-                    (sym(field, a, b * c), sym(field, a, b) + sym(field, a, c)),
-                    (sym(field, a, b), -sym(field, b, a)),
+                    (sym(field, a, b * c), mw_add(sym(field, a, b), sym(field, a, c))),
+                    (sym(field, a, b), mw_neg(sym(field, b, a))),
                     (sym(field, a, -a), mw_zero(field, 2)),
                     (sym(field, a, b), sym(field, a, c)),
                     (mw_scale(sym(field, a, b), 2), sym(field, a * a, b)),

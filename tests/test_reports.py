@@ -157,7 +157,7 @@ class TestVerification:
     def test_tampered_factors_fail(self):
         bad = GroupDescriptor(
             label="x",
-            provenance=[Provenance("witt_structure", {"q": 5}, {"free": 0, "cyclic": [4]})],
+            provenance=[Provenance("k1mw_finite", {"q": 5}, {"free": 0, "cyclic": [5]})],
         )
         assert not verify_descriptor(bad)
 
@@ -167,16 +167,6 @@ class TestVerification:
             provenance=[Provenance("nonsense", {}, {"free": 0, "cyclic": []})],
         )
         assert not verify_descriptor(bad)
-
-    def test_witt_structure_op_verifies(self):
-        good = GroupDescriptor(
-            label="x",
-            provenance=[
-                Provenance("witt_structure", {"q": 5}, {"free": 0, "cyclic": [2, 2]}),
-                Provenance("witt_structure", {"q": 7}, {"free": 0, "cyclic": [4]}),
-            ],
-        )
-        assert verify_descriptor(good)
 
     def test_odd_part_of_zero_raises_instead_of_hanging(self):
         # run apart, so that an odd-part loop that never ends fails this
