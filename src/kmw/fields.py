@@ -384,8 +384,9 @@ class _PolyExtension(FiniteField):
     fields, of nested extensions and of extensions above 2^16 elements,
     where tables would not pay, and of the table build.  Squares are
     decided by quadratic reciprocity in base[x], a few Euclid steps.
-    ``_tables``, built only when asked for, come from polynomial powers
-    of the generator."""
+    ``_tables``, built only when asked for, list the generator's powers
+    by F_p-linear lookups on base-p digits (``_generator_powers``), one
+    builder for every extension, tabled or not."""
 
     def __init__(self, p, base, modulus, _token=None):
         super().__init__(p, base, modulus, _token)
@@ -426,14 +427,65 @@ class _PolyExtension(FiniteField):
 
     @cached_property
     def _generator(self) -> int:
-        # by polynomial powers, which the table build itself relies on
+        # by polynomial powers: the tabled subclass's powers read the
+        # tables that are indexed by this generator
         return self._first_generator(self._poly_pow)
 
     def _generator_powers(self) -> list:
+        # g^0, ..., g^(q-2).  Multiplication by g is linear over F_p, and
+        # a raw value is the vector of its n = degree base-p digits (see
+        # _flat_key).  Split each power into a high and a low part at
+        # S = p^ceil(n/2), look up g times each part, and add the two
+        # images chunk by chunk in a K x K table of digitwise sums mod p.
+        # The images are cut into two chunks of n/2 digits for even n and
+        # three of ceil(n/3) for odd n, so the table has K^2 <= q entries.
+        p, n = self.p, self.degree
+        chunks = 2 if n % 2 == 0 else 3
+        K = p ** -(-n // chunks)
+        S = p ** -(-n // 2)
+
+        def by_top_digit(count, first, entry):
+            # out[c] = entry(out[c - P], P) for c < count, P the place of
+            # c's top digit
+            out = [first]
+            top = 1
+            for c in range(1, count):
+                if c == top * p:
+                    top *= p
+                out.append(entry(out[c - top], top))
+            return out
+
+        def places(count):
+            return [p**i for i in range(n) if p**i < count]
+
+        # add[u][v]: digitwise sum mod p of u and v < K
+        bump = {P: [w - (p - 1) * P if w // P % p == p - 1 else w + P for w in range(K)]
+                for P in places(K)}
+        add = by_top_digit(K, list(range(K)), lambda row, P: [bump[P][w] for w in row])
         g = self._generator
-        out = [1]
-        for _ in range(self.order - 2):
-            out.append(self._poly_mul(out[-1], g))
+
+        def split(a):
+            out = []
+            for _ in range(chunks):
+                a, c = divmod(a, K)
+                out.append(c)
+            return out[::-1]
+
+        def images(scale, count):
+            # the chunks of g * c * scale for c < count, from g times each place
+            unit = {P: split(self._poly_mul(g, P * scale)) for P in places(count)}
+            return by_top_digit(count, [0] * chunks,
+                                lambda prev, P: [add[u][v] for u, v in zip(prev, unit[P])])
+
+        low, high = images(1, S), images(S, self.order // S)
+        out = []
+        a = 1
+        for _ in range(self.order - 1):
+            out.append(a)
+            h, l = divmod(a, S)
+            a = 0
+            for u, v in zip(high[h], low[l]):
+                a = a * K + add[u][v]
         return out
 
     def _inv(self, a):
@@ -529,63 +581,6 @@ class _TabledExtension(_PolyExtension):
         if not a:
             raise ZeroArgument("square class of zero")
         return not self._tables[1][a] & 1
-
-    def _generator_powers(self) -> list:
-        # g^0, ..., g^(q-2).  Multiplication by g is linear over F_p, and
-        # a raw value is the vector of its n = degree base-p digits (see
-        # _flat_key).  Split each power into a high and a low part at
-        # S = p^ceil(n/2), look up g times each part, and add the two
-        # images chunk by chunk in a K x K table of digitwise sums mod p.
-        # The images are cut into two chunks of n/2 digits for even n and
-        # three of ceil(n/3) for odd n, so the table has K^2 <= q entries.
-        p, n = self.p, self.degree
-        chunks = 2 if n % 2 == 0 else 3
-        K = p ** -(-n // chunks)
-        S = p ** -(-n // 2)
-
-        def by_top_digit(count, first, entry):
-            # out[c] = entry(out[c - P], P) for c < count, P the place of
-            # c's top digit
-            out = [first]
-            top = 1
-            for c in range(1, count):
-                if c == top * p:
-                    top *= p
-                out.append(entry(out[c - top], top))
-            return out
-
-        def places(count):
-            return [p**i for i in range(n) if p**i < count]
-
-        # add[u][v]: digitwise sum mod p of u and v < K
-        bump = {P: [w - (p - 1) * P if w // P % p == p - 1 else w + P for w in range(K)]
-                for P in places(K)}
-        add = by_top_digit(K, list(range(K)), lambda row, P: [bump[P][w] for w in row])
-        g = self._generator
-
-        def split(a):
-            out = []
-            for _ in range(chunks):
-                a, c = divmod(a, K)
-                out.append(c)
-            return out[::-1]
-
-        def images(scale, count):
-            # the chunks of g * c * scale for c < count, from g times each place
-            unit = {P: split(self._poly_mul(g, P * scale)) for P in places(count)}
-            return by_top_digit(count, [0] * chunks,
-                                lambda prev, P: [add[u][v] for u, v in zip(prev, unit[P])])
-
-        low, high = images(1, S), images(S, self.order // S)
-        out = []
-        a = 1
-        for _ in range(self.order - 1):
-            out.append(a)
-            h, l = divmod(a, S)
-            a = 0
-            for u, v in zip(high[h], low[l]):
-                a = a * K + add[u][v]
-        return out
 
 
 _FF_TOKEN = object()
@@ -870,14 +865,9 @@ class Poly:
         return Poly(self.field, [self.field._mul(c, inv) for c in self.coeffs])
 
     def derivative(self) -> "Poly":
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = self.coeffs[i]
-            acc = self.field._zero_raw
-            for _ in range(i):
-                acc = self.field._add(acc, c)
-            out.append(acc)
-        return Poly(self.field, out)
+        field = self.field
+        return Poly(field, [field._mul(c, field.elem(i).val)
+                            for i, c in enumerate(self.coeffs[1:], 1)])
 
     def eval(self, x) -> FieldElem:
         xv = self.field.elem(x).val
@@ -959,28 +949,20 @@ def _poly_key(f: Poly) -> tuple:
 
 
 def poly_is_irreducible(f: Poly) -> bool:
-    """Irreducibility over a finite field via Frobenius composition:
-    x^{Q^d} = x mod f, and x^{Q^{d/r}} - x coprime to f for prime r | d."""
-    field = f.field
-    if not isinstance(field, FiniteField):
+    """Irreducibility over a finite field by Ben-Or's test on the
+    distinct-degree factorization that ``factor_poly`` runs: f is
+    irreducible when it is squarefree and has no factor of degree below
+    its own (Ben-Or, FOCS 1981; Gao & Panario 1997)."""
+    if not isinstance(f.field, FiniteField):
         raise UnsupportedField("irreducibility test needs a finite base field")
     d = f.degree()
-    if d < 1:
+    if d <= 1:
+        return d == 1
+    df = f.derivative()
+    if df.is_zero() or f.gcd(df).degree() > 0:
         return False
-    if d == 1:
-        return True
-    if f.coeffs[0] == field._zero_raw:
-        return False  # divisible by x
-    q = field.order
-    x = Poly.x(field)
-    frob = x.pow_mod(q**d, f)
-    if frob != x % f:
-        return False
-    for r, _ in factor_int(d):
-        g = x.pow_mod(q ** (d // r), f) - x
-        if f.gcd(g).degree() != 0:
-            return False
-    return True
+    g = f.monic()
+    return _distinct_degree(g) == [(g, d)]
 
 
 def _pth_root(f: Poly) -> Poly:

@@ -44,6 +44,7 @@ from .fields import (
     Place,
     RatFunField,
     RationalField,
+    _as_place,
     _next_token,
     _place_order,
     finite_field,
@@ -396,8 +397,6 @@ def mw_delta(x: MWElem, place) -> MWElem:
         raise UnsupportedDegree("the residue is computed from degree 2")
     if x.monomials is None:
         raise UnsupportedDegree("the residue consumes monomial-backed elements")
-    from .fields import _as_place
-
     place = _as_place(field, place)
     if place.kind != "poly":
         raise UnsupportedPlace("residues are taken at finite places")

@@ -29,7 +29,7 @@ k(t) land in pairs of RP-tilde elements.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import index
 from typing import List, Optional, Sequence, Tuple
@@ -181,6 +181,7 @@ class ScissorsContext:
         self._derived = None
         self._rp_tilde: Optional[AbGroupInfo] = None
 
+    @cached_property
     def _logs(self):
         """Discrete-log data of the units, from the field's exp/log/Zech
         tables: ``col[k]`` is the unit column of g^k for -2(q-1) <= k <
@@ -201,7 +202,7 @@ class ScissorsContext:
         y = g^b the terms are [x], -[y], <x>[g^(b-a)],
         -<x^-1 - 1>[(1 - x^-1)/(1 - y^-1)] and <1 - x>[(1 - x)/(1 - y)],
         with x^-1 - 1 = -(1 - x^-1)."""
-        col, log, one_minus = self._logs()
+        col, log, one_minus = self._logs
         n = self.n_units
         h = n // 2
         # (column of [x], log x, log(1 - x), log(1 - x^-1)) for x != 1, in
@@ -274,7 +275,7 @@ class ScissorsContext:
         at a = 1.  Collected by class parity, <<a>><<1-a>> = <a(1-a)> -
         <a> - <1-a> + 1 vanishes unless a and 1 - a are both nonsquares,
         where it is 2 - 2s, and the bit is 1 exactly there."""
-        _, log, one_minus = self._logs()
+        _, log, one_minus = self._logs
         both = [log[x.val] & one_minus[log[x.val]] & 1 for x in self.units]
         return [(2 * b, -2 * b) for b in both], both
 
@@ -306,7 +307,7 @@ class ScissorsContext:
         """The flat row of psi_1(x) = [x] + <-1>[1/x] and its s-translate
         for every unit x, from discrete logs: [x] + <-1>[g^-a] for
         x = g^a, where <-1> has class (q-1)/2 mod 2."""
-        col, log, _ = self._logs()
+        col, log, _ = self._logs
         n = self.n_units
         cls_minus_one = ((n // 2) & 1) * n
         for x in self.units:

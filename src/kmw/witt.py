@@ -36,7 +36,10 @@ each class of odd valuation contributes its residue class.
 
 An independent brute-force route (`CountingTable`) classifies diagonal
 forms over a finite field by their value-count fingerprints;
-``witt_group_structure`` derives the Witt group of F_q from it alone.
+``witt_group_structure`` derives the Witt group of F_q from it alone,
+its invariant factors from the Smith form of the Cayley table's
+regular presentation (``kmw.exact_linear.AbGroupInfo``), as for every
+other group here.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .errors import (
     UnsupportedField,
     ZeroEntry,
 )
+from .exact_linear import AbGroupInfo
 from .fields import (
     FieldElem,
     FiniteField,
@@ -322,7 +326,8 @@ def _class_index(table: CountingTable, classes, rep) -> int:
 def witt_group_structure(q: int) -> dict:
     """Structure of the Witt group of F_q, derived from the counting
     oracle alone: class representatives, the addition (Cayley) table,
-    element orders, and invariant factors."""
+    element orders, and invariant factors, the latter from the Smith
+    form of the Cayley table's regular presentation."""
     table = CountingTable(q)
     classes = _witt_class_reps(table)
     n = len(classes)
@@ -337,15 +342,17 @@ def witt_group_structure(q: int) -> dict:
             acc = cayley[acc][i]
             k += 1
         orders.append(k)
-    if max(orders) == n:
-        factors = [n]
-    else:
-        # elementary abelian of exponent 2 once no generator has full order
-        factors = []
-        m = n
-        while m > 1:
-            factors.append(2)
-            m //= 2
+    # the regular presentation: a generator e_i per class and e_i + e_j =
+    # e_(i+j) for every pair of classes; the pair (0, 0) says e_0 = 0
+    relations = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * n
+            row[i] += 1
+            row[j] += 1
+            row[cayley[i][j]] -= 1
+            relations.append(row)
+    factors = list(AbGroupInfo([f"e{i}" for i in range(n)], relations).invariant_factors)
     return {
         "q": q,
         "order": n,

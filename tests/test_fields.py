@@ -25,6 +25,8 @@ from kmw.errors import (
 )
 from kmw.milnor_witt import eta_mul, format_mw, mw_add, mw_scale, mw_symbol, mw_zero, parse_mw
 
+from fields_oracle import power_tables, rabin_is_irreducible
+
 
 class TestFiniteFields:
     def test_prime_field_axioms_exhaustive(self):
@@ -162,6 +164,15 @@ class TestPolynomials:
                 if fl.poly_is_irreducible(fl.Poly.from_elems(F5, [b, a, 1])):
                     count += 1
         assert count == 10
+
+    @pytest.mark.parametrize("q, top", ((3, 6), (5, 4), (7, 3), (9, 3), (25, 2), (27, 2)))
+    def test_irreducibility_matches_rabin(self, q, top):
+        # every monic polynomial of degree 1 to top: 4,496 over the six fields
+        F = fl.finite_field(q)
+        for d in range(1, top + 1):
+            for low in itertools.product(range(q), repeat=d):
+                f = fl.Poly(F, low + (1,))
+                assert fl.poly_is_irreducible(f) == rabin_is_irreducible(f), f
 
     def test_squarefree_decomposition(self):
         F5 = fl.finite_field(5)
@@ -838,7 +849,7 @@ class TestTableChoice:
             for b in range(0, 125, 7):
                 assert_binary_ops_agree(kappa, T, a, b)
         assert "_tables" not in vars(kappa)
-        # built when asked for, from polynomial powers of the generator
+        # built when asked for, as the powers of the generator
         log = kappa._tables[1]
         assert all(log[a] == T.dlog(T.lift(a)) for a in range(1, 125))
 
@@ -901,6 +912,30 @@ class TestTableChoice:
             assert zech[n] == (log[b] if b else -1)
             acc = kappa._poly_mul(acc, g)
         assert acc == 1
+
+
+def last_irreducible(p: int, d: int) -> fl.Poly:
+    """The last monic irreducible of degree d over F_p in the order that
+    ``finite_field`` scans, so never the modulus of ``finite_field(p^d)``."""
+    F = fl.finite_field(p)
+    for low in itertools.product(range(p - 1, -1, -1), repeat=d):
+        f = fl.Poly(F, low[::-1] + (1,))
+        if fl.poly_is_irreducible(f):
+            return f
+
+
+@pytest.mark.parametrize("build", (
+    lambda: sampled_fields()["F9[x]/(x^2-s)"],
+    TestTableChoice.cubic_residue_field,
+    lambda: fl.extension_field(fl.finite_field(3), last_irreducible(3, 5)),
+    lambda: fl.extension_field(fl.finite_field(5), last_irreducible(5, 4)),
+), ids=("F9[x]/(x^2-s)", "cubic residue", "F243", "F625"))
+def test_untabled_tables_match_polynomial_powers(build):
+    # nested and non-canonical extensions build the digit-lookup tables of
+    # the tabled fields; they must list the same polynomial powers
+    F = build()
+    assert type(F) is fl._PolyExtension
+    assert F._tables == power_tables(F)
 
 
 def power_scan_generator(F) -> int:

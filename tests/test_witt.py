@@ -24,6 +24,7 @@ from kmw.fields import (
 from kmw import group_ring, witt
 from kmw.group_ring import GroupRingElem, gr_unit, gr_zero, pfister_form
 from kmw.milnor_witt import mw_equal, mw_symbol
+from kmw.suites import run_witt
 from kmw.witt import (
     CountingTable,
     _signed_disc,
@@ -213,7 +214,8 @@ class TestFiniteFieldCounting:
         assert table.rep_is_witt_zero([1, -1])
         assert not table.rep_is_witt_zero([1, 1, 1])
 
-    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+    # every odd prime power up to 49
+    @pytest.mark.parametrize("q", (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49))
     def test_group_structure(self, q):
         structure = witt_group_structure(q)
         assert structure["order"] == 4
@@ -223,6 +225,14 @@ class TestFiniteFieldCounting:
         else:
             assert structure["invariant_factors"] == [2, 2]
             assert max(structure["element_orders"]) == 2
+
+    def test_run_witt_fails_on_a_broken_hasse_rule(self, monkeypatch):
+        # every 3-fold Pfister form over F_q(t) is hyperbolic; a Hasse
+        # rule that reports a defect must show up as suite failures
+        monkeypatch.setattr(witt, "_hasse_defects", lambda field, rep: {"P": -1})
+        checked, failures = run_witt(5, 20, 0)
+        assert checked == 2 + 2 * 20
+        assert failures and all(w.startswith("I^3(F_5(t))") for w in failures)
 
     @pytest.mark.parametrize("q", [5, 7, 9])
     def test_invariant_route_matches_counting_route(self, q):
