@@ -57,7 +57,6 @@ from .scissors import (
 )
 from .witt import (
     in_i_power,
-    second_residue,
     signature,
     witt_group_structure,
     witt_is_zero,
@@ -100,7 +99,6 @@ __all__ = [
     "pfister_form",
     "rationals",
     "refined_five_term",
-    "second_residue",
     "signature",
     "snf",
     "square_class",

@@ -19,10 +19,13 @@ Conventions that the rest of the library leans on:
   an extension decided by reciprocity rather than by a power, with
   g^((q-1)/r) != 1 for each odd prime r | q - 1; the log tables are
   indexed by its powers;
-* square-class keys carry squarefree representatives, so a place divides
-  a key with multiplicity 0 or 1 and residue maps never see squares;
-  over F_q(t) the key is a base bit and the set of places of odd
-  valuation, and local data at a place is read off it;
+* square classes exist over F_q, Q and F_q(t); their keys carry
+  squarefree representatives, so a place divides a key with
+  multiplicity 0 or 1 and residue maps never see squares; over F_q(t)
+  the key is a base bit and the set of places of odd valuation, and
+  local data at a place is read off it; Q(t) has no square classes
+  (``square_class`` raises ``UnsupportedField``): its residues read
+  valuations;
 * finite places of a function field are monic irreducible polynomials,
   plus the degree place at infinity with uniformizer 1/t; place lists
   run in ``_place_order``;
@@ -83,6 +86,11 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _primes_upto(bound: int) -> list[int]:
+    """The primes up to the bound, by ``_is_prime``."""
+    return [n for n in range(2, bound + 1) if _is_prime(n)]
 
 
 @lru_cache(maxsize=None)
@@ -1375,16 +1383,17 @@ class SquareClass:
     """Canonical key for an element of k^x / (k^x)^2.
 
     Keys: one bit over a finite field; (sign bit, positive squarefree
-    integer) over Q; over Q(t), (base-class key, monic squarefree
-    polynomial coefficients).  Over F_q(t) the class group is
+    integer) over Q.  Over F_q(t) the class group is
     F_q^x/(F_q^x)^2 + sum_P Z/2 over the monic irreducibles P (Milnor,
     "Algebraic K-theory and quadratic forms", 1970), so the key is
     (base bit, sorted tuple of the coefficient tuples of the places P
     where the class has odd valuation): a product is a bit XOR and a
     symmetric difference of tuples, and the parity at a place is
-    membership.  ``rep`` and ``sort_key`` are the same over every k(t):
-    the squarefree representative and its coefficients; over F_q(t)
-    each is built once per distinct key."""
+    membership; ``rep`` and ``sort_key`` are the squarefree
+    representative and its coefficients, built once per distinct key.
+    Q(t) has no square classes: its residues read valuations
+    (``kmw.witt._symbol_residue``), and ``square_class`` raises
+    ``UnsupportedField`` there."""
 
     __slots__ = ("field", "key")
 
@@ -1411,7 +1420,7 @@ class SquareClass:
         extension F_q written as ``_flat_key`` digit tuples: the order in
         which forms list their classes, and the key as forms print it."""
         field = self.field
-        if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
+        if isinstance(field, RatFunField):
             return _fqt_rep_sort(field, self.key)[1]
         return self.key
 
@@ -1424,11 +1433,7 @@ class SquareClass:
             s, n = key
             return field.elem(-n if s else n)
         if isinstance(field, RatFunField):
-            if isinstance(field.base, FiniteField):
-                return _fqt_rep_sort(field, key)[0]
-            b, c = key
-            base_rep = SquareClass(field.base, b).rep()
-            return field.elem(Poly(field.base, c) * Poly(field.base, [base_rep.val]))
+            return _fqt_rep_sort(field, key)[0]
         raise UnsupportedField(f"no square classes over {field}")
 
     def __eq__(self, other):
@@ -1450,10 +1455,8 @@ def _trivial_key(field: Field):
         return 0
     if isinstance(field, RationalField):
         return (0, 1)
-    if isinstance(field, RatFunField):
-        if isinstance(field.base, FiniteField):
-            return (0, ())  # no base nonsquare, no places
-        return (_trivial_key(field.base), (field.base._one_raw,))
+    if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
+        return (0, ())  # no base nonsquare, no places
     raise UnsupportedField(f"no square classes over {field}")
 
 
@@ -1470,15 +1473,7 @@ def _key_mul(field: Field, k1, k2):
         g = int_gcd(n1, n2)
         return (s1 ^ s2, (n1 // g) * (n2 // g))
     if isinstance(field, RatFunField):
-        if isinstance(field.base, FiniteField):
-            return _fqt_mul(k1, k2)
-        b1, c1 = k1
-        b2, c2 = k2
-        base = field.base
-        f1, f2 = Poly(base, c1), Poly(base, c2)
-        g = f1.gcd(f2)
-        prod = (f1 // g) * (f2 // g)
-        return (_key_mul(base, b1, b2), prod.coeffs or (base._one_raw,))
+        return _fqt_mul(k1, k2)
     raise UnsupportedField(f"no square classes over {field}")
 
 
@@ -1495,20 +1490,8 @@ def square_class(x: FieldElem) -> SquareClass:
         fr: Fraction = x.val
         n = fr.numerator * fr.denominator
         return SquareClass(field, (1 if n < 0 else 0, squarefree_part(n)))
-    if isinstance(field, RatFunField):
-        if isinstance(field.base, FiniteField):
-            return SquareClass(field, _fqt_key(x))
-        num, den = x.val
-        g = num * den  # same class as num/den
-        base = field.base
-        sf = Poly.constant(base, 1)
-        for fac, mult in squarefree_decomposition(g.monic()):
-            if mult % 2:
-                sf = sf * fac
-        fr = g.lc().val
-        n = fr.numerator * fr.denominator
-        base_key = (1 if n < 0 else 0, squarefree_part(n))
-        return SquareClass(field, (base_key, sf.coeffs or (base._one_raw,)))
+    if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
+        return SquareClass(field, _fqt_key(x))
     raise UnsupportedField(f"no square classes over {field}")
 
 
@@ -1617,20 +1600,16 @@ def _rational_local(x, place: Place) -> tuple:
 
 def _local_class(cls: SquareClass, place: Place) -> tuple:
     """The local square class of the representative of cls at a place:
-    over Q, ``_rational_local`` of it; at every place of k(t), all tame,
-    (v mod 2, the square-class key of the residue of the unit part),
-    which over F_q(t) is the nonsquare bit.  Witt decisions, residue
-    forms and specialization all read classes here."""
+    over Q, ``_rational_local`` of it; at every place of F_q(t), all
+    tame, (v mod 2, the nonsquare bit of the residue of the unit part).
+    Witt decisions, Hilbert symbols and specialization read classes
+    here."""
     field = cls.field
     if isinstance(field, RationalField):
         s, n = cls.key  # the representative is -n or n
         return _rational_local(-n if s else n, place)
     if isinstance(field, RatFunField):
-        if isinstance(field.base, FiniteField):
-            return _fqt_local(field, cls.key, place)
-        # Q(t) keeps polynomial keys: read the representative's valuation
-        v, res = valuation(cls.rep(), place)
-        return (v % 2, square_class(res).key)
+        return _fqt_local(field, cls.key, place)
     raise UnsupportedPlace(f"no local class of {cls!r} at {place!r}")
 
 
@@ -1694,7 +1673,7 @@ def _class_support(field: Field, classes: Iterable[SquareClass]) -> list[Place]:
         for cls in classes:
             primes.update(p for p, _ in factor_int(cls.key[1]))
         return _place_list(field, primes)
-    if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
+    if isinstance(field, RatFunField):
         union = set()
         for cls in classes:
             union.update(cls.key[1])
@@ -1761,7 +1740,6 @@ def tame_symbol(a, b, place) -> FieldElem:
     return sign * ra**vb * rb ** (-va)
 
 
-@lru_cache(maxsize=1 << 16)
 def hilbert(a, b, place) -> int:
     """Hilbert symbol (a, b) at a place of Q or of F_q(t); returns +-1,
     read off the local square classes of a and b at the place, which over
@@ -1769,10 +1747,8 @@ def hilbert(a, b, place) -> int:
     field, a, b, place = _symbol_args(a, b, place)
     if isinstance(field, RationalField):
         x, y = _rational_local(a.val, place), _rational_local(b.val, place)
-    elif isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
+    else:  # square_class raises UnsupportedField over Q(t)
         x, y = _local_class(square_class(a), place), _local_class(square_class(b), place)
-    else:
-        raise UnsupportedField("Hilbert symbols over Q(t) are not supported")
     return -1 if _symbol_bit(place, x, y) else 1
 
 

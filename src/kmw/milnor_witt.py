@@ -47,6 +47,7 @@ from .fields import (
     _as_place,
     _next_token,
     _place_order,
+    _primes_upto,
     finite_field,
     hilbert,
     parse_elem,
@@ -60,7 +61,7 @@ from .witt import (
     _hasse_defects,
     _in_i_power,
     _signed_disc,
-    second_residue,
+    _symbol_residue,
     witt_equal,
 )
 
@@ -373,23 +374,16 @@ def mw_is_zero(x: MWElem) -> bool:
     return mw_equal(x, mw_zero(x.field, x.degree))
 
 
-def mw_witt_part(x: MWElem) -> GroupRingElem:
-    """The virtual-form component, available for monomial-backed
-    elements over any field (formal pfister expansion)."""
-    if x.witt is not None:
-        return x.witt
-    if x.monomials is None:
-        raise UnsupportedField("element has no witt component")
-    return _witt_component(x.field, x.monomials)
-
-
 # -- residue ------------------------------------------------------------
 
 
 def mw_delta(x: MWElem, place) -> MWElem:
     """Residue map at a monic irreducible place of k(t), from degree 2
-    to degree 1 over the residue field: tame symbol on the Milnor
-    component, second residue on the witt component."""
+    to degree 1 over the residue field.  Both halves read each symbol
+    entry's valuation and unit residue at the place: the tame symbol of
+    each term [a][b] on the Milnor side, and on the Witt side the
+    second residue of each term's Pfister form
+    (``kmw.witt._symbol_residue``), so no form over k(t) is built."""
     field = x.field
     if not isinstance(field, RatFunField):
         raise UnsupportedField("residues require a rational function field")
@@ -402,26 +396,16 @@ def mw_delta(x: MWElem, place) -> MWElem:
         raise UnsupportedPlace("residues are taken at finite places")
     kappa = place.residue_field()
     acc = kappa.one
+    witt_part = gr_zero(kappa)
     for (k, syms), c in x.monomials.items():
         if k == 0:
             a, b = syms
             acc = acc * tame_symbol(a, b, place) ** c
-    witt_part = second_residue(mw_witt_part(x), place)
+        witt_part = witt_part + c * _symbol_residue(syms, place)
     return _pair_elem(kappa, 1, MilnorCoords(kappa, 1, acc), witt_part)
 
 
 # -- structure descriptors ---------------------------------------------
-
-
-def _primes_upto(bound: int) -> List[int]:
-    sieve = [True] * (bound + 1)
-    out = []
-    for p in range(2, bound + 1):
-        if sieve[p]:
-            out.append(p)
-            for m in range(p * p, bound + 1, p):
-                sieve[m] = False
-    return out
 
 
 def mw_descriptor(field, n: int, prime_bound: int) -> GroupDescriptor:

@@ -18,9 +18,9 @@ from typing import Optional
 from .descriptor import GroupDescriptor, Provenance, SymbolicFactor
 from .errors import BadBound, MissingBound, UnsupportedDegree, UnsupportedField
 from .exact_linear import odd_part_int
-from .fields import FiniteField, RationalField, rationals
+from .fields import FiniteField, RationalField, _primes_upto, rationals
 from .group_ring import pfister_form
-from .milnor_witt import _primes_upto, k1_finite_order, k2_finite_vanishing, mw_descriptor
+from .milnor_witt import k1_finite_order, k2_finite_vanishing, mw_descriptor
 from .scissors import derived_groups
 from .witt import i_square_is_zero, in_i_power, signature
 

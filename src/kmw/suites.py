@@ -50,7 +50,7 @@ from .scissors import (
     RPTildeElem,
 )
 from .witt import (
-    CountingTable,
+    _counting_table,
     i_square_is_zero,
     pfister_form,
     witt_group_structure,
@@ -243,7 +243,7 @@ def run_witt(q: int, samples: int, seed: int) -> Tuple[int, List[str]]:
     checked = 2
     # a 3-fold Pfister form lies in I^3, which is zero over F_q, where the
     # counting oracle decides it too, and over F_q(t)
-    table = CountingTable(q)
+    table = _counting_table(q)
     K = function_field(base)
     units = [e for e in base.elements() if e]
     for _ in range(samples):

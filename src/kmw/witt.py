@@ -31,11 +31,15 @@ plus the bits of Q mod P over the other places Q), and at infinity (the
 degree parity, the base bit).  The symbol of two local classes is
 ``kmw.fields._symbol_bit``, the same that ``kmw.fields.hilbert`` reads.
 The support is read off the keys too.
-``second_residue`` reads the same local classes: at a place of F_q(t)
-each class of odd valuation contributes its residue class.
+
+Residues build no form over k(t): ``_symbol_residue`` reads the second
+residue of a symbol's Pfister form off each entry's valuation and unit
+residue at the place, the same record the tame symbol reads, and
+``kmw.milnor_witt.mw_delta`` sums it over the terms of an element.
 
 An independent brute-force route (`CountingTable`) classifies diagonal
-forms over a finite field by their value-count fingerprints;
+forms over a finite field by their value-count fingerprints, one table
+per q (``_counting_table``) shared by every check that reads it;
 ``witt_group_structure`` derives the Witt group of F_q from it alone,
 its invariant factors from the Smith form of the Cayley table's
 regular presentation (``kmw.exact_linear.AbGroupInfo``), as for every
@@ -45,6 +49,7 @@ other group here.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
@@ -66,7 +71,9 @@ from .fields import (
     _minus_one_class,
     _symbol_bit,
     _trivial_class,
+    _valuation_cached,
     finite_field,
+    square_class,
 )
 from .group_ring import GroupRingElem, pfister_form
 
@@ -197,24 +204,30 @@ def _in_i_power(form: GroupRingElem, rep: Sequence[SquareClass], n: int) -> bool
 # -- residues -----------------------------------------------------------
 
 
-def second_residue(form: GroupRingElem, place) -> GroupRingElem:
-    """Second residue form at a place of a rational function field.
+def _symbol_residue(entries: Sequence[FieldElem], place: Place) -> GroupRingElem:
+    """Second residue at a finite place of k(t) of the Pfister form of a
+    symbol's entries, over the residue field.
 
-    Classes of odd valuation ``<pi^(2m+1) u>`` contribute ``<u-bar>``
-    over the residue field; classes of even valuation contribute
-    nothing.  Normalised so that ``<pi>`` maps to ``<1>``.
+    The form expands as ``<<a_1, ..., a_m>> = sum_S (-1)^(m-|S|) <a_S>``
+    over the subsets S of the entries, with a_S their product.  Each
+    entry is read once, as the valuation and unit residue ``(v_i, u_i)``
+    that the tame symbol reads too; then a_S has valuation sum v_i and
+    unit residue prod u_i over S, and ``<pi^v u>`` has second residue
+    ``<u-bar>`` for odd v and 0 for even v (Milnor & Husemoller,
+    *Symmetric bilinear forms*, ch. IV), so ``<pi>`` maps to ``<1>``.
     """
-    if not isinstance(form.field, RatFunField):
-        raise UnsupportedField("second residues live over function fields")
-    if place.field is not form.field:
-        raise MixedFields("place does not belong to the form's field")
     kappa = place.residue_field()
+    # (valuation, unit residue, size) of the product over each subset
+    subsets = [(0, kappa.one, 0)]
+    for a in entries:
+        v, u = _valuation_cached(a, place)
+        subsets += [(w + v, r * u, n + 1) for w, r, n in subsets]
+    m = len(entries)
     out: Dict[SquareClass, int] = {}
-    for cls, c in form.coeffs.items():
-        v, res = _local_class(cls, place)
-        if v:
-            rcls = SquareClass(kappa, res)
-            out[rcls] = out.get(rcls, 0) + c
+    for w, r, n in subsets:
+        if w % 2:
+            cls = square_class(r)
+            out[cls] = out.get(cls, 0) + (-1) ** (m - n)
     return GroupRingElem(kappa, out)
 
 
@@ -295,6 +308,12 @@ class CountingTable:
         return self.rep_is_witt_zero([cls.rep() for cls in form.diag_rep()])
 
 
+@lru_cache(maxsize=8)
+def _counting_table(q: int) -> CountingTable:
+    """The table of F_q that the Witt checks and the suites share."""
+    return CountingTable(q)
+
+
 def _witt_class_reps(table: CountingTable) -> List[List[FieldElem]]:
     """Distinct Witt classes as short diagonal representatives, found by
     sifting all forms of rank at most two through the counting oracle."""
@@ -328,7 +347,7 @@ def witt_group_structure(q: int) -> dict:
     oracle alone: class representatives, the addition (Cayley) table,
     element orders, and invariant factors, the latter from the Smith
     form of the Cayley table's regular presentation."""
-    table = CountingTable(q)
+    table = _counting_table(q)
     classes = _witt_class_reps(table)
     n = len(classes)
     cayley = [
@@ -366,7 +385,7 @@ def witt_group_structure(q: int) -> dict:
 def i_square_is_zero(q: int) -> bool:
     """Check from the counting oracle that every product of two
     augmentation generators is hyperbolic over F_q."""
-    table = CountingTable(q)
+    table = _counting_table(q)
     field = table.field
     one = field.elem(1)
     s = field.nonsquare()

@@ -8,7 +8,7 @@ from collections import Counter
 
 from kmw.exact_linear import odd_part, odd_part_int
 from kmw.fields import finite_field, function_field, rationals
-from kmw.milnor_witt import _primes_upto
+from kmw.fields import _primes_upto
 from kmw.reports import h2_laurent_report
 from kmw.scissors import derived_groups, pb_half
 from kmw.suites import (

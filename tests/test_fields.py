@@ -20,6 +20,7 @@ from kmw.errors import (
     KmwError,
     MixedFields,
     NonIrreducibleModulus,
+    UnsupportedField,
     ZeroArgument,
     ZeroInversion,
 )
@@ -400,14 +401,11 @@ class TestSquareClasses:
                 assert fl.square_class(a * b) == fl.square_class(a) * fl.square_class(b)
 
     def test_qt_classes(self):
+        # Q(t) has no square classes: its residues read valuations
         Qt = fl.function_field(fl.rationals())
-        c = fl.square_class(fl.parse_elem(Qt, "(t^2+1)*4/9"))
-        base_key, poly = c.key
-        assert base_key == (0, 1)
-        assert fl.Poly(fl.rationals(), poly).degree() == 2
-        assert fl.square_class(fl.parse_elem(Qt, "t^2")).is_trivial()
-        d = fl.square_class(fl.parse_elem(Qt, "0-2*t"))
-        assert d.key[0] == (1, 2)
+        for text in ("(t^2+1)*4/9", "t^2", "0-2*t", "1"):
+            with pytest.raises(UnsupportedField):
+                fl.square_class(fl.parse_elem(Qt, text))
 
 
     def test_place_parity(self):
@@ -1200,3 +1198,11 @@ class TestSquareAndMultiply:
         f = fl.Poly.from_elems(fl.finite_field(5), [2, 1, 3])
         assert f**0 == fl.Poly.constant(f.field, 1)
         assert f.pow_mod(0, f) == fl.Poly.constant(f.field, 1)
+
+
+class TestPrimes:
+    def test_primes_upto_is_one_rule_with_factor_int(self):
+        # the primes up to every bound are the n that factor as n^1
+        for bound in range(501):
+            want = [n for n in range(2, bound + 1) if fl.factor_int(n) == ((n, 1),)]
+            assert fl._primes_upto(bound) == want

@@ -24,12 +24,14 @@ from kmw.errors import (
 from kmw.fields import (
     FieldElem,
     FiniteField,
+    Poly,
     RatFunField,
     RationalField,
     _poly_key,
     finite_field,
     function_field,
     function_place,
+    poly_is_irreducible,
     rationals,
     square_class,
     support_places,
@@ -53,7 +55,6 @@ from kmw.milnor_witt import (
     mw_neg,
     mw_scale,
     mw_symbol,
-    mw_witt_part,
     mw_zero,
     parse_mw,
 )
@@ -66,7 +67,7 @@ from kmw.witt import (
     witt_is_zero,
 )
 from symbol_oracle import hilbert, tame_symbol
-from witt_oracle import _ehat_matches_hyperbolic, _rep_elems
+from witt_oracle import _ehat_matches_hyperbolic, _rep_elems, element_residue, second_residue
 
 Q = rationals()
 F5 = finite_field(5)
@@ -103,12 +104,15 @@ class TestConstruction:
             if a == F.one:
                 continue
             x = mw_symbol(F, [a, F.one - a])
-            assert mw_witt_part(x) == pfister_form(F, [a, F.one - a])
+            assert x.witt == pfister_form(F, [a, F.one - a])
 
     def test_function_field_constructor(self):
+        # over Q(t) an element is its monomials alone: no Witt decisions,
+        # so no pair and no form
         x = sym(Qt, 5, Qt.t)
         assert x.degree == 2
-        assert mw_witt_part(x) == pfister_form(Qt, [Qt.elem(5), Qt.t])
+        assert x.monomials == {(0, (Qt.elem(5), Qt.t)): 1}
+        assert x.milnor is None and x.witt is None
 
     def test_h_shape(self):
         h = h_elem(Q)
@@ -307,14 +311,88 @@ class TestResidues:
             _pair_elem(Q, 1, MilnorCoords(Q, 1, Q.elem(2)), pfister_form(Q, [3]))
 
 
+def _monic_irreducible(base, d: int, start: int) -> Poly:
+    """The first monic irreducible of degree d over F_q at or after the
+    start-th monic polynomial of degree d in counting order."""
+    q = base.order
+    for i in range(q ** d):
+        n = (start + i) % q ** d
+        f = Poly(base, [n // q ** j % q for j in range(d)] + [base._one_raw])
+        if poly_is_irreducible(f):
+            return f
+    raise AssertionError(f"no monic irreducible of degree {d} over F_{q}")
+
+
+def _residue_entry(data, field, pi):
+    """A nonzero c pi^e g: c a nonzero constant, -2 <= e <= 2, and g a
+    nonzero polynomial of degree at most 2, so the valuation at pi takes
+    every parity and g may meet other places."""
+    base = field.base
+    if isinstance(base, FiniteField):
+        consts = list(base.elements())
+        c = field.elem(consts[data.draw(st.integers(1, base.order - 1))])
+        coeffs = [field.elem(consts[r]) for r in data.draw(
+            st.lists(st.integers(0, base.order - 1), min_size=1, max_size=3))]
+    else:
+        c = field.elem(data.draw(st.integers(-9, 9).filter(bool))) / data.draw(st.integers(1, 9))
+        coeffs = [field.elem(r) for r in data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3))]
+    g = sum((a * field.t ** i for i, a in enumerate(coeffs)), field.zero) or field.one
+    return c * pi ** data.draw(st.integers(-2, 2)) * g
+
+
+def _residue_element(data, field, pi):
+    """A sum of one to three terms n x, |n| <= 3, each x one of [a][b],
+    <u>[a][b], eta[a][b][c] and [c][t]."""
+    def entry():
+        return _residue_entry(data, field, pi)
+
+    total = mw_zero(field, 2)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(("symbol", "scaled", "eta", "at t")))
+        if kind == "symbol":
+            term = sym(field, entry(), entry())
+        elif kind == "scaled":
+            term = gw_scale(sym(field, entry(), entry()), entry())
+        elif kind == "eta":
+            term = eta_mul(sym(field, entry(), entry(), entry()))
+        else:
+            term = sym(field, entry(), field.t)
+        total = mw_add(total, mw_scale(term, data.draw(st.integers(-3, 3))))
+    return total
+
+
+class TestResidueRule:
+    """The Witt half of ``mw_delta``, read off one valuation per symbol
+    entry, against the second residue of the whole form over F_q(t) and
+    against the valuations of every product of entries over Q(t)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((3, 5, 9, 25)), st.integers(1, 3), st.integers(0, 10 ** 6), st.data())
+    def test_function_field_over_finite_field(self, q, d, start, data):
+        field = function_field(finite_field(q))
+        pi = _monic_irreducible(field.base, d, start)
+        place = function_place(field, pi)
+        x = _residue_element(data, field, field.elem(pi))
+        got = mw_delta(x, place).witt
+        assert got == second_residue(x.witt, place)
+        assert got == element_residue(x, place)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((0, -1, 3)), st.data())
+    def test_rational_function_field(self, root, data):
+        place = function_place(Qt, [-root, 1])
+        x = _residue_element(data, Qt, Qt.t - root)
+        assert mw_delta(x, place).witt == element_residue(x, place)
+
+
 class TestSigma:
     """The real signature of the Witt part of a degree-2 element over Q,
     four times the signature homomorphism on K^MW_2(Q)."""
 
     def test_pinned_values(self):
-        assert signature(mw_witt_part(sym(Q, -1, -1))) == 4
-        assert signature(mw_witt_part(sym(Q, 2, 3))) == 0
-        assert signature(mw_witt_part(sym(Q, -2, 3))) == 0
+        assert signature(sym(Q, -1, -1).witt) == 4
+        assert signature(sym(Q, 2, 3).witt) == 0
+        assert signature(sym(Q, -2, 3).witt) == 0
 
     def test_additive(self):
         rng = random.Random(41)
@@ -322,8 +400,8 @@ class TestSigma:
         for _ in range(20):
             x = sym(Q, rng.choice(pool), rng.choice(pool))
             y = sym(Q, rng.choice(pool), rng.choice(pool))
-            assert signature(mw_witt_part(mw_add(x, y))) == (
-                signature(mw_witt_part(x)) + signature(mw_witt_part(y))
+            assert signature(mw_add(x, y).witt) == (
+                signature(x.witt) + signature(y.witt)
             )
 
 

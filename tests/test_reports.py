@@ -13,7 +13,7 @@ import kmw
 from kmw.descriptor import GroupDescriptor, Provenance, SymbolicFactor
 from kmw.errors import BadBound, MissingBound, UnsupportedDegree, UnsupportedField
 from kmw.fields import finite_field, function_field, rationals
-from kmw.milnor_witt import _primes_upto
+from kmw.fields import _primes_upto
 from kmw.reports import (
     h2_laurent_report,
     h3_laurent_report,

@@ -17,6 +17,7 @@ from kmw.errors import (
     NonUnitArgument,
     RelationNotKilled,
     TooSmallQ,
+    UnsupportedField,
     UnsupportedPlace,
     ZeroArgument,
 )
@@ -667,9 +668,13 @@ class TestSpecialization:
             sv_apply(xi, t * t + self.K5.elem(2))
 
     def test_rationals_unsupported(self):
-        Kq = function_field(QQ)
+        # specialization is defined over F_q(t) alone; over Q(t) the
+        # coefficient ring Z[Q(t)^x / squares] has no square classes
         with pytest.raises(UnsupportedPlace):
-            sv_apply(RPElem(Kq, [(1, Kq.elem(2))]), Kq.t)
+            sv_apply(RPElem(QQ, [(1, QQ.elem(2))]), 3)
+        Kq = function_field(QQ)
+        with pytest.raises(UnsupportedField):
+            RPElem(Kq, [(1, Kq.elem(2))])
 
     @pytest.mark.parametrize("x", [0.5, 1.0])
     def test_tilde_elem_rejects_floats(self, x):

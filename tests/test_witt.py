@@ -30,13 +30,12 @@ from kmw.witt import (
     _signed_disc,
     i_square_is_zero,
     in_i_power,
-    second_residue,
     signature,
     witt_equal,
     witt_group_structure,
     witt_is_zero,
 )
-from witt_oracle import diagonal
+from witt_oracle import diagonal, second_residue
 
 Q = rationals()
 
@@ -233,6 +232,23 @@ class TestFiniteFieldCounting:
         checked, failures = run_witt(5, 20, 0)
         assert checked == 2 + 2 * 20
         assert failures and all(w.startswith("I^3(F_5(t))") for w in failures)
+
+    def test_run_witt_builds_one_table_per_q(self, monkeypatch):
+        # the group structure, the I^2 check and the I^3 samples read one
+        # table per q, also across runs
+        built = []
+        init = CountingTable.__init__
+
+        def counted(table, q):
+            built.append(q)
+            init(table, q)
+
+        monkeypatch.setattr(CountingTable, "__init__", counted)
+        witt._counting_table.cache_clear()
+        for seed in (0, 1):
+            for q in (3, 5, 7, 9):
+                assert run_witt(q, 3, seed) == (2 + 2 * 3, [])
+        assert built == [3, 5, 7, 9]
 
     @pytest.mark.parametrize("q", [5, 7, 9])
     def test_invariant_route_matches_counting_route(self, q):

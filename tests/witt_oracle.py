@@ -3,13 +3,29 @@ of ``kmw.witt``: the Hasse product of a diagonal form as r(r-1)/2
 Hilbert symbols of ``symbol_oracle`` (the library's own symbols read
 the same local classes as ``kmw.witt``), and ``in_i_power(., 3)`` /
 ``witt_is_zero`` built on it.  Also ``diagonal``, the diagonal forms
-the Witt tests are written in."""
+the Witt tests are written in, and two oracles for the Witt half of
+``kmw.milnor_witt.mw_delta``, which reads one valuation per symbol
+entry: ``second_residue`` of a whole form over F_q(t), read off its
+square-class keys, and ``element_residue``, which takes the valuation
+of every product of entries, over F_q(t) and Q(t) alike."""
 
-from typing import Sequence
+from itertools import combinations
+from math import prod
+from typing import Dict, Sequence
 
 from symbol_oracle import hilbert
 
-from kmw.fields import FieldElem, FiniteField, RationalField, support_places
+from kmw.errors import MixedFields, UnsupportedField
+from kmw.fields import (
+    FieldElem,
+    FiniteField,
+    RationalField,
+    RatFunField,
+    SquareClass,
+    _local_class,
+    support_places,
+    valuation,
+)
 from kmw.witt import _check_decidable, _signed_disc, signature
 from kmw.group_ring import GroupRingElem, gr_unit, gr_zero
 
@@ -72,3 +88,39 @@ def oracle_witt_is_zero(form) -> bool:
     if isinstance(form.field, RationalField) and signature(form) != 0:
         return False
     return oracle_in_i_cube(form)
+
+
+def second_residue(form: GroupRingElem, place) -> GroupRingElem:
+    """Second residue form at a finite place of F_q(t), read off the
+    keys: a class of odd valuation ``<pi^(2m+1) u>`` contributes
+    ``<u-bar>`` over the residue field, a class of even valuation
+    nothing, so that ``<pi>`` maps to ``<1>``."""
+    if not isinstance(form.field, RatFunField):
+        raise UnsupportedField("second residues live over function fields")
+    if place.field is not form.field:
+        raise MixedFields("place does not belong to the form's field")
+    kappa = place.residue_field()
+    out: Dict[SquareClass, int] = {}
+    for cls, c in form.coeffs.items():
+        v, res = _local_class(cls, place)
+        if v:
+            rcls = SquareClass(kappa, res)
+            out[rcls] = out.get(rcls, 0) + c
+    return GroupRingElem(kappa, out)
+
+
+def element_residue(x, place) -> GroupRingElem:
+    """The Witt half of the residue of a monomial-backed K^MW element:
+    each term c eta^k [a_1]...[a_m] expands as c sum_S (-1)^(m-|S|)
+    <a_S>, and each a_S, multiplied out, contributes its unit residue
+    when its valuation is odd."""
+    kappa = place.residue_field()
+    total = gr_zero(kappa)
+    for (k, syms), c in x.monomials.items():
+        m = len(syms)
+        for size in range(m + 1):
+            for subset in combinations(syms, size):
+                v, u = valuation(prod(subset, start=x.field.one), place)
+                if v % 2:
+                    total = total + c * (-1) ** (m - size) * gr_unit(kappa, u)
+    return total
