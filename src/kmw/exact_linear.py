@@ -8,14 +8,19 @@ A presentation is its Hermite basis.  ``AbGroupInfo`` streams its
 relation rows, from any iterable, into their distinct rows up to sign,
 and keeps the Hermite basis (no transform) of their lattice as
 ``relation_basis``, a rank x n matrix; no copy of the relation rows is
-stored.  That basis is unique and generates the lattice (Cohen, GTM 138,
-section 2.4), so it may come from any rows proved to span the lattice.
-Up to 4n distinct rows are reduced together.  A taller presentation,
-such as the five-term presentations of ``scissors``, reduces a sample
-(every k-th row, k = rows // 2n, and every row with fewer than 5
-nonzeros), certifies every row by membership against the sample's
-basis, and reduces again with the rows that fail, until none does; the
-basis is entry for entry that of all the rows reduced together.
+stored.  Rows come in through one of two doors, dense rows to the
+constructor or ``{column: value}`` rows to ``AbGroupInfo._from_sparse``
+(the five-term presentations of ``scissors``, at most 5 nonzeros a
+row); either way they are deduplicated as sorted ``(column, value)``
+tuples and take the same reduction.  That basis is unique and
+generates the lattice (Cohen, GTM 138, section 2.4), so it may come
+from any rows proved to span the lattice.  Up to 4n distinct rows are
+reduced together.  A taller presentation reduces a sample (every k-th
+row, k = rows // 2n, and every row with fewer than 5 nonzeros), made
+dense for the kernel, certifies every other row, still sparse, by
+membership against the sample's basis, and reduces once more with the
+rows that fail; the basis is entry for entry that of all the rows
+reduced together.
 Everything reads the presentation through that basis: membership by
 reduction of a ``{column: value}`` vector against its pivots, the
 relation check of ``AbMap`` on its rows, and the invariant factors and
@@ -152,8 +157,9 @@ def _pivot_data(basis: IntMatrix) -> dict[int, tuple[dict[int, int], int]]:
     return out
 
 
-def _member(pivots, vec: dict[int, int]) -> bool:
-    """Whether the sparse vector ``vec`` lies in the lattice of a Hermite
+def _member(pivots, vec) -> bool:
+    """Whether the sparse vector ``vec``, a ``{column: value}`` dict or
+    its ``(column, value)`` pairs, lies in the lattice of a Hermite
     basis, read through its ``_pivot_data``.  Its leftmost nonzero entry
     must sit on a pivot and be a multiple of it; subtracting that
     multiple of the pivot row clears it and changes only columns to its
@@ -176,53 +182,77 @@ def _member(pivots, vec: dict[int, int]) -> bool:
     return True
 
 
-def _hermite_basis(rows: list[tuple[int, ...]], n: int):
+def _flat(rows: Sequence[Sequence[tuple[int, int]]], n: int) -> list[int]:
+    # the row-major entries of sparse rows of width n, for the kernels
+    flat = [0] * (len(rows) * n)
+    for i, row in enumerate(rows):
+        for c, x in row:
+            flat[i * n + c] = x
+    return flat
+
+
+def _hermite_basis(rows: list[tuple[tuple[int, int], ...]], n: int):
     """(Hermite basis, its ``_pivot_data``) of the lattice of the
-    distinct ``rows`` of width ``n``.
+    distinct sparse ``rows`` of width ``n`` (``_distinct_rows``).
 
-    Up to 4n rows are reduced together.  Of more, a sample is reduced
-    first: every k-th row, k = rows // 2n, and every row with fewer than
-    5 nonzeros.  Every row is then tested for membership against the
-    basis, and the rows that fail are stacked under it and reduced
-    again.  Each such round strictly enlarges the lattice, so the loop
-    ends, on the lattice of all the rows; its Hermite basis is unique
-    (Cohen, GTM 138, Thm 2.4.3), so it is the basis of all the rows
-    reduced together.  The incremental shape follows Micciancio &
-    Warinschi (ISSAC 2001)."""
-    stack = rows
-    if len(rows) > 4 * n:
+    Up to 4n rows are made dense and reduced together.  Of more, only a
+    sample is made dense and reduced: every k-th row, k = rows // 2n,
+    and every row with fewer than 5 nonzeros.  Every other row is then
+    tested for membership against the basis, read off its sparse form;
+    the sampled rows are in the lattice by construction.  The rows that
+    fail are stacked under the basis and reduced once more.  That
+    lattice holds the sample, the rows that passed and the rows that
+    failed, and no more than the lattice of all the rows; its Hermite
+    basis is unique (Cohen, GTM 138, Thm 2.4.3), so it is the basis of
+    all the rows reduced together.  The incremental shape follows
+    Micciancio & Warinschi (ISSAC 2001)."""
+    if len(rows) <= 4 * n:
+        sample, rest = rows, ()
+    else:
         k = len(rows) // (2 * n)
-        sparse = list(map(_sparse, rows))
-        stack = [row for i, (row, s) in enumerate(zip(rows, sparse)) if i % k == 0 or len(s) < 5]
-    while True:
-        h, _, rank = _snf_py.hnf_kernel([x for row in stack for x in row], len(stack), n, False)
-        basis = IntMatrix(rank, n, h[: rank * n])
-        pivots = _pivot_data(basis)
-        if stack is rows:  # every row was reduced
-            return basis, pivots
-        missing = [row for row, s in zip(rows, sparse) if not _member(pivots, s)]
-        if not missing:
-            return basis, pivots
-        stack = basis.row_list() + missing
+        sample, rest = [], []
+        for i, row in enumerate(rows):
+            (sample if i % k == 0 or len(row) < 5 else rest).append(row)
+    h, _, rank = _snf_py.hnf_kernel(_flat(sample, n), len(sample), n, False)
+    basis = IntMatrix(rank, n, h[: rank * n])
+    pivots = _pivot_data(basis)
+    missing = [row for row in rest if not _member(pivots, row)]
+    if not missing:
+        return basis, pivots
+    entries = list(basis.entries) + _flat(missing, n)
+    h, _, rank = _snf_py.hnf_kernel(entries, rank + len(missing), n, False)
+    basis = IntMatrix(rank, n, h[: rank * n])
+    return basis, _pivot_data(basis)
 
 
-def _distinct_rows(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """The nonzero rows of ``rows``, each once up to sign, in order of
-    first appearance and signed so that the leading entry is positive.
+def _distinct_rows(rows: Iterable[dict[int, int]], n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The nonzero rows of ``rows``, given as ``{column: value}``, each
+    once up to sign, in order of first appearance.  Each is keyed by its
+    sorted ``((column, value), ...)`` tuple without zero values, signed
+    so that the leading value is positive, and returned as that key.
     They span the same row lattice as ``rows``.  Each row is read once,
-    so any iterable will do: its width is checked against ``n`` and its
-    entries are coerced with ``operator.index`` (a float raises)."""
+    so any iterable will do; a column outside ``[0, n)`` raises."""
     out = {}
     for row in rows:
-        row = tuple(map(index, row))
-        if len(row) != n:
-            raise ValueError("relation width does not match generator count")
-        lead = next((x for x in row if x), 0)
-        if lead < 0:
-            row = tuple(-x for x in row)
-        if lead:
-            out[row] = None
+        items = sorted(row.items())
+        if 0 in row.values():
+            items = [e for e in items if e[1]]
+        if not items:
+            continue
+        if items[0][0] < 0 or items[-1][0] >= n:
+            raise ValueError("relation column outside the generators")
+        if items[0][1] < 0:
+            items = [(c, -x) for c, x in items]
+        out[tuple(items)] = None
     return list(out)
+
+
+def _dense_row(row: Sequence[int], n: int) -> dict[int, int]:
+    # a dense relation row, width-checked and coerced, as {column: value}
+    row = tuple(map(index, row))
+    if len(row) != n:
+        raise ValueError("relation width does not match generator count")
+    return _sparse(row)
 
 
 def _unit_rows(k: int, rows: int) -> list[list[int]]:
@@ -233,14 +263,17 @@ def _unit_rows(k: int, rows: int) -> list[list[int]]:
 class AbGroupInfo:
     """A finitely presented abelian group Z^n / (row lattice).
 
-    The relation rows (any iterable of rows) are read once, to their
-    Hermite basis ``relation_basis`` (rank x n, same row lattice), and
-    not kept.  Only the distinct nonzero rows, a row and its negation
-    counting as one, are reduced: they span the same lattice, and the
-    Hermite basis of a lattice is unique.  Above 4n of
-    them, a sample is reduced and every row is certified to lie in the
-    lattice of the basis, which grows by the rows that fail until none
-    does (``_hermite_basis``).
+    The relation rows (any iterable of dense rows of width n, each
+    entry an integer) are read once, to their Hermite basis
+    ``relation_basis`` (rank x n, same row lattice), and not kept.
+    ``_from_sparse`` takes ``{column: value}`` rows instead; both doors
+    convert to sparse rows and share one reduction (``_reduce``).  Only
+    the distinct nonzero rows, a row and its negation counting as one,
+    are reduced (``_distinct_rows``): they span the same lattice, and
+    the Hermite basis of a lattice is unique.  Above 4n of them, a
+    sample is reduced, every other row is certified to lie in the
+    lattice of its basis, and the rows that fail are reduced with it
+    (``_hermite_basis``).
     Every reading comes from the basis: ``is_zero`` from reduction
     against its pivots, and ``invariant_factors`` and ``free_rank`` from
     its Smith form, taken without transforms on the first read of either
@@ -248,6 +281,22 @@ class AbGroupInfo:
 
     def __init__(self, labels: Sequence[str], relations: Iterable[Sequence[int]]):
         labels = tuple(str(s) for s in labels)
+        n = len(labels)
+        self._reduce(labels, (_dense_row(row, n) for row in relations))
+
+    @classmethod
+    def _from_sparse(
+        cls, labels: Sequence[str], relations: Iterable[dict[int, int]]
+    ) -> "AbGroupInfo":
+        """The group presented by relation rows given as ``{column:
+        value}``, each column in ``[0, n)``: the sparse door to the
+        reduction that the constructor's dense rows also take."""
+        g = cls.__new__(cls)
+        g._reduce(tuple(str(s) for s in labels), relations)
+        return g
+
+    def _reduce(self, labels: tuple[str, ...], relations: Iterable[dict[int, int]]):
+        # the one reduction path of both doors
         self.generator_labels = labels
         n = len(labels)
         self.relation_basis, self._pivots = _hermite_basis(_distinct_rows(relations, n), n)

@@ -1421,7 +1421,7 @@ class SquareClass:
         which forms list their classes, and the key as forms print it."""
         field = self.field
         if isinstance(field, RatFunField):
-            return _fqt_rep_sort(field, self.key)[1]
+            return _fqt_sort_key(field, self.key)
         return self.key
 
     def rep(self) -> FieldElem:
@@ -1433,7 +1433,10 @@ class SquareClass:
             s, n = key
             return field.elem(-n if s else n)
         if isinstance(field, RatFunField):
-            return _fqt_rep_sort(field, key)[0]
+            b, prod = _fqt_coeffs(field, key)
+            base = field.base
+            base_rep = base.one if b == 0 else base.nonsquare()
+            return field.elem(Poly(base, list(prod)) * Poly(base, [base_rep.val]))
         raise UnsupportedField(f"no square classes over {field}")
 
     def __eq__(self, other):
@@ -1533,20 +1536,28 @@ def _fqt_mul(k1: tuple, k2: tuple) -> tuple:
     return (b1 ^ b2, places)
 
 
-@lru_cache(maxsize=1 << 14)
-def _fqt_rep_sort(field: RatFunField, key: tuple) -> tuple:
-    """(rep, sort_key) of an F_q(t) class: the base representative times
-    the product of the places, and the coefficients of that product."""
+def _fqt_coeffs(field: RatFunField, key: tuple) -> tuple:
+    """(base bit, coefficients of the product of the places) of an F_q(t)
+    class: the representative is the base representative times that
+    product."""
     b, places = key
     base = field.base
     prod = [base._one_raw]
     for c in places:
         prod = _pl_mul(base, prod, list(c))
-    base_rep = base.one if b == 0 else base.nonsquare()
-    rep = field.elem(Poly(base, prod) * Poly(base, [base_rep.val]))
+    return b, tuple(prod)
+
+
+@lru_cache(maxsize=1 << 14)
+def _fqt_sort_key(field: RatFunField, key: tuple) -> tuple:
+    """``sort_key`` of an F_q(t) class: ``_fqt_coeffs``, with coefficients
+    over an extension written as ``_flat_key`` digit tuples.  No
+    representative element is built."""
+    b, prod = _fqt_coeffs(field, key)
+    base = field.base
     if isinstance(base, _PolyExtension):
-        return rep, (b, tuple(_flat_key(base, c) for c in prod))
-    return rep, (b, tuple(prod))
+        return (b, tuple(_flat_key(base, c) for c in prod))
+    return (b, prod)
 
 
 def _fqt_local(field: RatFunField, key: tuple, place: Place) -> tuple:

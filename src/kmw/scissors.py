@@ -4,15 +4,19 @@ The refined group RP(k) carries coefficients in the group ring of the
 square-class group; it is flattened to an abelian presentation with two
 generators per unit (one per square class), the normalization [1] = 0,
 and one five-term relation per ordered pair x != y of units distinct
-from 1.  Each five-term is flattened once; its s-translate swaps the two
-halves of that row, and its relation in the plain group P(k) (one
-generator per unit) is the fold, the two halves added.
+from 1.  Each five-term is flattened once, to a sparse ``{column:
+value}`` row of at most 5 entries; its s-translate moves column c to
+(c + n) mod 2n, trading the two translates of each generator, and its
+relation in the plain group P(k) (one generator per unit) is the fold,
+column c to c mod n, the two translates added.
 
 The rows of the presentations, the K1 rows and the images of the lambda
 maps are index arithmetic on discrete logs: a unit is g^a, its square
 class is a mod 2, and 1 - g^a is a Zech-table lookup in the field's
 exp/log/Zech tables.  The relation rows are generated on demand and
-streamed into each group's Hermite reduction; no list of them is kept.
+streamed, sparse, into each group's Hermite reduction
+(``AbGroupInfo._from_sparse``); no list of them is kept, and no row is
+made dense unless the reduction samples it.
 ``refined_five_term`` and ``RPElem`` serve the specialization maps; the
 element path that flattens them into rows is the row-for-row oracle of
 the tests (``tests/scissors_oracle.py``).
@@ -45,7 +49,15 @@ from .errors import (
     UnsupportedPlace,
     ZeroArgument,
 )
-from .exact_linear import AbGroupInfo, AbMap, IntMatrix, fp_cokernel, fp_kernel, odd_part
+from .exact_linear import (
+    AbGroupInfo,
+    AbMap,
+    IntMatrix,
+    _sparse,
+    fp_cokernel,
+    fp_kernel,
+    odd_part,
+)
 from .fields import (
     FieldElem,
     FiniteField,
@@ -151,18 +163,12 @@ def _check_q(q: int):
         raise TooSmallQ("the field must have at least four elements")
 
 
-def _swap_halves(vec: Sequence[int]) -> List[int]:
-    """Flat coordinates multiplied by the nontrivial square class: the
-    two translates trade places."""
-    n = len(vec) // 2
-    return list(vec[n:]) + list(vec[:n])
-
-
-def _fold_halves(vec: Sequence[int]) -> List[int]:
-    """Flat refined coordinates pushed to P: each coefficient is
-    replaced by its augmentation, so the two translates add up."""
-    n = len(vec) // 2
-    return [a + b for a, b in zip(vec[:n], vec[n:])]
+def _s_translate(row: dict[int, int], n: int) -> dict[int, int]:
+    """A flat refined ``{column: value}`` row multiplied by the nontrivial
+    square class: the two translates of each generator trade places,
+    column c going to (c + n) mod 2n."""
+    n2 = 2 * n
+    return {(c + n) % n2: x for c, x in row.items()}
 
 
 class ScissorsContext:
@@ -197,9 +203,10 @@ class ScissorsContext:
 
     def _five_term_rows(self):
         """The untwisted flat row of the refined five-term at each ordered
-        pair x != y of units other than 1, x outer and both in ``units``
-        order, by index arithmetic on discrete logs: for x = g^a and
-        y = g^b the terms are [x], -[y], <x>[g^(b-a)],
+        pair x != y of units other than 1, as a ``{column: value}`` dict of
+        at most 5 entries (a value is 0 where two terms cancel), x outer
+        and both in ``units`` order, by index arithmetic on discrete logs:
+        for x = g^a and y = g^b the terms are [x], -[y], <x>[g^(b-a)],
         -<x^-1 - 1>[(1 - x^-1)/(1 - y^-1)] and <1 - x>[(1 - x)/(1 - y)],
         with x^-1 - 1 = -(1 - x^-1)."""
         col, log, one_minus = self._logs
@@ -219,23 +226,35 @@ class ScissorsContext:
             for py, b, z2, w2 in pool:
                 if py == px:
                     continue
-                row = [0] * (2 * n)
-                row[px] += 1
-                row[py] -= 1
-                row[cls_x + col[b - a]] += 1
-                row[cls_inv + col[w - w2]] -= 1
-                row[cls_one_minus + col[z - z2]] += 1
+                row = {px: 1, py: -1}
+                c = cls_x + col[b - a]
+                row[c] = row.get(c, 0) + 1
+                c = cls_inv + col[w - w2]
+                row[c] = row.get(c, 0) - 1
+                c = cls_one_minus + col[z - z2]
+                row[c] = row.get(c, 0) + 1
                 yield row
 
     # -- plain presentation --------------------------------------------
 
+    def _p_row_iter(self):
+        """The normalization [1] = 0 and the fold of each untwisted
+        five-term row to P: each coefficient is replaced by its
+        augmentation, so column c goes to c mod n and the two translates
+        add up."""
+        n = self.n_units
+        yield {self.field.one.val - 1: 1}
+        for row in self._five_term_rows():
+            fold = {}
+            for c, x in row.items():
+                c %= n
+                fold[c] = fold.get(c, 0) + x
+            yield fold
+
     def p_group(self) -> AbGroupInfo:
         if self._p_group is None:
             labels = [f"[{e!r}]" for e in self.units]
-            one_row = [0] * self.n_units
-            one_row[self.field.one.val - 1] = 1
-            rows = chain([one_row], map(_fold_halves, self._five_term_rows()))
-            self._p_group = AbGroupInfo(labels, rows)
+            self._p_group = AbGroupInfo._from_sparse(labels, self._p_row_iter())
         return self._p_group
 
     # -- refined flat presentation -------------------------------------
@@ -246,11 +265,10 @@ class ScissorsContext:
     def _rp_row_iter(self):
         """The normalization [1] = 0 and each untwisted five-term row,
         each followed by its s-translate."""
-        one_row = [0] * (2 * self.n_units)
-        one_row[self.flat_index(0, self.field.one)] = 1
-        for v in chain([one_row], self._five_term_rows()):
+        n = self.n_units
+        for v in chain([{self.flat_index(0, self.field.one): 1}], self._five_term_rows()):
             yield v
-            yield _swap_halves(v)
+            yield _s_translate(v, n)
 
     def _rp_row_count(self) -> int:
         """The number of rows ``_rp_row_iter`` yields, without building
@@ -264,7 +282,7 @@ class ScissorsContext:
 
     def rp_group(self) -> AbGroupInfo:
         if self._rp_group is None:
-            self._rp_group = AbGroupInfo(self.rp_labels(), self._rp_row_iter())
+            self._rp_group = AbGroupInfo._from_sparse(self.rp_labels(), self._rp_row_iter())
         return self._rp_group
 
     # -- lambda maps ----------------------------------------------------
@@ -312,18 +330,20 @@ class ScissorsContext:
         cls_minus_one = ((n // 2) & 1) * n
         for x in self.units:
             a = log[x.val]
-            v = [0] * (2 * n)
-            v[col[a]] += 1
-            v[cls_minus_one + col[-a]] += 1
+            v = {col[a]: 1}
+            c = cls_minus_one + col[-a]
+            v[c] = v.get(c, 0) + 1
             yield v
-            yield _swap_halves(v)
+            yield _s_translate(v, n)
 
     def rp_tilde(self) -> AbGroupInfo:
         """RP modulo the K1 submodule: the K1 rows adjoined to RP's
         Hermite basis, which spans the same lattice as its relations."""
         if self._rp_tilde is None:
-            rows = chain(self.rp_group().relation_basis.row_list(), self._k1_row_iter())
-            self._rp_tilde = AbGroupInfo(self.rp_labels(), rows)
+            basis = map(_sparse, self.rp_group().relation_basis.row_list())
+            self._rp_tilde = AbGroupInfo._from_sparse(
+                self.rp_labels(), chain(basis, self._k1_row_iter())
+            )
         return self._rp_tilde
 
     # -- derived groups -------------------------------------------------

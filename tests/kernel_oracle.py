@@ -15,6 +15,10 @@ rebuild the parts of ``ScissorsContext.derived`` that now come from
 kernels and cokernels alone: the RB -> B map solved into B coordinates,
 and the exponent of RP1 meeting K1 as an lcm of element orders, read
 through ``smith_oracle.element_order``.
+
+``distinct_rows`` is the previous dense deduplication, verbatim but for
+its name; ``all_rows_basis`` reduces its rows all at once, the oracle of
+the sampled, sparse reduction of ``AbGroupInfo``.
 """
 
 from math import gcd
@@ -29,7 +33,6 @@ from kmw.exact_linear import (
     AbGroupInfo,
     AbMap,
     IntMatrix,
-    _distinct_rows,
     _unit_rows,
     fp_cokernel,
 )
@@ -94,19 +97,38 @@ def fp_kernel(f: AbMap) -> tuple[AbGroupInfo, AbMap]:
     return kern, incl
 
 
+def distinct_rows(rows, n: int) -> list[tuple[int, ...]]:
+    """The nonzero dense ``rows`` of width ``n``, each once up to sign, in
+    order of first appearance and signed so that the leading entry is
+    positive: the previous library deduplication, on dense rows."""
+    out = {}
+    for row in rows:
+        row = tuple(map(index, row))
+        if len(row) != n:
+            raise ValueError("relation width does not match generator count")
+        lead = next((x for x in row if x), 0)
+        if lead < 0:
+            row = tuple(-x for x in row)
+        if lead:
+            out[row] = None
+    return list(out)
+
+
 def all_rows_basis(rows, n: int) -> IntMatrix:
-    """Hermite basis of the lattice of ``rows`` (width ``n``): the
-    distinct rows, all of them, in one reduction."""
-    rows = _distinct_rows(rows, n)
+    """Hermite basis of the lattice of the dense ``rows`` (width ``n``):
+    the distinct rows, all of them, in one reduction."""
+    rows = distinct_rows(rows, n)
     h, _, rank = _snf_py.hnf_kernel([x for row in rows for x in row], len(rows), n, False)
     return IntMatrix(rank, n, h[: rank * n])
 
 
 def install_all_rows(monkeypatch):
-    """Build every group from now on on ``all_rows_basis``."""
+    """Build every group from now on on ``all_rows_basis``: both doors of
+    ``AbGroupInfo`` hand ``_hermite_basis`` their distinct sparse rows,
+    which are made dense here and reduced all at once."""
 
     def reduce_all(rows, n):
-        basis = all_rows_basis(rows, n)
+        basis = all_rows_basis(smith_oracle.dense_rows(rows, n), n)
         return basis, exact_linear._pivot_data(basis)
 
     monkeypatch.setattr(exact_linear, "_hermite_basis", reduce_all)

@@ -2,27 +2,45 @@
 row-for-row oracle of ``kmw.scissors``.
 
 The library builds every relation row, K1 row and lambda image by
-index arithmetic on discrete logs.  Here the same rows come from
-elements: ``RPElem`` combinations are flattened coefficient by
-coefficient into the two translates of each generator, the five-term
-relations are taken at every ordered pair of units in turn, and P's
-rows are the plain five-terms, coefficients replaced by their
-augmentations.  Lambda_2, which the library carries only as the third
-column of the mixed map Lambda, is rebuilt here as its own map.
+index arithmetic on discrete logs, as sparse ``{column: value}`` rows.
+Here the same rows come from elements, as dense lists: ``RPElem``
+combinations are flattened coefficient by coefficient into the two
+translates of each generator, the five-term relations are taken at
+every ordered pair of units in turn, and P's rows are the plain
+five-terms, coefficients replaced by their augmentations.  The
+s-translate swaps the two halves of a dense row (``swap_halves``) and
+the push to P adds them (``fold_halves``); the library's row
+generators are read through ``smith_oracle.dense_rows``.  Lambda_2,
+which the library carries only as the third column of the mixed map
+Lambda, is rebuilt here as its own map.
 """
 
 from __future__ import annotations
+
+from smith_oracle import dense_rows
 
 from kmw.exact_linear import AbGroupInfo, AbMap
 from kmw.group_ring import gr_int, gr_unit
 from kmw.scissors import (
     RPElem,
     RPTildeElem,
-    _fold_halves,
-    _swap_halves,
     refined_five_term,
     scissors_context,
 )
+
+
+def swap_halves(vec) -> list:
+    """Flat coordinates multiplied by the nontrivial square class: the
+    two translates trade places."""
+    n = len(vec) // 2
+    return list(vec[n:]) + list(vec[:n])
+
+
+def fold_halves(vec) -> list:
+    """Flat refined coordinates pushed to P: each coefficient is
+    replaced by its augmentation, so the two translates add up."""
+    n = len(vec) // 2
+    return [a + b for a, b in zip(vec[:n], vec[n:])]
 
 
 def pairs(ctx):
@@ -43,13 +61,13 @@ def rp_vector(ctx, elem: RPElem, twist: int = 0) -> list:
     for coeff, arg in elem.terms:
         for cls, n in coeff.coeffs.items():
             vec[ctx.flat_index(cls.key, arg)] += n
-    return _swap_halves(vec) if twist % 2 else vec
+    return swap_halves(vec) if twist % 2 else vec
 
 
 def p_vector(ctx, elem: RPElem) -> list:
     """Coordinates of an element pushed to P (coefficients replaced by
     their augmentations)."""
-    return _fold_halves(rp_vector(ctx, elem))
+    return fold_halves(rp_vector(ctx, elem))
 
 
 def psi1_vector(ctx, x, twist: int = 0) -> list:
@@ -71,15 +89,21 @@ def refined(elem: RPElem) -> bool:
     return any(not cls.is_trivial() for coeff, _ in elem.terms for cls in coeff.coeffs)
 
 
+def p_rows(ctx) -> list:
+    """P's relation rows as dense lists: the normalization and the fold
+    of each five-term row."""
+    return dense_rows(ctx._p_row_iter(), ctx.n_units)
+
+
 def rp_rows(ctx) -> list:
-    """RP's relation rows as a list: the normalization and each
+    """RP's relation rows as dense lists: the normalization and each
     five-term row, each followed by its s-translate."""
-    return list(ctx._rp_row_iter())
+    return dense_rows(ctx._rp_row_iter(), 2 * ctx.n_units)
 
 
 def k1_rows(ctx) -> list:
-    """The K1 rows psi_1(x) and their s-translates as a list."""
-    return list(ctx._k1_row_iter())
+    """The K1 rows psi_1(x) and their s-translates as dense lists."""
+    return dense_rows(ctx._k1_row_iter(), 2 * ctx.n_units)
 
 
 def rp_presentation(q: int):
@@ -96,4 +120,4 @@ def lambda2(ctx) -> AbMap:
 
 def twist(a: RPTildeElem) -> RPTildeElem:
     """Action of the nontrivial square class: swap the translates."""
-    return RPTildeElem(a.q, _swap_halves(a.vector))
+    return RPTildeElem(a.q, swap_halves(a.vector))

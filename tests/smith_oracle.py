@@ -11,10 +11,12 @@ either, and only what every choice of V gives alike is compared with the
 library: whether a class is zero.  ``element_order``, the order of a
 class, is read off those coordinates; the library has no element orders
 (the exponent of a group is read off its invariant factors).
+``dense_rows`` makes the library's sparse rows dense for the oracles.
 ``all_rows_init`` is the ``AbMap`` constructor that checks every relation
 row instead of a basis of the lattice.  A group keeps no copy of its
-relation rows, so ``record_inputs`` wraps the ``AbGroupInfo`` constructor
-to remember each group's rows (``input_rows``).  ``install`` swaps the
+relation rows, so ``record_inputs`` wraps the reduction that both
+``AbGroupInfo`` doors share to remember each group's rows
+(``input_rows``).  ``install`` swaps the
 all-rows check in for the library's, so that whole commands can be run
 on either check.
 """
@@ -90,19 +92,31 @@ def element_order(g: AbGroupInfo, vec):
 _inputs = WeakKeyDictionary()
 
 
+def dense_rows(rows, width: int) -> list:
+    """Sparse rows, ``{column: value}`` dicts or ``(column, value)``
+    pairs, as dense lists of ``width``."""
+    out = []
+    for row in rows:
+        vec = [0] * width
+        for c, x in dict(row).items():
+            vec[c] += x
+        out.append(vec)
+    return out
+
+
 def record_inputs(monkeypatch):
-    """Wrap the ``AbGroupInfo`` constructor so that each group built
-    from then on remembers its relation rows, as a list."""
-    original = AbGroupInfo.__init__
+    """Wrap the reduction that both doors of ``AbGroupInfo`` (dense rows
+    to the constructor, ``{column: value}`` rows to ``_from_sparse``)
+    hand their rows to, so that each group built from then on remembers
+    its relation rows, as a list of dense rows."""
+    original = AbGroupInfo._reduce
 
-    def init(self, labels, relations):
-        if isinstance(relations, IntMatrix):
-            relations = relations.row_list()
-        rows = [list(r) for r in relations]
-        original(self, labels, rows)
-        _inputs[self] = rows
+    def reduce(self, labels, relations):
+        relations = list(relations)
+        original(self, labels, relations)
+        _inputs[self] = dense_rows(relations, len(labels))
 
-    monkeypatch.setattr(AbGroupInfo, "__init__", init)
+    monkeypatch.setattr(AbGroupInfo, "_reduce", reduce)
 
 
 def input_rows(g: AbGroupInfo) -> list:

@@ -112,9 +112,8 @@ def install(monkeypatch, calls=None):
     monkeypatch.setattr(fields, "_trivial_key", oracle_trivial_key)
     monkeypatch.setattr(fields, "_key_mul", oracle_key_mul)
     monkeypatch.setattr(fields, "_fqt_key", key)
-    monkeypatch.setattr(
-        fields, "_fqt_rep_sort",
-        lambda field, k: (oracle_key_rep(field, k), oracle_sort_key(field, k)),
-    )
+    # an oracle key is already (bit, coefficients of the representative)
+    monkeypatch.setattr(fields, "_fqt_coeffs", lambda field, k: k)
+    monkeypatch.setattr(fields, "_fqt_sort_key", oracle_sort_key)
     monkeypatch.setattr(fields, "_fqt_local", oracle_local)
     monkeypatch.setattr(kmw.witt, "_class_support", oracle_support)

@@ -41,13 +41,29 @@ def test_odd_part_of_scissors_group_is_cyclic_of_predicted_order():
 
 
 def test_odd_part_of_scissors_group_beyond_the_sweep():
-    # Z/41, Z/61 and Z/63; the three take about 0.9 s on a 2-vCPU VM
+    # Z/41, Z/61 and Z/63; the three take about 0.5-0.7 s on a 2-vCPU VM
     start = time.monotonic()
     for q in LARGE_QS:
         half = pb_half(q)
         assert half.free_rank == 0, f"q={q}"
         assert half.invariant_factors == (odd_part_int(q + 1),), f"q={q}"
     assert time.monotonic() - start < 4.0
+
+
+def test_derived_groups_beyond_the_sweep():
+    # the checks of the benchmark's derived_groups oracle, at q = 81, 121
+    # and 125; the three take about 5-7 s on a 2-vCPU VM
+    start = time.monotonic()
+    for q in LARGE_QS:
+        derived = derived_groups(q)
+        for name in ("rblker", "cokernel_RB_to_B"):
+            assert derived[name].free_rank == 0, f"q={q} {name}"
+            assert derived[name].invariant_factors == (), f"q={q} {name}"
+        lhs = derived["half_RP1"].order()
+        rhs = odd_part(derived["rblker"]).order() * derived["half_P"].order()
+        assert lhs == rhs == odd_part_int(q + 1), f"q={q}"
+        assert 4 % derived["k1_intersection_exponent"] == 0, f"q={q}"
+    assert time.monotonic() - start < 15.0
 
 
 def test_refined_kernel_vanishes_integrally():

@@ -29,6 +29,7 @@ from kmw.exact_linear import (
     AbGroupInfo,
     AbMap,
     IntMatrix,
+    _distinct_rows,
     _unit_rows,
     fp_cokernel,
     fp_kernel,
@@ -770,8 +771,8 @@ class TestLazySmithForm:
 #
 # Above 4n distinct rows, AbGroupInfo reduces a sample (every k-th row,
 # k = rows // 2n, and every row with fewer than 5 nonzeros), certifies
-# every row against the sample's basis, and reduces again with the rows
-# that fail.  kernel_oracle.all_rows_basis reduces every distinct row at
+# every other row against the sample's basis, and reduces once more with
+# the rows that fail.  kernel_oracle.all_rows_basis reduces every distinct row at
 # once.  The presentations below put column ``g`` outside the sample's
 # lattice: each sampled row has a zero there (step 0) or an even entry
 # (step 2), and each other row has +-1 there and no zero anywhere, so it
@@ -890,6 +891,139 @@ class TestSampledReduction:
         assert heights[0] == sample_height(rows, n) < 4 * n + 1
         assert len(heights) >= 2
         assert g.relation_basis == kernel_oracle.all_rows_basis(rows, n)
+
+
+def noisy_copies(rng, rows, n):
+    """``rows`` with duplicated rows, negated rows and zero rows mixed
+    in; each copy comes after its row, so the distinct rows keep their
+    order."""
+    noisy = [list(row) for row in rows]
+    for _ in range(rng.randint(1, len(rows))):
+        i = rng.randrange(len(rows))
+        row = list(rows[i]) if rng.random() < 0.5 else [-x for x in rows[i]]
+        noisy.insert(rng.randint(noisy.index(rows[i]) + 1, len(noisy)), row)
+    for _ in range(rng.randint(1, 3)):
+        noisy.insert(rng.randint(0, len(noisy)), [0] * n)
+    return noisy
+
+
+def as_sparse(rng, row):
+    """A dense row as ``{column: value}`` in a shuffled column order,
+    sometimes with an explicit zero value."""
+    cols = [c for c, x in enumerate(row) if x or rng.random() < 0.1]
+    rng.shuffle(cols)
+    return {c: row[c] for c in cols}
+
+
+def one_witness_rows(rng, n, count, g, which):
+    """``count`` > 4n rows of width ``n``, distinct up to sign, whose
+    sample spans the rows with an even entry at ``g``: the unit rows e_j
+    (j != g) and 2e_g have fewer than 5 nonzeros, so they are sampled
+    wherever they stand.  Every row off the sample lies in that lattice
+    but one, the ``which``-th of them (mod their number), whose entry at
+    ``g`` is odd: the one row that certification has to find."""
+    k = count // (2 * n)
+    units = [[(2 if j == g else 1) * int(c == j) for c in range(n)] for j in range(n)]
+    rng.shuffle(units)
+    rows, seen, off = [], set(), []
+    while len(rows) < count:
+        i = len(rows)
+        if units and (count - i <= len(units) or rng.random() < 0.2):
+            row = units.pop()
+        elif i % k == 0:
+            row = [rng.choice(SPARSE_ENTRIES) for _ in range(n)]
+            row[g] = 2 * rng.randint(-1, 1)
+        else:
+            row = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+            row[g] = rng.choice((-2, 2))
+        key = min(tuple(row), tuple(-x for x in row))
+        if any(row) and key not in seen:
+            seen.add(key)
+            if i % k and n - row.count(0) >= 5:
+                off.append(i)
+            rows.append(row)
+    rows[off[which % len(off)]][g] //= 2
+    return rows
+
+
+class TestSparseRows:
+    """Both doors of ``AbGroupInfo``, dense rows to the constructor and
+    ``{column: value}`` rows to ``_from_sparse``, take one reduction:
+    ``_distinct_rows`` keys each row by its sorted, sign-normalised
+    ``(column, value)`` tuple, and the sampled reduction certifies the
+    rows off the sample on those tuples.  The oracles are the dense
+    deduplication and the all-rows reduction of ``kernel_oracle``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sample_short)
+    def test_both_doors_reach_the_all_rows_basis(self, case):
+        n, count, g, step, seed = case
+        rng = random.Random(seed)
+        rows = sample_short_rows(rng, n, count, g, step)
+        noisy = noisy_copies(rng, rows, n)
+        sparse = [as_sparse(rng, row) for row in noisy]
+        want = kernel_oracle.all_rows_basis(noisy, n)
+        distinct = kernel_oracle.distinct_rows(noisy, n)
+        assert len(distinct) == count > 4 * n
+        assert [
+            [dict(key).get(c, 0) for c in range(n)] for key in _distinct_rows(sparse, n)
+        ] == [list(row) for row in distinct]
+        labels = [f"g{i}" for i in range(n)]
+        _, clean_heights = build_recording_heights(n, rows)
+        for build in (
+            lambda: AbGroupInfo(labels, noisy),
+            lambda: AbGroupInfo._from_sparse(labels, sparse),
+        ):
+            with pytest.MonkeyPatch.context() as mp:
+                heights = hnf_heights(mp)
+                grp = build()
+            # the sample, then a repair round, as for the rows without noise
+            assert heights == clean_heights and len(heights) >= 2
+            assert grp.relation_basis == want
+            assert grp.generator_labels == tuple(labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sample_short, st.integers(0, 2**20))
+    def test_certification_reads_every_row_off_the_sample(self, case, which):
+        # the sample spans a sublattice of index 2, and one row off it
+        # lies outside: one repair round, of the basis and that row
+        n, count, g, _, seed = case
+        rng = random.Random(seed)
+        rows = one_witness_rows(rng, n, count, g, which)
+        noisy = noisy_copies(rng, rows, n)
+        sparse = [as_sparse(rng, row) for row in noisy]
+        want = kernel_oracle.all_rows_basis(noisy, n)
+        assert want == IntMatrix.identity(n)
+        labels = [f"g{i}" for i in range(n)]
+        for build in (
+            lambda: AbGroupInfo(labels, noisy),
+            lambda: AbGroupInfo._from_sparse(labels, sparse),
+        ):
+            with pytest.MonkeyPatch.context() as mp:
+                heights = hnf_heights(mp)
+                grp = build()
+            assert heights == [sample_height(rows, n), n + 1]
+            assert grp.relation_basis == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(tall_sparse, st.integers(0, 2**32 - 1))
+    def test_short_presentations_through_both_doors(self, rows, seed):
+        rng = random.Random(seed)
+        n = len(rows[0])
+        noisy = noisy_copies(rng, rows, n)
+        labels = [f"g{i}" for i in range(n)]
+        want = kernel_oracle.all_rows_basis(noisy, n)
+        got = AbGroupInfo._from_sparse(labels, (as_sparse(rng, row) for row in noisy))
+        assert got.relation_basis == AbGroupInfo(labels, noisy).relation_basis == want
+
+    @pytest.mark.parametrize("bad", [{5: 1}, {-1: 1}, {0: 1, 7: 2}])
+    def test_column_outside_the_generators_raises(self, bad):
+        labels = [f"g{i}" for i in range(5)]
+        with pytest.raises(ValueError, match="column outside"):
+            AbGroupInfo._from_sparse(labels, [{0: 1}, bad])
+        # a zero value names no column
+        g = AbGroupInfo._from_sparse(labels, [{0: 2}, {c: 0 for c in bad}])
+        assert g.relation_basis == IntMatrix(1, 5, [2, 0, 0, 0, 0])
 
 
 class TestStreamedRelations:

@@ -36,7 +36,6 @@ from kmw.scissors import (
     RPElem,
     RPTildeElem,
     ScissorsContext,
-    _fold_halves,
     derived_groups,
     five_term_admissible,
     pb_group,
@@ -46,9 +45,11 @@ from kmw.scissors import (
     sv_apply,
 )
 from scissors_oracle import (
+    fold_halves,
     k1_rows,
     lambda2,
     p_vector,
+    p_rows,
     pairs,
     plain_five_term,
     psi1_vector,
@@ -323,7 +324,7 @@ def derived_reading(ctx: ScissorsContext):
 
 class TestSampledReduction:
     """Presentations with more than 4n distinct rows reduce a sample and
-    certify every row against its basis; ``kernel_oracle.all_rows_basis``
+    certify every other row against its basis; ``kernel_oracle.all_rows_basis``
     reduces every distinct row at once.  A Hermite basis is unique, so
     the two agree entry for entry."""
 
@@ -344,7 +345,7 @@ class TestSampledReduction:
         # as P(49) does (below), so both comparisons above run it
         ctx = ScissorsContext(25)
         n = len(ctx.rp_labels())
-        assert len(_distinct_rows(rp_rows(ctx), n)) > 4 * n
+        assert len(_distinct_rows(ctx._rp_row_iter(), n)) > 4 * n
 
     def test_p49_reduces_no_stack_as_tall_as_its_rows(self, monkeypatch):
         smith_oracle.record_inputs(monkeypatch)
@@ -357,7 +358,7 @@ class TestSampledReduction:
 
         monkeypatch.setattr(_snf_py, "hnf_kernel", record)
         p = ScissorsContext(49).p_group()
-        distinct = len(_distinct_rows(smith_oracle.input_rows(p), p.ngens))
+        distinct = len(kernel_oracle.distinct_rows(smith_oracle.input_rows(p), p.ngens))
         assert distinct > 4 * p.ngens
         assert heights and max(heights) < distinct
 
@@ -365,7 +366,9 @@ class TestSampledReduction:
 class TestOneRowPerFact:
     """P rows are folds of the untwisted RP rows, twisted rows are
     half-swaps, and RP-tilde stacks the K1 rows on RP's Hermite basis;
-    the per-element paths these replaced are the oracles."""
+    the per-element paths these replaced are the oracles.  The library
+    emits sparse rows, which are made dense (``smith_oracle.dense_rows``)
+    and compared row for row."""
 
     @staticmethod
     def _plain_oracle(ctx, elem):
@@ -387,7 +390,8 @@ class TestOneRowPerFact:
         # P's rows are the folds of the untwisted rows of rp_rows(), in
         # pairs() order, and P is the group they present
         ctx = scissors_context(q)
-        rows = [_fold_halves(v) for v in rp_rows(ctx)[::2]]
+        rows = p_rows(ctx)
+        assert rows == [fold_halves(v) for v in rp_rows(ctx)[::2]]
         order = list(pairs(ctx))
         assert len(rows) == len(order) + 1
         assert rows[0] == p_vector(ctx, RPElem(ctx.field, [(1, 1)]))
@@ -430,7 +434,9 @@ class TestOneRowPerFact:
     def test_log_rows_match_element_path(self, q):
         ctx = ScissorsContext(q)
         field = ctx.field
-        rows = list(ctx._five_term_rows())
+        sparse = list(ctx._five_term_rows())
+        assert max(map(len, sparse)) <= 5
+        rows = smith_oracle.dense_rows(sparse, 2 * ctx.n_units)
         order = list(pairs(ctx))
         assert len(rows) == len(order)
         for (x, y), row in zip(order, rows):
