@@ -19,13 +19,14 @@ Conventions that the rest of the library leans on:
   an extension decided by reciprocity rather than by a power, with
   g^((q-1)/r) != 1 for each odd prime r | q - 1; the log tables are
   indexed by its powers;
-* square classes exist over F_q, Q and F_q(t); their keys carry
-  squarefree representatives, so a place divides a key with
-  multiplicity 0 or 1 and residue maps never see squares; over F_q(t)
-  the key is a base bit and the set of places of odd valuation, and
-  local data at a place is read off it; Q(t) has no square classes
-  (``square_class`` raises ``UnsupportedField``): its residues read
-  valuations;
+* square classes exist over F_q, Q and F_q(t) (``_has_classes``), each
+  keyed as (bit, places): the class over F_q, the sign over Q, the base
+  class of the leading coefficient over F_q(t), and the sorted places
+  of odd valuation (none, primes, coefficient tuples of monic
+  irreducibles); a product is a bit XOR and a symmetric difference,
+  the support of a class is read off its key, and over F_q(t) so is
+  its local data; Q(t) has no square classes (``square_class`` raises
+  ``UnsupportedField``): its residues read valuations;
 * finite places of a function field are monic irreducible polynomials,
   plus the degree place at infinity with uniformizer 1/t; place lists
   run in ``_place_order``;
@@ -43,10 +44,10 @@ Conventions that the rest of the library leans on:
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import gcd as int_gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -111,17 +112,6 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
-
-
-def squarefree_part(n: int) -> int:
-    """The squarefree kernel of |n| (n nonzero)."""
-    if n == 0:
-        raise ZeroArgument("squarefree part of zero")
-    out = 1
-    for p, e in factor_int(abs(n)):
-        if e % 2:
-            out *= p
-    return out
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -1233,11 +1223,7 @@ class Place:
         raise InfinitePlace("the real place has no residue field")
 
     def degree(self) -> int:
-        if self.kind == "poly":
-            return self.data.degree()
-        if self.kind == "inf":
-            return 1
-        return 1
+        return self.data.degree() if self.kind == "poly" else 1
 
     def __eq__(self, other):
         return (
@@ -1382,16 +1368,18 @@ def _valuation_cached(f: FieldElem, place: "Place") -> tuple[int, FieldElem]:
 class SquareClass:
     """Canonical key for an element of k^x / (k^x)^2.
 
-    Keys: one bit over a finite field; (sign bit, positive squarefree
-    integer) over Q.  Over F_q(t) the class group is
-    F_q^x/(F_q^x)^2 + sum_P Z/2 over the monic irreducibles P (Milnor,
-    "Algebraic K-theory and quadratic forms", 1970), so the key is
-    (base bit, sorted tuple of the coefficient tuples of the places P
-    where the class has odd valuation): a product is a bit XOR and a
-    symmetric difference of tuples, and the parity at a place is
-    membership; ``rep`` and ``sort_key`` are the squarefree
-    representative and its coefficients, built once per distinct key.
-    Q(t) has no square classes: its residues read valuations
+    The class group is Z/2 over F_q, {+-1} + sum_p Z/2 over the primes
+    p of Q, and F_q^x/(F_q^x)^2 + sum_P Z/2 over the monic irreducibles
+    P of F_q(t) (Milnor, "Algebraic K-theory and quadratic forms",
+    1970).  So every key is (bit, places): the bit is the class over
+    F_q, the sign over Q and the base class of the leading coefficient
+    over F_q(t); places is the sorted tuple of the places of odd
+    valuation, empty over F_q, primes over Q and coefficient tuples
+    over F_q(t).  A product is a bit XOR and a symmetric difference of
+    tuples (``_key_mul``), the trivial key is (0, ()), and the parity at
+    a place is membership.  ``rep`` is the squarefree representative,
+    the bit's representative times the product of the places.  Q(t) has
+    no square classes: its residues read valuations
     (``kmw.witt._symbol_residue``), and ``square_class`` raises
     ``UnsupportedField`` there."""
 
@@ -1405,39 +1393,40 @@ class SquareClass:
         raise AttributeError("SquareClass is immutable")
 
     def is_trivial(self) -> bool:
-        return self.key == _trivial_key(self.field)
+        return self.key == _TRIVIAL_KEY
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if not isinstance(other, SquareClass):
             return NotImplemented
         if other.field is not self.field:
             raise MixedFields("square classes over different fields")
-        return SquareClass(self.field, _key_mul(self.field, self.key, other.key))
+        return SquareClass(self.field, _key_mul(self.key, other.key))
 
     @property
     def sort_key(self):
-        """The squarefree representative's key, with coefficients over an
-        extension F_q written as ``_flat_key`` digit tuples: the order in
-        which forms list their classes, and the key as forms print it."""
-        field = self.field
+        """The order in which forms list their classes: the bit over F_q,
+        (sign, squarefree n) over Q, and over F_q(t) the base bit and the
+        coefficients of the product of the places, those over an
+        extension F_q written as ``_flat_key`` digit tuples."""
+        field, (bit, places) = self.field, self.key
+        if isinstance(field, RationalField):
+            return (bit, math.prod(places))
         if isinstance(field, RatFunField):
             return _fqt_sort_key(field, self.key)
-        return self.key
+        return bit
 
     def rep(self) -> FieldElem:
         """Canonical representative element of the class."""
-        field, key = self.field, self.key
+        field, (bit, places) = self.field, self.key
         if isinstance(field, FiniteField):
-            return field.one if key == 0 else field.nonsquare()
+            return field.nonsquare() if bit else field.one
         if isinstance(field, RationalField):
-            s, n = key
-            return field.elem(-n if s else n)
-        if isinstance(field, RatFunField):
-            b, prod = _fqt_coeffs(field, key)
-            base = field.base
-            base_rep = base.one if b == 0 else base.nonsquare()
-            return field.elem(Poly(base, list(prod)) * Poly(base, [base_rep.val]))
-        raise UnsupportedField(f"no square classes over {field}")
+            n = math.prod(places)
+            return field.elem(-n if bit else n)
+        b, prod = _fqt_coeffs(field, self.key)
+        base = field.base
+        base_rep = base.one if b == 0 else base.nonsquare()
+        return field.elem(Poly(base, list(prod)) * Poly(base, [base_rep.val]))
 
     def __eq__(self, other):
         return (
@@ -1453,31 +1442,32 @@ class SquareClass:
         return f"cls({self.rep()!r})"
 
 
-def _trivial_key(field: Field):
-    if isinstance(field, FiniteField):
-        return 0
-    if isinstance(field, RationalField):
-        return (0, 1)
-    if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
-        return (0, ())  # no base nonsquare, no places
-    raise UnsupportedField(f"no square classes over {field}")
+_TRIVIAL_KEY = (0, ())  # no nonsquare bit, no places
+
+
+def _has_classes(field: Field) -> bool:
+    """Whether the field has square classes, and so Witt decisions:
+    F_q, Q and F_q(t), not Q(t)."""
+    if isinstance(field, RatFunField):
+        return isinstance(field.base, FiniteField)
+    return isinstance(field, (FiniteField, RationalField))
 
 
 def _trivial_class(field: Field) -> SquareClass:
-    return SquareClass(field, _trivial_key(field))
+    if not _has_classes(field):
+        raise UnsupportedField(f"no square classes over {field}")
+    return SquareClass(field, _TRIVIAL_KEY)
 
 
-def _key_mul(field: Field, k1, k2):
-    if isinstance(field, FiniteField):
-        return k1 ^ k2
-    if isinstance(field, RationalField):
-        s1, n1 = k1
-        s2, n2 = k2
-        g = int_gcd(n1, n2)
-        return (s1 ^ s2, (n1 // g) * (n2 // g))
-    if isinstance(field, RatFunField):
-        return _fqt_mul(k1, k2)
-    raise UnsupportedField(f"no square classes over {field}")
+def _key_mul(k1: tuple, k2: tuple) -> tuple:
+    (b1, p1), (b2, p2) = k1, k2
+    if not p1:
+        places = p2
+    elif not p2:
+        places = p1
+    else:
+        places = tuple(sorted(set(p1).symmetric_difference(p2)))
+    return (b1 ^ b2, places)
 
 
 def square_class(x: FieldElem) -> SquareClass:
@@ -1488,14 +1478,14 @@ def square_class(x: FieldElem) -> SquareClass:
     if not x:
         raise ZeroArgument("square class of zero")
     if isinstance(field, FiniteField):
-        return SquareClass(field, 0 if field.is_square_raw(x.val) else 1)
+        return SquareClass(field, (0 if field.is_square_raw(x.val) else 1, ()))
     if isinstance(field, RationalField):
-        fr: Fraction = x.val
-        n = fr.numerator * fr.denominator
-        return SquareClass(field, (1 if n < 0 else 0, squarefree_part(n)))
-    if isinstance(field, RatFunField) and isinstance(field.base, FiniteField):
-        return SquareClass(field, _fqt_key(x))
-    raise UnsupportedField(f"no square classes over {field}")
+        n = x.val.numerator * x.val.denominator
+        primes = tuple(p for p, e in factor_int(abs(n)) if e % 2)
+        return SquareClass(field, (1 if n < 0 else 0, primes))
+    if not _has_classes(field):
+        raise UnsupportedField(f"no square classes over {field}")
+    return SquareClass(field, _fqt_key(x))
 
 
 @lru_cache(maxsize=64)
@@ -1523,17 +1513,6 @@ def _fqt_key(x: FieldElem) -> tuple:
     lc, factors = _ratfun_factors(x)
     places = tuple(sorted(irr.coeffs for irr, mult in factors if mult % 2))
     return (0 if x.field.base.is_square_raw(lc) else 1, places)
-
-
-def _fqt_mul(k1: tuple, k2: tuple) -> tuple:
-    (b1, p1), (b2, p2) = k1, k2
-    if not p1:
-        places = p2
-    elif not p2:
-        places = p1
-    else:
-        places = tuple(sorted(set(p1).symmetric_difference(p2)))
-    return (b1 ^ b2, places)
 
 
 def _fqt_coeffs(field: RatFunField, key: tuple) -> tuple:
@@ -1580,14 +1559,14 @@ def _fqt_local(field: RatFunField, key: tuple, place: Place) -> tuple:
 def _pair_bit(field: RatFunField, p: tuple, c: tuple) -> int:
     """Whether Q mod P is a nonsquare in the residue field at P, for
     distinct monic irreducibles P and Q given by their coefficients."""
-    base = field.base
-    res = _residue_of_poly(Poly(base, c), Place(field, "poly", Poly(base, p)))
+    res = _residue_of_poly(Poly(field.base, c), _fqt_place(field, p))
     return 0 if res.field.is_square_raw(res.val) else 1
 
 
 @lru_cache(maxsize=1 << 12)
 def _fqt_place(field: RatFunField, c: tuple) -> Place:
-    """The place of the monic irreducible with coefficients c."""
+    """The place of the monic irreducible with coefficients c, as keys
+    name places: the one constructor of a place from key data."""
     return Place(field, "poly", Poly(field.base, c))
 
 
@@ -1617,7 +1596,8 @@ def _local_class(cls: SquareClass, place: Place) -> tuple:
     here."""
     field = cls.field
     if isinstance(field, RationalField):
-        s, n = cls.key  # the representative is -n or n
+        s, primes = cls.key  # the representative is -n or n
+        n = math.prod(primes)
         return _rational_local(-n if s else n, place)
     if isinstance(field, RatFunField):
         return _fqt_local(field, cls.key, place)
@@ -1663,12 +1643,12 @@ def _place_order(place: Place) -> tuple:
 
 
 def _place_list(field: Field, finite: Iterable) -> list[Place]:
-    """The real place of Q or the infinite place of F_q(t), then the
-    places of ``finite`` (primes over Q, coefficient tuples of monic
+    """The real place and 2 of Q, or the infinite place of F_q(t), then
+    the places of ``finite`` (primes over Q, coefficient tuples of monic
     irreducibles over F_q(t)) in ``_place_order``."""
     if isinstance(field, RationalField):
         first = Place(field, "real", None)
-        places = [Place(field, "prime", p) for p in finite]
+        places = [Place(field, "prime", p) for p in {2, *finite}]
     else:
         first = Place(field, "inf", None)
         places = [_fqt_place(field, c) for c in finite]
@@ -1676,20 +1656,12 @@ def _place_list(field: Field, finite: Iterable) -> list[Place]:
 
 
 def _class_support(field: Field, classes: Iterable[SquareClass]) -> list[Place]:
-    """``support_places`` of the representatives, read off the keys: the
-    real place, 2 and the primes of each key over Q; infinity and the
-    places of each key over F_q(t)."""
-    if isinstance(field, RationalField):
-        primes = {2}
-        for cls in classes:
-            primes.update(p for p, _ in factor_int(cls.key[1]))
-        return _place_list(field, primes)
-    if isinstance(field, RatFunField):
-        union = set()
-        for cls in classes:
-            union.update(cls.key[1])
-        return _place_list(field, union)
-    raise UnsupportedField(f"no place enumeration over {field}")
+    """``support_places`` of the representatives of classes over Q or
+    F_q(t), read off their keys' places."""
+    union = set()
+    for cls in classes:
+        union.update(cls.key[1])
+    return _place_list(field, union)
 
 
 def support_places(field: Field, elems: Iterable) -> list[Place]:
@@ -1698,7 +1670,7 @@ def support_places(field: Field, elems: Iterable) -> list[Place]:
     2, the odd primes dividing a numerator or denominator, and the real
     place; over F_q(t) the monic irreducible divisors and infinity."""
     if isinstance(field, RationalField):
-        primes = {2}
+        primes = set()
         for x in elems:
             fr = field.elem(x).val
             if not fr:

@@ -45,6 +45,7 @@ from .fields import (
     RatFunField,
     RationalField,
     _as_place,
+    _has_classes,
     _next_token,
     _place_order,
     _primes_upto,
@@ -57,7 +58,6 @@ from .fields import (
 )
 from .group_ring import GroupRingElem, gr_zero, pfister_form
 from .witt import (
-    _has_witt_decisions,
     _hasse_defects,
     _in_i_power,
     _signed_disc,
@@ -123,7 +123,7 @@ def _k1_coords(field, monomials: Dict[Monomial, int]) -> MilnorCoords:
 def _k2_coords(field, monomials: Dict[Monomial, int]) -> MilnorCoords:
     if isinstance(field, FiniteField):
         return MilnorCoords(field, 2, ())
-    if not _has_witt_decisions(field):
+    if not _has_classes(field):
         raise UnsupportedField("no degree-2 Milnor coordinates for this field")
     local: Dict[Place, object] = {}
     for (k, syms), c in monomials.items():
@@ -245,7 +245,7 @@ def _make(field, degree: int, monomials: Dict[Monomial, int]) -> MWElem:
         if len(syms) - k != degree:
             raise DegreeOverflow("monomial degree does not match the element degree")
         clean[(k, syms)] = c
-    if degree <= 2 and _has_witt_decisions(field):
+    if degree <= 2 and _has_classes(field):
         milnor = _milnor_coords(field, degree, clean)
         witt = _witt_component(field, clean)
         _check_fiber(field, degree, milnor, witt)
@@ -363,7 +363,7 @@ def mw_equal(x: MWElem, y: MWElem) -> bool:
         raise UnsupportedDegree("elements have different degrees")
     if x.degree == 3:
         raise UnsupportedDegree("no equality oracle in degree 3")
-    if not _has_witt_decisions(x.field):
+    if not _has_classes(x.field):
         raise UnsupportedField("no equality oracle over this field")
     xm, xw = x.pair()
     ym, yw = y.pair()

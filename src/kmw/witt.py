@@ -24,11 +24,12 @@ how many entries of a diagonal representative fall in each local square
 class there (four at a tame place, eight at 2 over Q, two at the real
 place), summed over pairs of classes.  That is O(r) per place rather
 than r(r-1)/2 Hilbert symbols.  The local class of an entry is read off
-its square-class key, never off a representative element: over Q from
-(sign, squarefree n), and over F_q(t) from (base bit, places of odd
-valuation), where the class at a place P is (P in the places, chi_P(base)
-plus the bits of Q mod P over the other places Q), and at infinity (the
-degree parity, the base bit).  The symbol of two local classes is
+its square-class key (bit, places of odd valuation), never off a
+representative element: over Q from the sign and the product of the
+primes, and over F_q(t) from the base bit and the places, where the
+class at a place P is (P in the places, chi_P(base) plus the bits of
+Q mod P over the other places Q), and at infinity (the degree parity,
+the base bit).  The symbol of two local classes is
 ``kmw.fields._symbol_bit``, the same that ``kmw.fields.hilbert`` reads.
 The support is read off the keys too.
 
@@ -63,10 +64,10 @@ from .fields import (
     FieldElem,
     FiniteField,
     Place,
-    RatFunField,
     RationalField,
     SquareClass,
     _class_support,
+    _has_classes,
     _local_class,
     _minus_one_class,
     _symbol_bit,
@@ -145,19 +146,6 @@ def _hasse_defects(field, rep: Sequence[SquareClass]) -> Dict[Place, int]:
     }
 
 
-def _has_witt_decisions(field) -> bool:
-    """Whether the invariants here decide Witt classes over the field:
-    F_q, Q and F_q(t)."""
-    if isinstance(field, RatFunField):
-        return isinstance(field.base, FiniteField)
-    return isinstance(field, (FiniteField, RationalField))
-
-
-def _check_decidable(field):
-    if not _has_witt_decisions(field):
-        raise UnsupportedField("no Witt decision procedure for this field")
-
-
 def witt_is_zero(form: GroupRingElem) -> bool:
     """Whether the form is hyperbolic (zero in the Witt group).
 
@@ -176,7 +164,8 @@ def in_i_power(form: GroupRingElem, n: int) -> bool:
     """Membership in the n-th power of the fundamental ideal, n in 1..3."""
     if n not in (1, 2, 3):
         raise UnsupportedDegree("fundamental-ideal filtration is decided for n in 1..3")
-    _check_decidable(form.field)
+    if not _has_classes(form.field):
+        raise UnsupportedField("no Witt decision procedure for this field")
     return _in_i_power(form, form.diag_rep(), n)
 
 

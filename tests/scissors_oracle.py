@@ -60,7 +60,7 @@ def rp_vector(ctx, elem: RPElem, twist: int = 0) -> list:
     vec = [0] * (2 * ctx.n_units)
     for coeff, arg in elem.terms:
         for cls, n in coeff.coeffs.items():
-            vec[ctx.flat_index(cls.key, arg)] += n
+            vec[ctx.flat_index(cls.key[0], arg)] += n
     return swap_halves(vec) if twist % 2 else vec
 
 

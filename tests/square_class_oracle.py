@@ -1,23 +1,26 @@
-"""The polynomial square-class key over F_q(t), kept as the oracle for the
-place-set key of ``kmw.fields``.
+"""The earlier square-class keys, kept as oracles for the (bit, places)
+key of ``kmw.fields``: one bit over F_q, (sign, positive squarefree n)
+over Q, and over F_q(t) the polynomial key.
 
-Here a class over F_q(t) is keyed by (base bit, coefficients of the monic
-squarefree polynomial whose irreducible factors are the places of odd
-valuation).  A product runs a polynomial gcd and two divisions, the
+The polynomial key of a class over F_q(t) is (base bit, coefficients of
+the monic squarefree polynomial whose irreducible factors are the places
+of odd valuation).  A product runs a polynomial gcd and two divisions, the
 representative is rebuilt from the key on every call, and local data is
 the valuation of that representative.  ``install`` swaps these functions
-in for the place-set ones of ``kmw.fields`` (and for the support that
-``kmw.witt`` reads off keys), so that whole commands can be run on either
-key.
+in for the place-set ones of ``kmw.fields`` over F_q(t) (and for the
+support that ``kmw.witt`` reads off keys), so that whole commands can be
+run on either key.
 """
 
 from math import gcd as int_gcd
 
 import kmw.witt
 from kmw import fields
+from kmw.errors import MixedFields
 from kmw.fields import (
     FiniteField,
     Poly,
+    RatFunField,
     RationalField,
     _PolyExtension,
     _flat_key,
@@ -64,6 +67,49 @@ def oracle_key_rep(field, key):
     return field.elem(poly * Poly(field.base, [base_rep.val]))
 
 
+def oracle_rational_key(x):
+    """The (sign, squarefree n) key of a nonzero Fraction: n is |num * den|
+    with each square divisor d^2 divided out, for d = 2, 3, ... in turn."""
+    n = abs(x.numerator * x.denominator)
+    d = 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+        d += 1
+    return (int(x < 0), n)
+
+
+def oracle_finite_key(x):
+    """The bit key of a unit of F_q: 1 when x^((q-1)/2) = -1 (Euler)."""
+    return 0 if x ** ((x.field.order - 1) // 2) == x.field.one else 1
+
+
+def oracle_rational_local(key, place):
+    """The local class at a place of Q of the representative -n or n of a
+    (sign, squarefree n) key: (sign bit,) at the real place, and for
+    n = p^v u, (v, u mod 8) at 2 and (v, nonsquare bit of u mod p, by
+    Euler's criterion) at an odd prime p."""
+    s, n = key
+    if place.kind == "real":
+        return (s,)
+    p = place.data
+    v = int(n % p == 0)
+    u = (-1 if s else 1) * (n // p if v else n)
+    if p == 2:
+        return (v, u % 8)
+    return (v, int(pow(u % p, (p - 1) // 2, p) == p - 1))
+
+
+def oracle_form_repr(field, counts):
+    """``repr`` of the form sum c<a> over a finite field or Q, from a
+    {key: c} dict of earlier keys: terms in key order, zero ones dropped."""
+    parts = []
+    for key in sorted(k for k, c in counts.items() if c):
+        c, tag = counts[key], f"<{oracle_key_rep(field, key)!r}>"
+        parts.append(tag if c == 1 else f"-{tag}" if c == -1 else f"{c}*{tag}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 def oracle_key(x):
     """The polynomial key of a nonzero element of F_q(t)."""
     num, den = x.val
@@ -90,30 +136,63 @@ def oracle_local(field, key, place):
     return (v % 2, int(not res.field.is_square_raw(res.val)))
 
 
-def oracle_support(field, rep):
-    """``support_places`` of the representative elements."""
-    elems = [oracle_key_rep(field, cls.key) for cls in rep]
+def oracle_support(field, keys):
+    """``support_places`` of the representative elements of the keys."""
+    elems = [oracle_key_rep(field, key) for key in keys]
     return support_places(field, elems) if elems else []
+
+
+def _poly_key(field, key):
+    """An F_q(t) key as ``install`` stores it, written as the oracle's:
+    the stored places are the polynomial's coefficients, with () for the
+    polynomial 1, so that the trivial key is the library's (0, ())."""
+    b, c = key
+    return (b, c or (field.base._one_raw,))
+
+
+def _stored_key(field, key):
+    """An oracle key over F_q(t) as ``install`` stores it."""
+    b, c = key
+    return (b, () if c == (field.base._one_raw,) else c)
 
 
 def install(monkeypatch, calls=None):
     """Run ``kmw.fields`` on the polynomial key over F_q(t), appending each
-    oracle key built to ``calls`` when it is given.  Classes made before
-    are not valid afterwards, so the cached class of -1 is cleared here;
-    the caller clears it again once the monkeypatch is undone."""
+    oracle key built to ``calls`` when it is given; classes over F_q and Q
+    keep the library's key.  Classes made before are not valid
+    afterwards, so the cached class of -1 is cleared here; the caller
+    clears it again once the monkeypatch is undone."""
+    library_mul = fields.SquareClass.__mul__
 
     def key(x):
         out = oracle_key(x)
         if calls is not None:
             calls.append(out)
-        return out
+        return _stored_key(x.field, out)
+
+    def mul(self, other):
+        field = self.field
+        if not isinstance(field, RatFunField) or not isinstance(other, fields.SquareClass):
+            return library_mul(self, other)
+        if other.field is not field:
+            raise MixedFields("square classes over different fields")
+        prod = oracle_key_mul(field, _poly_key(field, self.key), _poly_key(field, other.key))
+        return fields.SquareClass(field, _stored_key(field, prod))
+
+    def support(field, rep):
+        if not isinstance(field, RatFunField):
+            return fields._class_support(field, rep)
+        return oracle_support(field, [_poly_key(field, cls.key) for cls in rep])
 
     fields._minus_one_class.cache_clear()
-    monkeypatch.setattr(fields, "_trivial_key", oracle_trivial_key)
-    monkeypatch.setattr(fields, "_key_mul", oracle_key_mul)
+    monkeypatch.setattr(fields.SquareClass, "__mul__", mul)
     monkeypatch.setattr(fields, "_fqt_key", key)
-    # an oracle key is already (bit, coefficients of the representative)
-    monkeypatch.setattr(fields, "_fqt_coeffs", lambda field, k: k)
-    monkeypatch.setattr(fields, "_fqt_sort_key", oracle_sort_key)
-    monkeypatch.setattr(fields, "_fqt_local", oracle_local)
-    monkeypatch.setattr(kmw.witt, "_class_support", oracle_support)
+    # a stored key is (bit, coefficients of the representative)
+    monkeypatch.setattr(fields, "_fqt_coeffs", _poly_key)
+    monkeypatch.setattr(
+        fields, "_fqt_sort_key", lambda field, k: oracle_sort_key(field, _poly_key(field, k))
+    )
+    monkeypatch.setattr(
+        fields, "_fqt_local", lambda field, k, place: oracle_local(field, _poly_key(field, k), place)
+    )
+    monkeypatch.setattr(kmw.witt, "_class_support", support)

@@ -349,10 +349,10 @@ class TestSquareClasses:
     def test_rational_examples(self):
         Q = fl.rationals()
         c = fl.square_class(Q.elem(-18))
-        assert c.key == (1, 2)
+        assert c.key == (1, (2,)) and c.sort_key == (1, 2)
         assert c.rep() == Q.elem(-2)
         assert fl.square_class(Q.elem(Fraction(4, 9))).is_trivial()
-        assert fl.square_class(Q.elem(Fraction(-3, 4))).key == (1, 3)
+        assert fl.square_class(Q.elem(Fraction(-3, 4))).key == (1, (3,))
 
     def test_multiplicative_sampled(self):
         rng = random.Random(33)

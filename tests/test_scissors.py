@@ -382,7 +382,7 @@ class TestOneRowPerFact:
         vec = [0] * (2 * ctx.n_units)
         for coeff, arg in elem.terms:
             for cls, n in coeff.coeffs.items():
-                vec[ctx.flat_index((cls.key + 1) % 2, arg)] += n
+                vec[ctx.flat_index((cls.key[0] + 1) % 2, arg)] += n
         return vec
 
     @pytest.mark.parametrize("q", [5, 9, 13, 25, 27])

@@ -22,11 +22,12 @@ from kmw.fields import (
     RationalField,
     RatFunField,
     SquareClass,
+    _has_classes,
     _local_class,
     support_places,
     valuation,
 )
-from kmw.witt import _check_decidable, _signed_disc, signature
+from kmw.witt import _signed_disc, signature
 from kmw.group_ring import GroupRingElem, gr_unit, gr_zero
 
 
@@ -67,7 +68,8 @@ def oracle_in_i_cube(form) -> bool:
     """Membership in I^3 by pairwise Hasse comparisons at every place of
     the support."""
     field = form.field
-    _check_decidable(field)
+    if not _has_classes(field):
+        raise UnsupportedField("no Witt decision procedure for this field")
     rep = form.diag_rep()
     if len(rep) % 2:
         return False
@@ -104,7 +106,7 @@ def second_residue(form: GroupRingElem, place) -> GroupRingElem:
     for cls, c in form.coeffs.items():
         v, res = _local_class(cls, place)
         if v:
-            rcls = SquareClass(kappa, res)
+            rcls = SquareClass(kappa, (res, ()))
             out[rcls] = out.get(rcls, 0) + c
     return GroupRingElem(kappa, out)
 
